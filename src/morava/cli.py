@@ -168,20 +168,23 @@ def parse_element(src: str, ring, allow_s: bool = True) -> OrderElem:
     return out
 
 
-def format_element(x: OrderElem) -> str:
-    """Text form of an element; parse_element accepts it back."""
-    return repr(x)
-
-
 def _ring(args):
     return make_ring(args.p, args.n, args.prec)
 
 
 def _parse_stems(spec: str):
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        return range(int(lo), int(hi) + 1)
-    return [int(part) for part in spec.split(",")]
+    """An argparse type: "a..b" or a comma list, refused when empty or malformed."""
+    try:
+        if ".." in spec:
+            lo, _, hi = spec.partition("..")
+            stems = range(int(lo), int(hi) + 1)
+        else:
+            stems = [int(part) for part in spec.split(",")]
+    except ValueError:
+        stems = None
+    if not stems:
+        raise argparse.ArgumentTypeError(f"expected a..b with a <= b or a comma list, got {spec!r}")
+    return stems
 
 
 def _cmd_witt(args):
@@ -193,9 +196,9 @@ def _cmd_witt(args):
     if args.cmd == "frobenius":
         x = parse_element(args.expr, ring, allow_s=False).parts[0]
         y = x.frobenius()
-        return [format_element(from_witt(ring, y))], {"coords": list(y.coords)}
+        return [repr(from_witt(ring, y))], {"coords": list(y.coords)}
     x = teichmuller(ring, ring.fq.from_idx(args.residue % ring.q))
-    return [format_element(from_witt(ring, x))], {"coords": list(x.coords)}
+    return [repr(from_witt(ring, x))], {"coords": list(x.coords)}
 
 
 def _cmd_order(args):
@@ -203,10 +206,10 @@ def _cmd_order(args):
     x = parse_element(args.expr, ring)
     if args.cmd == "mul":
         out = x * parse_element(args.other, ring)
-        return [format_element(out)], out.to_json()
+        return [repr(out)], out.to_json()
     if args.cmd == "inv":
         out = x.inverse()
-        return [format_element(out)], out.to_json()
+        return [repr(out)], out.to_json()
     if args.cmd == "val":
         v = x.s_valuation()
         return [f"v = {v}"], {"valuation": str(v)}
@@ -232,7 +235,7 @@ def _cmd_stab(args):
         return [line], {"order": found, "bound": bound, "precision": cap}
     if args.cmd == "comm":
         out = commutator(x, StabElem(parse_element(args.other, ring)))
-        return [format_element(out.elem)], out.elem.to_json()
+        return [repr(out.elem)], out.elem.to_json()
     if args.cmd == "level":
         lv = filtration_level(x)
         return [f"level {lv}"], {"level": str(lv)}
@@ -242,7 +245,7 @@ def _cmd_stab(args):
     if args.cmd == "split":
         x1, z = s1_split(x)
         return (
-            [f"norm-one part: {format_element(x1.elem)}", f"central unit: {z!r}"],
+            [f"norm-one part: {x1.elem!r}", f"central unit: {z!r}"],
             {"norm_one": x1.elem.to_json(), "central": z.value},
         )
     member = in_K(x)
@@ -323,10 +326,10 @@ def _cmd_k1(args):
         chart = sphere_e2_page(args.p, args.smax, args.tmin, args.tmax)
         return chart.render_text().splitlines(), chart.to_json()
     if args.cmd == "homotopy":
-        table = homotopy_table(args.p, _parse_stems(args.stems))
+        table = homotopy_table(args.p, args.stems)
         return table.render_text().splitlines(), table.to_json()
     if args.cmd == "ko":
-        table = ko_table(_parse_stems(args.stems))
+        table = ko_table(args.stems)
         return table.render_text().splitlines(), table.to_json()
     report = psi_valuation_report(args.p, args.tmax)
     status = "ok" if report.ok else "FAILED"
@@ -453,9 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ke2.add_argument("--tmin", type=int, default=-8)
     ke2.add_argument("--tmax", type=int, default=16)
     kho = _leaf(ksub, "homotopy", common)
-    kho.add_argument("--stems", required=True, help="a..b or a comma list")
+    kho.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
     kko = _leaf(ksub, "ko", common)
-    kko.add_argument("--stems", required=True)
+    kko.add_argument("--stems", type=_parse_stems, required=True)
     kva = _leaf(ksub, "valuations", common)
     kva.add_argument("--tmax", type=int, default=200)
 

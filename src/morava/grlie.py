@@ -246,19 +246,17 @@ def check_power_vs_group(p, n, k, trials=50, M=16, seed=0) -> CheckReport:
 
 
 def commutator_span(p, n, k, l, poly=None) -> GrSubspace:
-    """F_p-span of all bracket digits between levels k/n and l/n."""
+    """F_p-span of all bracket digits between levels k/n and l/n.
+
+    The bracket is F_p-bilinear, so the brackets of the n^2 pairs of F_p-basis
+    elements span the same space as the brackets of all q^2 pairs.
+    """
     field = fq_field(p, n, poly)
-    q = field.q
-    if q > _BRUTE_FORCE_LIMIT:
-        raise ValueError("brute force out of range for this field size")
+    basis = full_space(field).basis()
     span = GrSubspace(field)
-    mul, frob = field.mul_idx, field.frob_idx
-    for ai in range(1, q):
-        fa = frob(ai, l)
-        for bi in range(1, q):
-            d = field.add_idx(mul(ai, frob(bi, k)), field.neg_idx(mul(bi, fa)))
-            if d and span.insert(field.from_idx(d)) and span.dim == n:
-                return span
+    for a in basis:
+        for b in basis:
+            span.insert(gr_bracket(GrElem(k, a), GrElem(l, b)).digit)
     return span
 
 

@@ -14,6 +14,8 @@ from morava.padic import (
     INF,
     CyclicDecomp,
     PadicParams,
+    _is_prime,
+    identity_matrix,
     invert_matrix,
     mat_mul,
     mat_vec,
@@ -41,7 +43,7 @@ class ZpModuleWithOperator:
         return len(self.matrix)
 
     def power(self, e: int) -> list:
-        out = _identity(self.rank)
+        out = identity_matrix(self.rank)
         base = [list(r) for r in self.matrix]
         mod = self.params.modulus
         while e:
@@ -67,10 +69,6 @@ class CohomologyGroup:
 
     def __str__(self):
         return f"H^{self.s} = {self.decomp}"
-
-
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def _sub(A, B, mod):
@@ -110,6 +108,13 @@ def _subquotient_orders(kernel_of, image_of, params: PadicParams) -> list:
     return list(smith_normal_form(R, params).cokernel_orders())
 
 
+def _invariants(gm1_snf, p: int) -> CohomologyGroup:
+    """H^0 = ker(g - 1), read off the Smith normal form of g - 1."""
+    k = len(_kernel_indices(gm1_snf))
+    h0 = CyclicDecomp(p, [INF] * k, precision_caveat=k > 0)
+    return CohomologyGroup(0, h0, "kernel of g - 1 at precision")
+
+
 def iwasawa_cohomology(module: ZpModuleWithOperator) -> tuple:
     """H^0 and H^1 of a pro-cyclic p-adic group acting through one operator g.
 
@@ -117,16 +122,11 @@ def iwasawa_cohomology(module: ZpModuleWithOperator) -> tuple:
     """
     params = module.params
     mod = params.modulus
-    A = _sub([list(r) for r in module.matrix], _identity(module.rank), mod)
+    A = _sub(module.matrix, identity_matrix(module.rank), mod)
     snf = smith_normal_form(A, params)
-    k = len(_kernel_indices(snf))
-    h0 = CyclicDecomp(params.p, [INF] * k, precision_caveat=k > 0)
     h1_orders = list(snf.cokernel_orders())
     h1 = CyclicDecomp(params.p, h1_orders, precision_caveat=INF in h1_orders)
-    return (
-        CohomologyGroup(0, h0, "kernel of g - 1 at precision"),
-        CohomologyGroup(1, h1, "cokernel of g - 1"),
-    )
+    return _invariants(snf, params.p), CohomologyGroup(1, h1, "cokernel of g - 1")
 
 
 def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> CohomologyGroup:
@@ -137,25 +137,18 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
     """
     params = module.params
     mod = params.modulus
-    if module.power(m) != _identity(module.rank):
+    if module.power(m) != identity_matrix(module.rank):
         raise ValueError(f"not a valid action: operator order does not divide {m}")
     if s < 0:
         raise ValueError("negative degree")
-    g = [list(r) for r in module.matrix]
-    gm1 = _sub(g, _identity(module.rank), mod)
-    N = _identity(module.rank)
-    cur = _identity(module.rank)
-    for _ in range(m - 1):
-        cur = mat_mul(cur, g, mod)
-        N = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(N, cur)]
+    gm1 = _sub(module.matrix, identity_matrix(module.rank), mod)
     if s == 0:
-        snf = smith_normal_form(gm1, params)
-        k = len(_kernel_indices(snf))
-        return CohomologyGroup(
-            0,
-            CyclicDecomp(params.p, [INF] * k, precision_caveat=k > 0),
-            "kernel of g - 1 at precision",
-        )
+        return _invariants(smith_normal_form(gm1, params), params.p)
+    N = identity_matrix(module.rank)
+    cur = identity_matrix(module.rank)
+    for _ in range(m - 1):
+        cur = mat_mul(cur, module.matrix, mod)
+        N = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(N, cur)]
     if s % 2:
         orders = _subquotient_orders(N, gm1, params)
         prov = "ker(norm) / im(g - 1)"
@@ -235,6 +228,8 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with valuation computed
     on exact integers.  For p = 2 see the C_2 assembly.
     """
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if s < 0:
         raise ValueError("negative degree")
     if p == 2:

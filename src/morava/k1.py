@@ -10,6 +10,7 @@ chart (the order-two subgroup alone) is built by the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from morava.padic import INF, nu_p
 from morava.homalg import g1_cohomology_E1
@@ -23,7 +24,7 @@ from morava.specseq import (
     collapse_check,
 )
 
-# the p = 2 window: rows above KEEP only feed differentials, never stems
+# the chart window: rows above KEEP only feed differentials, never stems
 _S_BUILD = 14
 _S_KEEP = 10
 _T_MARGIN = 4
@@ -61,38 +62,29 @@ def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
-def sphere_d3_rules(s_max: int):
-    """d_3 rewrites at p = 2: three more etas and two more powers of u.
+def _eta_towers(s_max: int, first: int, zeta: bool = False):
+    """d_3 on the towers eta^a (times zeta when asked), first <= a <= s_max.
 
-    Only classes whose u-exponent is 2 mod 4 support the differential.  The
-    bottom zeta tower feeds in with index one; its kernel keeps the label
+    The differential adds three etas and two powers of u; only classes whose
+    u-exponent is 2 mod 4 support it.
+    """
+    times = (("zeta", 1),) if zeta else ()
+    rules = []
+    for a in range(first, s_max + 1):
+        name = f"zeta*eta^{a}" if zeta else f"eta^{a}" if a else "u"
+        source = ((("eta", a),) if a else ()) + times
+        target = (("eta", a + 3),) + times
+        rules.append(DifferentialRule(f"{name} tower", source, target, u_shift=2, u_mod=4, u_res=2))
+    return rules
+
+
+def sphere_d3_rules(s_max: int):
+    """d_3 rewrites at p = 2 on the eta towers and the zeta * eta towers.
+
+    The bottom zeta tower feeds in with index one; its kernel keeps the label
     with a doubled index.
     """
-    rules = []
-    for a in range(1, s_max + 1):
-        rules.append(
-            DifferentialRule(
-                name=f"eta^{a} tower",
-                source_core=(("eta", a),),
-                target_core=(("eta", a + 3),),
-                u_shift=2,
-                u_mod=4,
-                u_res=2,
-            )
-        )
-    for a in range(s_max + 1):
-        source = (("zeta", 1),) if a == 0 else (("eta", a), ("zeta", 1))
-        rules.append(
-            DifferentialRule(
-                name=f"zeta*eta^{a} tower",
-                source_core=source,
-                target_core=(("eta", a + 3), ("zeta", 1)),
-                u_shift=2,
-                u_mod=4,
-                u_res=2,
-            )
-        )
-    return rules
+    return _eta_towers(s_max, 1) + _eta_towers(s_max, 0, zeta=True)
 
 
 def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
@@ -111,28 +103,8 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
 
 
 def ko_d3_rules(s_max: int):
-    rules = [
-        DifferentialRule(
-            name="u tower",
-            source_core=(),
-            target_core=(("eta", 3),),
-            u_shift=2,
-            u_mod=4,
-            u_res=2,
-        )
-    ]
-    for a in range(1, s_max + 1):
-        rules.append(
-            DifferentialRule(
-                name=f"eta^{a} tower",
-                source_core=(("eta", a),),
-                target_core=(("eta", a + 3),),
-                u_shift=2,
-                u_mod=4,
-                u_res=2,
-            )
-        )
-    return rules
+    """d_3 rewrites on the real K-theory chart: the u tower and the eta towers."""
+    return _eta_towers(s_max, 0)
 
 
 @dataclass(frozen=True)
@@ -174,51 +146,47 @@ class HomotopyTable:
         return "\n".join(lines)
 
 
+def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
+    """Run one chart to its final page and read off the requested stems.
+
+    build(t_lo, t_hi) gives the E_2 page over a window wide enough for every
+    differential that reaches the stems; pages holds the rules of d_2, d_3,
+    ... in turn.  No differential is applied after the last page with rules,
+    so the chart must collapse from there on.
+    """
+    stems = sorted(stems)
+    if not stems:
+        raise ValueError("no stems requested")
+    chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)
+    r_from = chart.page
+    for rules in pages:
+        chart = apply_differentials(chart, rules)
+        if rules:
+            r_from = chart.page
+    chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
+    if not collapse_check(chart, r_from):
+        raise ArithmeticError(f"chart does not collapse at page {r_from}")
+    return HomotopyTable(p, assemble_stems(chart, p, stems, extensions), chart, notes)
+
+
 def ko_table(stems) -> HomotopyTable:
     """Run the real K-theory chart through d_3 and read off the stems."""
-    stems = sorted(stems)
-    t_lo = stems[0] - _T_MARGIN
-    t_hi = stems[-1] + _S_BUILD + _T_MARGIN
-    chart = ko_e2_page(_S_BUILD, t_lo, t_hi)
-    chart = apply_differentials(chart, [])
-    chart = apply_differentials(chart, ko_d3_rules(_S_BUILD))
-    chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
-    if not collapse_check(chart, chart.page):
-        raise ArithmeticError("chart does not collapse at page 4")
-    groups = assemble_stems(chart, 2, stems)
     notes = ("d_3 doubles the u tower in stems 4 mod 8",)
-    return HomotopyTable(2, groups, chart, notes)
+    return _table(2, stems, partial(ko_e2_page, _S_BUILD), ([], ko_d3_rules(_S_BUILD)), None, notes)
 
 
 def homotopy_table(p: int, stems) -> HomotopyTable:
     """Homotopy of the height-one local sphere on the requested stems."""
-    stems = sorted(stems)
-    if p == 2:
-        t_lo = stems[0] - _T_MARGIN
-        t_hi = stems[-1] + _S_BUILD + _T_MARGIN
-        chart = sphere_e2_page(2, _S_BUILD, t_lo, t_hi)
-        chart = apply_differentials(chart, [])
-        chart = apply_differentials(chart, sphere_d3_rules(_S_BUILD))
-        chart = chart.crop(
-            s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1
-        )
-        if not collapse_check(chart, chart.page):
-            raise ArithmeticError("chart does not collapse at page 4")
-        groups = assemble_stems(
-            chart, 2, stems, extensions={"modulus": 8, "join": {3}}
-        )
-        notes = (
-            "d_3 adds three etas and two powers of u where the u-exponent is 2 mod 4",
-            "stems 3 mod 8 carry a hidden extension joining the two summands",
-        )
-        return HomotopyTable(2, groups, chart, notes)
-    chart = sphere_e2_page(p, 1, stems[0] - 2, stems[-1] + 3)
-    chart = apply_differentials(chart, [])
-    if not collapse_check(chart, 2):
-        raise ArithmeticError("two-row chart failed to collapse")
-    groups = assemble_stems(chart, p, stems)
-    notes = ("two rows only, so every differential vanishes and the chart collapses",)
-    return HomotopyTable(p, groups, chart, notes)
+    if p != 2:
+        notes = ("two rows only, so every differential vanishes and the chart collapses",)
+        return _table(p, stems, partial(sphere_e2_page, p, 1), ([],), None, notes)
+    notes = (
+        "d_3 adds three etas and two powers of u where the u-exponent is 2 mod 4",
+        "stems 3 mod 8 carry a hidden extension joining the two summands",
+    )
+    pages = ([], sphere_d3_rules(_S_BUILD))
+    extensions = {"modulus": 8, "join": {3}}
+    return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), pages, extensions, notes)
 
 
 @dataclass(frozen=True)

@@ -288,14 +288,17 @@ def apply_differentials(chart: Chart, rules) -> Chart:
 
 
 def collapse_check(chart: Chart, r_from: int) -> bool:
-    """True when no differential d_r, r >= r_from, can connect two cells."""
-    keys = [k for k, cell in chart.entries.items() if cell]
-    for (s1, t1) in keys:
-        for (s2, t2) in keys:
-            ds = s2 - s1
-            if ds >= r_from and (t2 - t1) == ds - 1:
-                return False
-    return True
+    """True when no differential d_r, r >= r_from, can connect two cells.
+
+    A d_r lowers the stem t - s by one and raises s by r, so it is enough to
+    compare the highest s in stem i - 1 with the lowest s in stem i.
+    """
+    s_min, s_max = {}, {}
+    for (s, t), cell in chart.entries.items():
+        if cell:
+            s_min[t - s] = min(s, s_min.get(t - s, s))
+            s_max[t - s] = max(s, s_max.get(t - s, s))
+    return all(i - 1 not in s_max or s_max[i - 1] - s < r_from for i, s in s_min.items())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from morava.cli import ParseError, format_element, parse_element, run_command
+from morava.cli import ParseError, parse_element, run_command
 from morava.order import from_coeff_rows, from_int
 from morava.stabilizer import order3_element
 from morava.witt import make_ring
@@ -45,7 +45,7 @@ def test_format_parse_round_trip():
             [rng.randrange(3**6) for _ in range(2)],
         ]
         x = from_coeff_rows(ring, rows)
-        assert parse_element(format_element(x), ring) == x
+        assert parse_element(repr(x), ring) == x
 
 
 def test_stab_order_line(capsys):
@@ -79,6 +79,26 @@ def test_usage_and_domain_exit_codes(capsys):
     assert "S is not allowed" in capsys.readouterr().err
     assert run_command(["order", "inv", "1/3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_stems_are_usage_errors(capsys):
+    for group in ("homotopy", "ko"):
+        for spec in ("5..-5", "1,,2", "a..3"):
+            assert run_command(["k1", group, "--stems", spec]) == 2, (group, spec)
+            err = capsys.readouterr().err
+            assert "--stems" in err and "Traceback" not in err
+
+
+def test_composite_p_is_a_domain_error(capsys):
+    for argv in (
+        ["k1", "homotopy", "--p", "4", "--stems", "0..3"],
+        ["homalg", "g1", "--p", "4", "--s", "1", "--t", "6"],
+        ["k1", "e2", "--p", "6"],
+    ):
+        assert run_command(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p must be prime" in captured.err
 
 
 def test_order_mul_json(capsys):

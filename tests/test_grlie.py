@@ -17,7 +17,22 @@ from morava.grlie import (
     trace_kernel,
 )
 from morava.padic import INF
-from morava.witt import fq_field
+from morava.witt import DEFAULT_POLYS, fq_field
+
+
+def brute_force_span(p, n, k, l):
+    """The q^2 index-level enumeration that commutator_span replaced; the oracle."""
+    field = fq_field(p, n)
+    q = field.q
+    span = GrSubspace(field)
+    mul, frob = field.mul_idx, field.frob_idx
+    for ai in range(1, q):
+        fa = frob(ai, l)
+        for bi in range(1, q):
+            d = field.add_idx(mul(ai, frob(bi, k)), field.neg_idx(mul(bi, fa)))
+            if d and span.insert(field.from_idx(d)) and span.dim == n:
+                return span
+    return span
 
 
 def test_subspace_basics():
@@ -133,6 +148,18 @@ def test_span_frozen_cases():
     assert all(ker.contains(b) for b in sp.basis())
 
 
+def test_span_matches_brute_force():
+    cases = 0
+    for (p, n) in DEFAULT_POLYS:
+        if p**n > 32:
+            continue
+        for k in range(n + 3):
+            for l in range(k, n + 3):
+                assert commutator_span(p, n, k, l) == brute_force_span(p, n, k, l), (p, n, k, l)
+                cases += 1
+    assert cases == 191
+
+
 def test_predicted_span():
     kind, space = predicted_span(3, 2, 1, 2)
     assert kind == "full" and space == full_space(fq_field(3, 2))
@@ -145,9 +172,11 @@ def test_predicted_span():
 
 
 def test_brute_force_guard():
+    # spans need no enumeration of the field; the abelianization checks still do
     big = tuple([1, 0, 0, 1] + [0] * 13 + [1])  # x^17 + x^3 + 1, primitive
+    assert commutator_span(2, 17, 1, 1, poly=big) == full_space(fq_field(2, 17, big))
     with pytest.raises(ValueError, match="out of range"):
-        commutator_span(2, 17, 1, 1, poly=big)
+        abelianization_report(2, 17, 1, poly=big)
 
 
 def test_abelianization_odd_p():

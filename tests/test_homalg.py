@@ -128,6 +128,12 @@ def test_g1_p2_frozen():
         assert g1_cohomology_E1(2, s, 5).is_zero
 
 
+def test_g1_rejects_non_prime_p():
+    for p in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match="p must be prime"):
+            g1_cohomology_E1(p, 1, 6)
+
+
 def test_g1_p2_les_provenance():
     # exactly one side of the sequence contributes, by parity
     for s in range(2, 8):

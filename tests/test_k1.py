@@ -124,6 +124,15 @@ def test_ko_table_eight_fold_pattern():
     assert table.group(1).labels == ("eta",)
 
 
+def test_tables_refuse_empty_stems():
+    for stems in ([], range(5, -4)):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="no stems"):
+                homotopy_table(p, stems)
+        with pytest.raises(ValueError, match="no stems"):
+            ko_table(stems)
+
+
 def test_final_chart_is_collapsed_page_four():
     table = homotopy_table(2, [0, 1])
     assert table.chart.page == 4

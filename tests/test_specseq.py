@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from morava.padic import INF
@@ -193,6 +195,32 @@ def test_collapse_check():
     lone = Chart(4)
     lone.add(Summand(2, Monomial.parse("x"), 0, 0))
     assert collapse_check(lone, 2)
+
+
+def quadratic_collapse_check(chart, r_from):
+    """The all-pairs scan that collapse_check replaced; the oracle."""
+    keys = [k for k, cell in chart.entries.items() if cell]
+    for (s1, t1) in keys:
+        for (s2, t2) in keys:
+            ds = s2 - s1
+            if ds >= r_from and (t2 - t1) == ds - 1:
+                return False
+    return True
+
+
+def test_collapse_check_matches_quadratic_scan():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(3000):
+        chart = Chart(2)
+        for _ in range(rng.randrange(12)):
+            key = (rng.randrange(9), rng.randrange(-6, 13))
+            chart.entries[key] = () if rng.random() < 0.1 else (Summand(2, Monomial(), *key),)
+        r_from = rng.randint(1, 5)
+        expected = quadratic_collapse_check(chart, r_from)
+        assert collapse_check(chart, r_from) == expected, (sorted(chart.entries), r_from)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_assemble_direct_sum_and_join():
