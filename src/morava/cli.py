@@ -187,6 +187,14 @@ def _parse_stems(spec: str):
     return stems
 
 
+def _positive_int(spec: str) -> int:
+    """An argparse type: a positive integer."""
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
+    return value
+
+
 def _cmd_witt(args):
     ring = _ring(args)
     if args.cmd == "trace":
@@ -403,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = stab.add_subparsers(dest="cmd", required=True)
     sorder = _leaf(ssub, "order", common)
     sorder.add_argument("expr")
-    sorder.add_argument("--bound", type=int, default=None)
+    sorder.add_argument("--bound", type=_positive_int, default=None)
     scomm = _leaf(ssub, "comm", common)
     scomm.add_argument("expr")
     scomm.add_argument("other")

@@ -43,6 +43,8 @@ class ZpModuleWithOperator:
         return len(self.matrix)
 
     def power(self, e: int) -> list:
+        if e < 0:
+            raise ValueError(f"negative operator power {e}")
         out = identity_matrix(self.rank)
         base = [list(r) for r in self.matrix]
         mod = self.params.modulus
@@ -135,6 +137,8 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
     Standard periodic resolution: H^0 = ker(g-1), odd H^s = ker(N)/im(g-1),
     even H^s = ker(g-1)/im(N), with N = 1 + g + ... + g^(m-1).
     """
+    if m < 1:
+        raise ValueError(f"group order must be positive, got {m}")
     params = module.params
     mod = params.modulus
     if module.power(m) != identity_matrix(module.rank):

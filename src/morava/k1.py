@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from morava.padic import INF, nu_p
+from morava.padic import INF, _is_prime, nu_p
 from morava.homalg import g1_cohomology_E1
 from morava.specseq import (
     Chart,
@@ -230,6 +230,8 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     power and the offset is 3: nu_2(3^(2t) - 1) = nu_2(t) + 3.  Powers are
     accumulated incrementally so each step is one big-integer multiply.
     """
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if t_max < 1:
         raise ValueError("t_max must be positive")
     offset = 3 if p == 2 else 1

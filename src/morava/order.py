@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from operator import mul
 
-from morava.witt import PrecisionError, WittElem, WittRing, make_ring, teichmuller
+from morava.padic import nu_p
+from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, make_ring, teichmuller
 
 
 @total_ordering
@@ -44,7 +46,8 @@ class SValuation:
         return self.value < other
 
     def __hash__(self):
-        return hash((self.value, self.at_precision_cap))
+        # an uncapped valuation equals its Fraction, so it must hash like one
+        return hash((self.value, True)) if self.at_precision_cap else hash(self.value)
 
     def __str__(self):
         v = self.value
@@ -52,110 +55,61 @@ class SValuation:
         return f">= {text}" if self.at_precision_cap else text
 
 
-class OrderElem:
-    """sum a_i S^i, 0 <= i < n, with Witt coefficients a_i."""
+class OrderElem(CoordElem):
+    """sum a_i S^i, 0 <= i < n, stored flat: coords[n*i + j] is the w^j S^i coefficient."""
 
-    __slots__ = ("ring", "parts")
+    __slots__ = ()
 
-    def __init__(self, ring: WittRing, parts: tuple):
-        self.ring = ring
-        self.parts = parts
-
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("incompatible rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return OrderElem(self.ring, tuple(a + b for a, b in zip(self.parts, other.parts)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return OrderElem(self.ring, tuple(a - b for a, b in zip(self.parts, other.parts)))
-
-    def __neg__(self):
-        return OrderElem(self.ring, tuple(-a for a in self.parts))
+    @property
+    def parts(self) -> tuple:
+        """The Witt coefficients a_0, ..., a_(n-1), as read-only views."""
+        n = self.ring.n
+        return tuple(WittElem(self.ring, self.coords[i : i + n]) for i in range(0, n * n, n))
 
     def __mul__(self, other):
         self._check(other)
         ring = self.ring
-        n = ring.n
-        p = ring.params.p
-        acc = [ring.zero() for _ in range(n)]
-        for i, ai in enumerate(self.parts):
-            if ai.is_zero:
+        n, p = ring.n, ring.params.p
+        x, y = self.coords, other.coords
+        acc = [0] * (n * n)
+        for i, mats in enumerate(ring.twisted_products):
+            a = x[n * i : n * i + n]
+            if not any(a):
                 continue
-            for j, bj in enumerate(other.parts):
-                if bj.is_zero:
-                    continue
-                term = ai * bj.frobenius(i)
-                k = i + j
-                if k >= n:
-                    k -= n
-                    term = term.scale(p)
-                acc[k] = acc[k] + term
-        return OrderElem(ring, tuple(acc))
-
-    def scale(self, c: int) -> "OrderElem":
-        return OrderElem(self.ring, tuple(a.scale(c) for a in self.parts))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = order_one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            base = base * base
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderElem)
-            and self.ring is other.ring
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), tuple(a.coords for a in self.parts)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.parts)
+            # (a S^i)(b w^l S^k) = b a sigma^i(w^l) S^(i+k), and S^n = p
+            twisted = [[sum(map(mul, row, a)) for row in mat] for mat in mats]
+            for k in range(n):
+                start, c = (n * (i + k), 1) if i + k < n else (n * (i + k - n), p)
+                for l, b in enumerate(y[n * k : n * k + n]):
+                    if b:
+                        cb = c * b
+                        for m, t in enumerate(twisted[l]):
+                            acc[start + m] += cb * t
+        mod = ring.params.modulus
+        return OrderElem(ring, tuple(v % mod for v in acc))
 
     @property
     def is_unit(self) -> bool:
-        return self.parts[0].is_unit
+        p = self.ring.params.p
+        return any(c % p for c in self.coords[: self.ring.n])
 
     def galois_sigma(self, k: int = 1) -> "OrderElem":
         """Coefficientwise Frobenius; this is conjugation by S."""
-        return OrderElem(self.ring, tuple(a.frobenius(k) for a in self.parts))
+        return _from_parts(self.ring, [a.frobenius(k) for a in self.parts])
 
     def s_valuation(self) -> SValuation:
-        n = self.ring.n
-        M = self.ring.params.M
-        best = None
-        for i, ai in enumerate(self.parts):
-            if ai.is_zero:
-                continue
-            v = i + n * ai.valuation()
-            if best is None or v < best:
-                best = v
-        if best is None:
-            return SValuation(n * M, n, at_precision_cap=True)
-        return SValuation(best, n)
+        n, p = self.ring.n, self.ring.params.p
+        v = min((idx // n + n * nu_p(c, p) for idx, c in enumerate(self.coords) if c), default=None)
+        if v is None:
+            return SValuation(n * self.ring.params.M, n, at_precision_cap=True)
+        return SValuation(v, n)
 
     def s_digits(self, count: int) -> list:
         """First `count` S-adic Teichmuller digits, elements of F_q."""
         n = self.ring.n
         if count > n * self.ring.params.M:
             raise ValueError("digit count exceeds precision")
-        per = [(count - i + n - 1) // n for i in range(n)]
-        cols = [
-            self.parts[i].teich_digits(per[i]) if per[i] > 0 else [] for i in range(n)
-        ]
+        cols = [a.teich_digits((count - i + n - 1) // n) for i, a in enumerate(self.parts)]
         return [cols[k % n][k // n] for k in range(count)]
 
     def inverse(self) -> "OrderElem":
@@ -204,8 +158,12 @@ class OrderElem:
 # constructors ---------------------------------------------------------------
 
 
+def _from_parts(ring: WittRing, parts) -> OrderElem:
+    return OrderElem(ring, tuple(c for a in parts for c in a.coords))
+
+
 def order_zero(ring: WittRing) -> OrderElem:
-    return OrderElem(ring, tuple(ring.zero() for _ in range(ring.n)))
+    return OrderElem(ring, (0,) * (ring.n * ring.n))
 
 
 def order_one(ring: WittRing) -> OrderElem:
@@ -213,8 +171,7 @@ def order_one(ring: WittRing) -> OrderElem:
 
 
 def from_witt(ring: WittRing, w: WittElem) -> OrderElem:
-    parts = [w] + [ring.zero()] * (ring.n - 1)
-    return OrderElem(ring, tuple(parts))
+    return OrderElem(ring, w.coords + (0,) * (ring.n * ring.n - ring.n))
 
 
 def from_int(ring: WittRing, c: int) -> OrderElem:
@@ -225,33 +182,35 @@ def s_gen(ring: WittRing) -> OrderElem:
     """The uniformizer S; equal to p when n = 1."""
     if ring.n == 1:
         return from_int(ring, ring.params.p)
-    parts = [ring.zero() for _ in range(ring.n)]
-    parts[1] = ring.one()
-    return OrderElem(ring, tuple(parts))
+    return OrderElem(ring, (0,) * ring.n + (1,) + (0,) * (ring.n * ring.n - ring.n - 1))
 
 
 def from_coeff_rows(ring: WittRing, rows) -> OrderElem:
     rows = list(rows)
     if len(rows) != ring.n:
         raise ValueError(f"need {ring.n} coefficient rows")
-    return OrderElem(ring, tuple(ring.from_coords(r) for r in rows))
+    return _from_parts(ring, [ring.from_coords(r) for r in rows])
 
 
 def from_digits(ring: WittRing, digits) -> OrderElem:
     """Assemble sum teich(d_k) S^k from S-adic digits (F_q elements)."""
-    n = ring.n
-    parts = [ring.zero() for _ in range(n)]
+    n, p = ring.n, ring.params.p
+    coords = [0] * (n * n)
     for k, d in enumerate(digits):
         i, j = k % n, k // n
         if j >= ring.params.M:
             raise ValueError("digit count exceeds precision")
-        lift = teichmuller(ring, d)
-        parts[i] = parts[i] + lift.scale(ring.params.p ** j)
-    return OrderElem(ring, tuple(parts))
+        for m, c in enumerate(teichmuller(ring, d).coords):
+            coords[n * i + m] += c * p ** j
+    mod = ring.params.modulus
+    return OrderElem(ring, tuple(c % mod for c in coords))
 
 
 def from_json(data) -> OrderElem:
     if isinstance(data, str):
         data = json.loads(data)
+    missing = [key for key in ("p", "n", "M", "coeffs") if key not in data]
+    if missing:
+        raise ValueError(f"order element JSON lacks {', '.join(map(repr, missing))}")
     ring = make_ring(int(data["p"]), int(data["n"]), int(data["M"]))
     return from_coeff_rows(ring, data["coeffs"])

@@ -42,8 +42,6 @@ class StabElem:
         return StabElem(self.elem.inverse())
 
     def __pow__(self, e: int) -> "StabElem":
-        if e < 0:
-            return self.inverse() ** (-e)
         return StabElem(self.elem ** e)
 
     def __eq__(self, other):
@@ -107,6 +105,8 @@ def element_order(x: StabElem, bound: int | None = None) -> int | None:
     """Smallest m <= bound with x^m = 1 at precision, else None."""
     if bound is None:
         bound = default_order_bound(x.ring)
+    if bound < 1:
+        raise ValueError(f"order bound must be positive, got {bound}")
     one = identity(x.ring)
     cur = x
     for m in range(1, bound + 1):

@@ -11,7 +11,7 @@ identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from morava.padic import PadicInt, PadicParams, invert_matrix, mat_mul, mat_vec, nu_p
 
@@ -125,6 +125,16 @@ def validate_poly_mod_p(p: int, n: int, poly) -> tuple:
             if _pol_pow(x, q1 // ell, f, p) == one:
                 raise ValueError(f"{poly} is not primitive mod {p}")
     return f
+
+
+def _poly_repr(coeffs, name: str) -> str:
+    """c_0 + c_1*name + c_2*name^2 + ..., zero terms left out; "0" when all are."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            pw = name if i == 1 else f"{name}^{i}"
+            terms.append(str(c) if i == 0 else pw if c == 1 else f"{c}*{pw}")
+    return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +323,7 @@ class FqElem:
         return hash((id(self.field), self.idx))
 
     def __repr__(self):
-        if self.idx == 0:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                pw = "wb" if i == 1 else f"wb^{i}"
-                terms.append(pw if c == 1 else f"{c}*{pw}")
-        return " + ".join(terms)
+        return _poly_repr(self.coeffs, "wb")
 
 
 def fq_field(p: int, n: int, poly=None) -> Fq:
@@ -444,12 +443,31 @@ class WittRing:
             for i in range(self.n)
         )
 
+    @cached_property
+    def twisted_products(self) -> list:
+        """table[i][l]: the matrix of a -> a sigma^i(w^l); column j is w^j sigma^i(w^l).
+
+        These n^3 products are the structure constants of the order, where
+        (a S^i)(w^l S^k) = a sigma^i(w^l) S^(i+k) and S^n = p.
+        """
+        n, mod, pows = self.n, self.params.modulus, self._omega_pows
+        return [
+            [
+                tuple(zip(*(_vec_mul(pows[j], col, pows, n, mod) for j in range(n))))
+                for col in zip(*sig)
+            ]
+            for sig in self._sigma_pows
+        ]
+
     def __repr__(self):
         return f"W(F_{self.q}) mod {self.params.p}^{self.params.M}"
 
 
-class WittElem:
-    """An element of the truncated Witt ring, coordinates on the w-power basis."""
+class CoordElem:
+    """A ring and one tuple of coordinates mod p^M: the arithmetic that is linear.
+
+    Subclasses supply __mul__ and inverse; powers are taken through them.
+    """
 
     __slots__ = ("ring", "coords")
 
@@ -464,36 +482,37 @@ class WittElem:
     def __add__(self, other):
         self._check(other)
         mod = self.ring.params.modulus
-        return WittElem(self.ring, tuple((a + b) % mod for a, b in zip(self.coords, other.coords)))
+        return type(self)(self.ring, tuple((a + b) % mod for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
         mod = self.ring.params.modulus
-        return WittElem(self.ring, tuple((a - b) % mod for a, b in zip(self.coords, other.coords)))
+        return type(self)(self.ring, tuple((a - b) % mod for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         mod = self.ring.params.modulus
-        return WittElem(self.ring, tuple((-a) % mod for a in self.coords))
+        return type(self)(self.ring, tuple((-a) % mod for a in self.coords))
 
-    def __mul__(self, other):
-        self._check(other)
-        r = self.ring
-        return WittElem(
-            r, _vec_mul(self.coords, other.coords, r._omega_pows, r.n, r.params.modulus)
-        )
-
-    def scale(self, c: int) -> "WittElem":
+    def scale(self, c: int):
         mod = self.ring.params.modulus
-        return WittElem(self.ring, tuple(a * c % mod for a in self.coords))
+        return type(self)(self.ring, tuple(a * c % mod for a in self.coords))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        r = self.ring
-        return WittElem(r, _vec_pow(self.coords, e, r._omega_pows, r.n, r.params.modulus))
+        # the identity is the first basis vector in both the Witt ring and the order
+        result = type(self)(self.ring, (1,) + (0,) * (len(self.coords) - 1))
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def __eq__(self, other):
-        return isinstance(other, WittElem) and self.ring is other.ring and self.coords == other.coords
+        return type(other) is type(self) and self.ring is other.ring and self.coords == other.coords
 
     def __hash__(self):
         return hash((id(self.ring), self.coords))
@@ -501,6 +520,19 @@ class WittElem:
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
+
+
+class WittElem(CoordElem):
+    """An element of the truncated Witt ring, coordinates on the w-power basis."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        self._check(other)
+        r = self.ring
+        return WittElem(
+            r, _vec_mul(self.coords, other.coords, r._omega_pows, r.n, r.params.modulus)
+        )
 
     @property
     def is_unit(self) -> bool:
@@ -562,16 +594,7 @@ class WittElem:
         return out
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                pw = "w" if i == 1 else f"w^{i}"
-                terms.append(pw if c == 1 else f"{c}*{pw}")
-        return " + ".join(terms) if terms else "0"
+        return _poly_repr(self.coords, "w")
 
 
 def teichmuller(ring: WittRing, x: FqElem) -> WittElem:

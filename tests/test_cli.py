@@ -101,6 +101,18 @@ def test_composite_p_is_a_domain_error(capsys):
         assert "p must be prime" in captured.err
 
 
+def test_edge_inputs_exit_codes(capsys):
+    for argv, code in (
+        (["stab", "order", "2", "--bound", "-5"], 2),
+        (["stab", "order", "2", "--bound", "0"], 2),
+        (["k1", "valuations", "--p", "4", "--tmax", "20"], 1),
+        (["homalg", "cyclic", "--matrix", "[[1]]", "--order", "0", "--s", "1"], 1),
+    ):
+        assert run_command(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_order_mul_json(capsys):
     code = run_command(["order", "mul", "S", "w", "--p", "2", "--n", "2", "--json"])
     assert code == 0

@@ -1,0 +1,23 @@
+"""A fixed corpus of CLI commands with their exact stdout and exit codes.
+
+cli_corpus.json holds one {"argv", "exit", "stdout"} record per command: the
+README examples, order mul/inv/digits under --json, the stab commands,
+witt frobenius and teich at n = 1..4, and four edge inputs that are usage
+or domain errors.  A refactor that changes any byte of this output changes
+behaviour and must say so.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from morava.cli import run_command
+
+CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("record", CORPUS, ids=[" ".join(r["argv"]) for r in CORPUS])
+def test_cli_corpus(record, capsys):
+    assert run_command(record["argv"]) == record["exit"]
+    assert capsys.readouterr().out == record["stdout"]

@@ -1,7 +1,13 @@
 """Group cohomology at precision: Smith-form kernels, subquotients, assembly."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import morava
 from morava.homalg import (
     CohomologyGroup,
     ZpModuleWithOperator,
@@ -47,6 +53,35 @@ def test_iwasawa_rank_two():
 def test_cyclic_rejects_wrong_order():
     with pytest.raises(ValueError, match="not a valid action"):
         cyclic_cohomology(_op(3, 8, [[4]]), 2, 1)
+
+
+def test_cyclic_rejects_trivial_group_order():
+    with pytest.raises(ValueError, match="group order must be positive"):
+        cyclic_cohomology(_op(3, 8, [[1]]), 0, 1)
+
+
+def _python(*args):
+    """Run this package in a fresh interpreter; a hang fails by timeout."""
+    src = str(Path(morava.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+
+
+def test_negative_powers_are_refused():
+    # a negative exponent once looped forever, so each case runs out of process
+    done = _python(
+        "-m", "morava.cli", "homalg", "cyclic", "--matrix", "[[1]]", "--order", "-2", "--s", "2"
+    )
+    assert done.returncode == 1 and "group order must be positive" in done.stderr
+    done = _python(
+        "-c",
+        "from morava.homalg import ZpModuleWithOperator\n"
+        "from morava.padic import PadicParams\n"
+        "ZpModuleWithOperator(PadicParams(3, 8), ((1,),)).power(-1)",
+    )
+    assert done.returncode == 1 and "negative operator power" in done.stderr
 
 
 def test_cyclic_c2_closed_forms():

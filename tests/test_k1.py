@@ -170,6 +170,9 @@ def test_valuation_report_exact():
     assert psi_valuation_report(3, 9).max_valuation == 3
     with pytest.raises(ValueError):
         psi_valuation_report(3, 0)
+    for p in (4, 6, 1):
+        with pytest.raises(ValueError, match="p must be prime"):
+            psi_valuation_report(p, 20)
 
 
 def test_table_type_round_trip():

@@ -1,10 +1,14 @@
 """Order arithmetic: the S relations, valuations, digits, inversion."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morava.order import (
+    OrderElem,
     SValuation,
     from_coeff_rows,
     from_digits,
@@ -15,7 +19,7 @@ from morava.order import (
     order_zero,
     s_gen,
 )
-from morava.witt import make_ring, teichmuller
+from morava.witt import DEFAULT_POLYS, make_ring, teichmuller
 
 
 def _random_order_elem(ring, rng):
@@ -23,6 +27,72 @@ def _random_order_elem(ring, rng):
     return from_coeff_rows(
         ring, [[rng.randrange(mod) for _ in range(ring.n)] for _ in range(ring.n)]
     )
+
+
+def _parts_product(x, y):
+    """The product on Witt coefficients, sum_(i,k) a_i sigma^i(b_k) S^(i+k): the oracle."""
+    ring = x.ring
+    n, p = ring.n, ring.params.p
+    acc = [ring.zero() for _ in range(n)]
+    for i, ai in enumerate(x.parts):
+        for k, bk in enumerate(y.parts):
+            term = ai * bk.frobenius(i)
+            if i + k >= n:
+                term = term.scale(p)
+            acc[(i + k) % n] = acc[(i + k) % n] + term
+    return from_coeff_rows(ring, [a.coords for a in acc])
+
+
+def test_product_matches_parts_oracle():
+    rng = random.Random(53)
+    for (p, n) in sorted(DEFAULT_POLYS):
+        if n > 5:
+            continue
+        for M in (1, 2, 16):
+            ring = make_ring(p, n, M)
+            for trial in range(6):
+                x, y = _random_order_elem(ring, rng), _random_order_elem(ring, rng)
+                if trial % 2:
+                    # sparse factors take the zero-skipping branches
+                    x, y = (OrderElem(ring, tuple(c * (rng.random() < 0.3) for c in e.coords))
+                            for e in (x, y))
+                assert x * y == _parts_product(x, y), (p, n, M, trial)
+
+
+def test_flat_representation():
+    ring = make_ring(2, 3, 4)
+    x = _random_order_elem(ring, random.Random(59))
+    assert isinstance(x, OrderElem)
+    assert len(x.coords) == 9 and all(type(c) is int for c in x.coords)
+    assert x.to_json()["coeffs"] == [list(x.coords[3 * i : 3 * i + 3]) for i in range(3)]
+    assert [a.coords for a in x.parts] == [x.coords[0:3], x.coords[3:6], x.coords[6:9]]
+    assert x ** 0 == order_one(ring) and x ** 1 == x and x ** 3 == x * x * x
+
+
+_UNIT_RINGS = [make_ring(3, 2, 6), make_ring(2, 3, 6), make_ring(5, 2, 6)]
+
+
+@st.composite
+def _units(draw):
+    ring = draw(st.sampled_from(_UNIT_RINGS))
+    n, p, mod = ring.n, ring.params.p, ring.params.modulus
+    coords = st.lists(st.integers(0, mod - 1), min_size=n * n, max_size=n * n)
+    units = coords.filter(lambda c: any(v % p for v in c[:n]))
+    return [OrderElem(ring, tuple(draw(units))) for _ in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_units())
+def test_product_ring_axioms(units):
+    x, y, z = units
+    ring = x.ring
+    one, s = order_one(ring), s_gen(ring)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert s * x == x.galois_sigma() * s
+    inv = x.inverse()
+    assert x * inv == one and inv * x == one
 
 
 def test_s_conjugates_omega():
@@ -152,6 +222,24 @@ def test_galois_sigma():
         # conjugation by S is the coefficientwise Frobenius
         assert s * x == x.galois_sigma() * s
         assert x.galois_sigma(2) == x
+
+
+def test_s_valuation_hash_matches_equality():
+    assert SValuation(6, 4) == SValuation(3, 2) == Fraction(3, 2)
+    assert hash(SValuation(6, 4)) == hash(SValuation(3, 2)) == hash(Fraction(3, 2))
+    assert len({SValuation(3, 2), Fraction(3, 2)}) == 1
+    assert len({SValuation(4, 2), 2}) == 1
+    capped = SValuation(3, 2, at_precision_cap=True)
+    assert capped != Fraction(3, 2) and len({capped, SValuation(3, 2)}) == 2
+
+
+def test_json_input_errors():
+    with pytest.raises(ValueError, match="'M'"):
+        from_json({"p": 3, "n": 2, "coeffs": [[1, 0], [0, 0]]})
+    with pytest.raises(ValueError, match="'coeffs'"):
+        from_json('{"p": 3, "n": 2, "M": 8}')
+    with pytest.raises(ValueError, match="need 2 coefficient rows"):
+        from_json({"p": 3, "n": 2, "M": 8, "coeffs": [[1, 0]]})
 
 
 def test_json_round_trip():

@@ -74,6 +74,9 @@ def test_no_small_torsion_at_5_2():
     ring = make_ring(5, 2, 8)
     x = StabElem(order_one(ring) + from_witt(ring, ring.omega) * s_gen(ring))
     assert element_order(x, 24) is None
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            element_order(x, bound)
 
 
 def test_commutator_identities():
