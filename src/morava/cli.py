@@ -8,6 +8,8 @@ w (the Teichmuller unit) and S (the twisting uniformizer):
     factor := base ('^' uint)?
     base   := int | int '/' int | 'w' | 'S' | '(' expr ')' | '-' base
 
+Parentheses and unary minus nest at most 100 deep.
+
 Every command takes --p, --n and --prec (Witt digits) and prints plain
 text, or a JSON document under --json.  Exit code 0 is success, 1 is a
 domain error (bad element, lost precision), 2 is a usage error.
@@ -84,10 +86,15 @@ def _tokenize(src: str):
     return tokens
 
 
+# each parenthesis or unary minus is one level of recursion in _Parser.base
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, ring, allow_s):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.ring = ring
         self.allow_s = allow_s
 
@@ -125,11 +132,19 @@ class _Parser:
             out = out ** value
         return out
 
+    def nested(self, inner, pos):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} at position {pos}")
+        out = inner()
+        self.depth -= 1
+        return out
+
     def base(self) -> OrderElem:
         kind, value, pos = self.peek()
         if kind == "-":
             self.take()
-            return self.base().scale(-1)
+            return self.nested(self.base, pos).scale(-1)
         if kind == "int":
             self.take()
             if self.peek()[0] == "/":
@@ -150,7 +165,7 @@ class _Parser:
             return s_gen(self.ring)
         if kind == "(":
             self.take()
-            out = self.expr()
+            out = self.nested(self.expr, pos)
             if self.peek()[0] != ")":
                 raise ParseError(f"expected ')' at position {self.peek()[2]}")
             self.take()
@@ -427,19 +442,19 @@ def _build_parser() -> argparse.ArgumentParser:
     grlie = groups.add_parser("grlie", help="graded Lie formulas and H_1")
     gsub = grlie.add_subparsers(dest="cmd", required=True)
     gbr = _leaf(gsub, "bracket", common)
-    gbr.add_argument("--k", type=int, required=True)
-    gbr.add_argument("--l", type=int, required=True)
+    gbr.add_argument("--k", type=_positive_int, required=True)
+    gbr.add_argument("--l", type=_positive_int, required=True)
     gbr.add_argument("a", type=int)
     gbr.add_argument("b", type=int)
     gpw = _leaf(gsub, "power", common)
-    gpw.add_argument("--k", type=int, required=True)
+    gpw.add_argument("--k", type=_positive_int, required=True)
     gpw.add_argument("a", type=int)
     gsp = _leaf(gsub, "span", common)
-    gsp.add_argument("--k", type=int, required=True)
-    gsp.add_argument("--l", type=int, required=True)
+    gsp.add_argument("--k", type=_positive_int, required=True)
+    gsp.add_argument("--l", type=_positive_int, required=True)
     gch = _leaf(gsub, "check", common)
-    gch.add_argument("--k", type=int, required=True)
-    gch.add_argument("--l", type=int, default=None)
+    gch.add_argument("--k", type=_positive_int, required=True)
+    gch.add_argument("--l", type=_positive_int, default=None)
     gch.add_argument("--power", action="store_true")
     gch.add_argument("--trials", type=int, default=50)
     gab = _leaf(gsub, "abelianize", common)

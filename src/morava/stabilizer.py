@@ -13,7 +13,7 @@ from math import lcm
 
 from morava.order import OrderElem, SValuation, from_int, from_witt, order_one, s_gen
 from morava.padic import PadicInt, nth_root_one_unit, unit_inverse
-from morava.witt import FqElem, PrecisionError, WittRing, teichmuller
+from morava.witt import FqElem, PrecisionError, WittRing, _prime_factors, teichmuller
 
 
 class StabElem:
@@ -102,18 +102,29 @@ def default_order_bound(ring: WittRing) -> int:
 
 
 def element_order(x: StabElem, bound: int | None = None) -> int | None:
-    """Smallest m <= bound with x^m = 1 at precision, else None."""
+    """Smallest m <= bound with x^m = 1 at precision, else None.
+
+    The unit group of O/p^M has order (q - 1) q^(nM - 1), so x^(q-1) is a
+    strict unit of p-power order p^j, and x^(p^j) has order d dividing q - 1;
+    the order of x is d p^j.
+    """
     if bound is None:
         bound = default_order_bound(x.ring)
     if bound < 1:
         raise ValueError(f"order bound must be positive, got {bound}")
+    p, q = x.ring.params.p, x.ring.q
     one = identity(x.ring)
-    cur = x
-    for m in range(1, bound + 1):
-        if cur == one:
-            return m
-        cur = cur * x
-    return None
+    y, ppow = x ** (q - 1), 1
+    while y != one:
+        ppow *= p
+        if ppow > bound:
+            return None
+        y = y ** p
+    z, d = x ** ppow, q - 1
+    for ell in _prime_factors(q - 1):
+        while d % ell == 0 and z ** (d // ell) == one:
+            d //= ell
+    return d * ppow if d * ppow <= bound else None
 
 
 def torus_embed(ring: WittRing, x: FqElem) -> StabElem:
@@ -157,18 +168,25 @@ def reduced_norm(x: OrderElem) -> PadicInt:
 
 
 def _det(m, ring: WittRing):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ring.zero()
-    # Laplace expansion along the first row; n stays small here
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = m[0][j] * _det(minor, ring)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    """Division-free determinant: signed sums over column subsets, row by row.
+
+    partial[mask] sums the signed products of rows 0..r-1 over the columns in
+    mask; column c of row r adds one inversion per used column above c.
+    """
+    partial = {1 << c: entry for c, entry in enumerate(m[0]) if not entry.is_zero}
+    for row in m[1:]:
+        nxt = {}
+        for mask, acc in partial.items():
+            for c, entry in enumerate(row):
+                if mask >> c & 1 or entry.is_zero:
+                    continue
+                term = acc * entry
+                if bin(mask >> c).count("1") & 1:
+                    term = -term
+                key = mask | 1 << c
+                nxt[key] = nxt[key] + term if key in nxt else term
+        partial = nxt
+    return partial.get((1 << len(m)) - 1, ring.zero())
 
 
 def s1_split(x: StabElem) -> tuple:

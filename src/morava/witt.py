@@ -500,15 +500,21 @@ class CoordElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        # the identity is the first basis vector in both the Witt ring and the order
-        result = type(self)(self.ring, (1,) + (0,) * (len(self.coords) - 1))
+        if e == 0:
+            # the identity is the first basis vector in both the Witt ring and the order
+            return type(self)(self.ring, (1,) + (0,) * (len(self.coords) - 1))
+        # start from the lowest set bit: floor(log2 e) + popcount(e) - 1 products
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if e:
-                base = base * base
         return result
 
     def __eq__(self, other):

@@ -113,6 +113,35 @@ def test_edge_inputs_exit_codes(capsys):
         assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parentheses", "minus"]
+)
+def test_deep_nesting_is_a_parse_error(capsys, expr):
+    assert run_command(["order", "val", expr]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nesting deeper than 100 at position 100" in captured.err
+    ring = make_ring(3, 2, 8)
+    w = parse_element("w", ring)
+    assert parse_element("(" * 100 + "w" + ")" * 100, ring) == w
+    assert parse_element("--" * 50 + "w", ring) == w
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grlie", "bracket", "--k", "0", "--l", "1", "1", "1"],
+        ["grlie", "power", "--k", "0", "3"],
+        ["grlie", "span", "--k", "0", "--l", "1"],
+        ["grlie", "check", "--k", "1", "--l", "0"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_grlie_level_zero_is_a_usage_error(capsys, argv):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a positive integer, got '0'" in captured.err
+
+
 def test_order_mul_json(capsys):
     code = run_command(["order", "mul", "S", "w", "--p", "2", "--n", "2", "--json"])
     assert code == 0

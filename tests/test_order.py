@@ -19,7 +19,7 @@ from morava.order import (
     order_zero,
     s_gen,
 )
-from morava.witt import DEFAULT_POLYS, make_ring, teichmuller
+from morava.witt import DEFAULT_POLYS, WittElem, make_ring, teichmuller
 
 
 def _random_order_elem(ring, rng):
@@ -27,6 +27,10 @@ def _random_order_elem(ring, rng):
     return from_coeff_rows(
         ring, [[rng.randrange(mod) for _ in range(ring.n)] for _ in range(ring.n)]
     )
+
+
+def _random_witt_elem(ring, rng):
+    return ring.from_coords([rng.randrange(ring.params.modulus) for _ in range(ring.n)])
 
 
 def _parts_product(x, y):
@@ -198,6 +202,38 @@ def test_inverse():
     ring = make_ring(3, 2, 8)
     with pytest.raises(ValueError, match="not a unit"):
         (s_gen(ring) + from_int(ring, 3)).inverse()
+
+
+def _power_from_identity(x, e):
+    """Square-and-multiply started from the identity, as powers were once taken: the oracle."""
+    result = type(x)(x.ring, (1,) + (0,) * (len(x.coords) - 1))
+    base = x
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def test_power_products(monkeypatch):
+    rng = random.Random(43)
+    # floor(log2 e) + popcount(e) - 1 products: none is spent on the identity
+    expected = {1: 0, 2: 1, 3: 2, 5: 3, 24: 5}
+    for cls, make in ((OrderElem, _random_order_elem), (WittElem, _random_witt_elem)):
+        for (p, n) in [(3, 2), (2, 3), (5, 1)]:
+            ring = make_ring(p, n, 6)
+            x = make(ring, rng)
+            for e, count in expected.items():
+                want = _power_from_identity(x, e)
+                calls = []
+                mul = cls.__mul__
+                monkeypatch.setattr(cls, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+                got = x ** e
+                monkeypatch.undo()
+                assert got == want and len(calls) == count, (cls.__name__, p, n, e)
+            assert x ** 0 == _power_from_identity(x, 0)
 
 
 def test_geometric_series_inverse():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,7 @@ from morava.order import (
 )
 from morava.stabilizer import (
     StabElem,
+    _det,
     commutator,
     element_order,
     filtration_level,
@@ -26,7 +28,7 @@ from morava.stabilizer import (
     s1_split,
     torus_embed,
 )
-from morava.witt import make_ring
+from morava.witt import DEFAULT_POLYS, make_ring
 
 
 def _random_unit(ring, rng):
@@ -77,6 +79,86 @@ def test_no_small_torsion_at_5_2():
     for bound in (0, -5):
         with pytest.raises(ValueError, match="bound must be positive"):
             element_order(x, bound)
+
+
+def _order_by_loop(x, bound):
+    """The smallest m <= bound with x^m = 1, by repeated multiplication: the oracle."""
+    one = identity(x.ring)
+    cur = x
+    for m in range(1, bound + 1):
+        if cur == one:
+            return m
+        cur = cur * x
+    return None
+
+
+def _laplace_det(m, ring):
+    """Laplace expansion along the first row, about e n! products: the oracle."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = ring.zero()
+    for j in range(n):
+        if m[0][j].is_zero:
+            continue
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = m[0][j] * _laplace_det(minor, ring)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_element_order_matches_loop():
+    rng = random.Random(73)
+    rings = [(2, 1), (5, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
+    assert all(key in DEFAULT_POLYS for key in rings)
+    cases = 0
+    for (p, n) in rings:
+        for M in (1, 2, 3):
+            ring = make_ring(p, n, M)
+            one = order_one(ring)
+            units = [_random_unit(ring, rng) for _ in range(3)]
+            # strict units 1 + yS have p-power order
+            units += [StabElem(one + _random_unit(ring, rng).elem * s_gen(ring)) for _ in range(2)]
+            for x in units:
+                for bound in (1, 7, 50, 2000):
+                    assert element_order(x, bound) == _order_by_loop(x, bound), (p, n, M, bound)
+                    cases += 1
+            for j in range(ring.q - 1):
+                t = torus_embed(ring, ring.fq.gen ** j)
+                assert element_order(t, 50) == _order_by_loop(t, 50), (p, n, M, j)
+                assert element_order(t) == _order_by_loop(t, ring.q - 1) == (ring.q - 1) // gcd(j, ring.q - 1)
+                cases += 2
+    ring = make_ring(3, 2, 16)
+    a = order3_element(ring)
+    for bound in (1, 2, 3, 7, 50, 2000):
+        assert element_order(a, bound) == _order_by_loop(a, bound)
+    assert cases > 900
+
+
+def test_exact_order_of_strict_unit():
+    ring = make_ring(5, 2, 16)
+    x = StabElem(order_one(ring) + s_gen(ring))
+    o = element_order(x, 5 ** 40)
+    assert o == 5 ** 16
+    one = identity(ring)
+    assert x ** o == one and x ** (o // 5) != one
+
+
+def test_det_matches_laplace():
+    rng = random.Random(79)
+    for ring in (make_ring(3, 2, 4), make_ring(2, 3, 3), make_ring(5, 1, 6)):
+        mod, p = ring.params.modulus, ring.params.p
+        for size in range(1, 8):
+            for trial in range(3 if size < 7 else 1):
+                m = [[ring.from_coords([rng.randrange(mod) for _ in range(ring.n)])
+                      for _ in range(size)] for _ in range(size)]
+                if trial == 1:
+                    # non-units: entries divisible by p, and zeros
+                    m = [[e.scale(p * (rng.random() < 0.7)) for e in row] for row in m]
+                if trial == 2:
+                    # a repeated row makes the determinant vanish
+                    m[-1] = list(m[0])
+                assert _det(m, ring) == _laplace_det(m, ring), (ring.params, size, trial)
 
 
 def test_commutator_identities():
