@@ -420,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oval.add_argument("expr")
     odig = _leaf(osub, "digits", common)
     odig.add_argument("expr")
-    odig.add_argument("--count", type=int, default=None)
+    odig.add_argument("--count", type=_positive_int, default=None)
 
     stab = groups.add_parser("stab", help="unit group operations")
     ssub = stab.add_subparsers(dest="cmd", required=True)
@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gch.add_argument("--k", type=_positive_int, required=True)
     gch.add_argument("--l", type=_positive_int, default=None)
     gch.add_argument("--power", action="store_true")
-    gch.add_argument("--trials", type=int, default=50)
+    gch.add_argument("--trials", type=_positive_int, default=50)
     gab = _leaf(gsub, "abelianize", common)
     gab.add_argument("--levels", type=int, required=True)
 

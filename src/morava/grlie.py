@@ -11,11 +11,10 @@ together by the induced P operators.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from morava.order import from_witt, order_one, s_gen
-from morava.padic import INF, CyclicDecomp
+from morava.padic import INF, CyclicDecomp, record
 from morava.stabilizer import (
     GrElem,
     StabElem,
@@ -177,7 +176,7 @@ def _one_plus_digit(ring, digit: FqElem, k: int) -> StabElem:
     return StabElem(order_one(ring) + from_witt(ring, teichmuller(ring, digit)) * s_gen(ring) ** k)
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Brute-force comparison of a graded formula against the group."""
 
@@ -196,6 +195,8 @@ class CheckReport:
 
 def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_bracket against group commutators of 1 + teich(a) S^k."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if k + l >= n * M:
         raise ValueError("levels exceed precision; raise M")
     ring = make_ring(p, n, M)
@@ -220,6 +221,8 @@ def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
 
 def check_power_vs_group(p, n, k, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_power against p-th powers of 1 + teich(a) S^k."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if min(p * k, k + n) >= n * M:
         raise ValueError("levels exceed precision; raise M")
     ring = make_ring(p, n, M)
@@ -278,7 +281,7 @@ def predicted_span(p, n, k, l):
 # abelianization
 
 
-@dataclass
+@record(frozen=False)
 class AbelianizationReport:
     """H_1 of the strict unit group, assembled from graded data up to level L.
 

@@ -8,7 +8,6 @@ than as spurious large torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from morava.padic import (
     INF,
@@ -20,12 +19,13 @@ from morava.padic import (
     mat_mul,
     mat_vec,
     nu_p,
+    record,
     smith_normal_form,
 )
 from morava.witt import PrecisionError
 
 
-@dataclass(frozen=True)
+@record
 class ZpModuleWithOperator:
     """Z_p^rank mod p^M together with one endomorphism."""
 
@@ -56,7 +56,7 @@ class ZpModuleWithOperator:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyGroup:
     """One cohomology group: degree, decomposition, and where it came from."""
 

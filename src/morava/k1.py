@@ -9,10 +9,9 @@ chart (the order-two subgroup alone) is built by the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
-from morava.padic import INF, _is_prime, nu_p
+from morava.padic import INF, _is_prime, nu_p, record
 from morava.homalg import g1_cohomology_E1
 from morava.specseq import (
     Chart,
@@ -107,7 +106,7 @@ def ko_d3_rules(s_max: int):
     return _eta_towers(s_max, 0)
 
 
-@dataclass(frozen=True)
+@record
 class HomotopyTable:
     """Assembled stems of a collapsed chart, with the page they came from."""
 
@@ -189,7 +188,7 @@ def homotopy_table(p: int, stems) -> HomotopyTable:
     return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), pages, extensions, notes)
 
 
-@dataclass(frozen=True)
+@record
 class ValuationReport:
     """Exact check of the unit-power valuation formula driving the zeta tower.
 

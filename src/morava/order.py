@@ -9,17 +9,16 @@ expansion interleaves the p-adic Teichmuller digits of the coefficients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from operator import mul
 
-from morava.padic import nu_p
+from morava.padic import nu_p, record
 from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, make_ring, teichmuller
 
 
 @total_ordering
-@dataclass(frozen=True)
+@record
 class SValuation:
     """v(x) = numerator / denominator with denominator = n.
 
@@ -107,6 +106,8 @@ class OrderElem(CoordElem):
     def s_digits(self, count: int) -> list:
         """First `count` S-adic Teichmuller digits, elements of F_q."""
         n = self.ring.n
+        if count < 0:
+            raise ValueError(f"digit count must be >= 0, got {count}")
         if count > n * self.ring.params.M:
             raise ValueError("digit count exceeds precision")
         cols = [a.teich_digits((count - i + n - 1) // n) for i, a in enumerate(self.parts)]

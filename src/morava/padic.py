@@ -8,9 +8,48 @@ silently promoted to an exact statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 INF = float("inf")
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls=None, *, frozen=True):
+    """Class decorator for value classes, in the manner of @dataclass(frozen=frozen).
+
+    The annotated names of the class body are the fields, in order; class
+    attributes give defaults.  Adds a compiled __init__ that ends by calling
+    __post_init__ if defined, a repr QualName(field=value, ...) and == on the
+    field tuples of one class, unless the body defines them.  A frozen record
+    hashes as its field tuple and refuses assignment and deletion with
+    AttributeError; a mutable one is unhashable.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    body = cls.__dict__
+    names = tuple(body.get("__annotations__", ()))
+    params = ", ".join(f"{f}=_d_{f}" if f in body else f for f in names)
+    lines = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    ns = {"_set": object.__setattr__, **{f"_d_{f}": body[f] for f in names if f in body}}
+    exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    get = attrgetter(*names)  # a tuple: every record has two fields or more
+    if "__eq__" not in body:
+        cls.__eq__ = lambda a, b: get(a) == get(b) if b.__class__ is a.__class__ else NotImplemented
+    if "__repr__" not in body:
+        items = lambda a: ", ".join(f"{f}={getattr(a, f)!r}" for f in names)
+        cls.__repr__ = lambda a: f"{type(a).__qualname__}({items(a)})"
+    if body.get("__hash__") is None:
+        cls.__hash__ = (lambda a: hash(get(a))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
 
 
 def _is_prime(p: int) -> bool:
@@ -24,7 +63,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PadicParams:
     """The prime p and the working precision M; arithmetic happens in Z/p^M."""
 
@@ -55,7 +94,7 @@ def nu_p(x: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@record
 class PadicInt:
     """An element of Z/p^M, stored as its canonical representative in [0, p^M)."""
 
@@ -183,7 +222,7 @@ def invert_matrix(A, params: PadicParams) -> list[list[int]]:
     return [row[k:] for row in work]
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """U * A * V = D over Z/p^M, with U, V of unit determinant.
 
@@ -292,7 +331,7 @@ def smith_normal_form(matrix, params: PadicParams) -> SmithForm:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CyclicDecomp:
     """A finite direct sum of cyclic p-groups, INF marking free-at-precision factors.
 

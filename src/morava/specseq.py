@@ -11,14 +11,13 @@ application is logged so a page turn is auditable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
-from morava.padic import INF, CyclicDecomp
+from morava.padic import INF, CyclicDecomp, record
 
 _NAME_RE = re.compile(r"^[a-z]+$")
 
 
-@dataclass(frozen=True)
+@record
 class Monomial:
     """index * prod(name^exp); exps is a sorted tuple of (name, exp)."""
 
@@ -92,7 +91,7 @@ class Monomial:
         return self.format()
 
 
-@dataclass(frozen=True)
+@record
 class Summand:
     """One cyclic summand: order (a prime power or INF) with its label."""
 
@@ -186,7 +185,7 @@ class Chart:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@record
 class DifferentialRule:
     """Rewrite rule for one family of differentials on a page.
 
@@ -301,7 +300,7 @@ def collapse_check(chart: Chart, r_from: int) -> bool:
     return all(i - 1 not in s_max or s_max[i - 1] - s < r_from for i, s in s_min.items())
 
 
-@dataclass(frozen=True)
+@record
 class StemGroup:
     """The assembled abelian group in one stem."""
 

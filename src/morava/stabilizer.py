@@ -7,12 +7,11 @@ of x in the associated graded group (an F_q line at each level k/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from morava.order import OrderElem, SValuation, from_int, from_witt, order_one, s_gen
-from morava.padic import PadicInt, nth_root_one_unit, unit_inverse
+from morava.padic import PadicInt, nth_root_one_unit, record, unit_inverse
 from morava.witt import FqElem, PrecisionError, WittRing, _prime_factors, teichmuller
 
 
@@ -54,7 +53,7 @@ class StabElem:
         return repr(self.elem)
 
 
-@dataclass(frozen=True)
+@record
 class GrElem:
     """A graded piece: level k/n together with the leading S-digit of x - 1."""
 

@@ -142,6 +142,23 @@ def test_grlie_level_zero_is_a_usage_error(capsys, argv):
     assert captured.out == "" and "expected a positive integer, got '0'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grlie", "check", "--k", "1", "--l", "1", "--trials", "-3"],
+        ["grlie", "check", "--k", "1", "--l", "1", "--trials", "0"],
+        ["grlie", "check", "--k", "1", "--power", "--trials", "0"],
+        ["order", "digits", "1", "--count", "-1"],
+        ["order", "digits", "1", "--count", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_nonpositive_trials_and_count_are_usage_errors(capsys, argv):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a positive integer" in captured.err
+
+
 def test_order_mul_json(capsys):
     code = run_command(["order", "mul", "S", "w", "--p", "2", "--n", "2", "--json"])
     assert code == 0

@@ -131,6 +131,11 @@ def test_check_guards():
         check_bracket_vs_group(3, 2, 20, 20, M=16)
     with pytest.raises(ValueError, match="exceed precision"):
         check_power_vs_group(3, 2, 40, M=16)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_bracket_vs_group(3, 2, 1, 1, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_power_vs_group(3, 2, 1, trials=trials)
 
 
 def test_span_frozen_cases():

@@ -184,6 +184,9 @@ def test_digits_round_trip():
         assert y.s_digits(count) == digs
     with pytest.raises(ValueError, match="exceeds precision"):
         order_one(make_ring(3, 2, 6)).s_digits(13)
+    with pytest.raises(ValueError, match="digit count must be >= 0"):
+        order_one(make_ring(3, 2, 6)).s_digits(-1)
+    assert order_one(make_ring(3, 2, 6)).s_digits(0) == []
 
 
 def test_inverse():
