@@ -326,8 +326,7 @@ def _cmd_grlie(args):
 
 
 def _homalg_module(args):
-    matrix = json.loads(args.matrix)
-    return ZpModuleWithOperator(PadicParams(args.p, args.prec), tuple(map(tuple, matrix)))
+    return ZpModuleWithOperator(PadicParams(args.p, args.prec), json.loads(args.matrix))
 
 
 def _cmd_homalg(args):
@@ -458,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gch.add_argument("--power", action="store_true")
     gch.add_argument("--trials", type=_positive_int, default=50)
     gab = _leaf(gsub, "abelianize", common)
-    gab.add_argument("--levels", type=int, required=True)
+    gab.add_argument("--levels", type=_positive_int, required=True)
 
     homalg = groups.add_parser("homalg", help="operator (co)homology")
     hsub = homalg.add_subparsers(dest="cmd", required=True)

@@ -10,7 +10,6 @@ together by the induced P operators.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from morava.order import from_witt, order_one, s_gen
@@ -193,55 +192,55 @@ class CheckReport:
         return self.mismatches == 0
 
 
-def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
-    """Compare gr_bracket against group commutators of 1 + teich(a) S^k."""
+def _check_vs_group(p, n, M, trials, seed, top, sample) -> tuple:
+    """(mismatches, degenerate) over trials of sample(ring, draw): a unit, its expected GrElem.
+
+    draw() gives a random nonzero residue; top is the highest level the check reaches.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if k + l >= n * M:
+    if top >= n * M:
         raise ValueError("levels exceed precision; raise M")
+    import random  # here, not at the top: a cold `import morava.cli` need not load it
+
     ring = make_ring(p, n, M)
     rng = random.Random(seed)
+    draw = lambda: ring.fq.from_idx(rng.randrange(1, ring.q))
     mismatches = degenerate = 0
     for _ in range(trials):
-        a = ring.fq.from_idx(rng.randrange(1, ring.q))
-        b = ring.fq.from_idx(rng.randrange(1, ring.q))
-        c = commutator(_one_plus_digit(ring, a, k), _one_plus_digit(ring, b, l))
-        expected = gr_bracket(GrElem(k, a), GrElem(l, b))
-        level = filtration_level(c)
+        x, expected = sample(ring, draw)
+        level, target = filtration_level(x), Fraction(expected.k, n)
         if expected.digit.is_zero:
             degenerate += 1
-            if not (level.at_precision_cap or level.value > Fraction(k + l, n)):
+            if not (level.at_precision_cap or level.value > target):
                 mismatches += 1
-        elif level.at_precision_cap or level.value != Fraction(k + l, n):
+        elif level.at_precision_cap or level.value != target:
             mismatches += 1
-        elif gr_project(c).digit != expected.digit:
+        elif gr_project(x).digit != expected.digit:
             mismatches += 1
-    return CheckReport(p, n, k, l, trials, mismatches, degenerate)
+    return mismatches, degenerate
+
+
+def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
+    """Compare gr_bracket against group commutators of 1 + teich(a) S^k."""
+
+    def sample(ring, draw):
+        a, b = draw(), draw()
+        c = commutator(_one_plus_digit(ring, a, k), _one_plus_digit(ring, b, l))
+        return c, gr_bracket(GrElem(k, a), GrElem(l, b))
+
+    return CheckReport(p, n, k, l, trials, *_check_vs_group(p, n, M, trials, seed, k + l, sample))
 
 
 def check_power_vs_group(p, n, k, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_power against p-th powers of 1 + teich(a) S^k."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if min(p * k, k + n) >= n * M:
-        raise ValueError("levels exceed precision; raise M")
-    ring = make_ring(p, n, M)
-    rng = random.Random(seed)
-    mismatches = degenerate = 0
-    for _ in range(trials):
-        a = ring.fq.from_idx(rng.randrange(1, ring.q))
-        xp = _one_plus_digit(ring, a, k) ** p
-        expected = gr_power(GrElem(k, a))
-        level = filtration_level(xp)
-        if expected.digit.is_zero:
-            degenerate += 1
-            if not (level.at_precision_cap or level.value > Fraction(expected.k, n)):
-                mismatches += 1
-        elif level.at_precision_cap or level.value != Fraction(expected.k, n):
-            mismatches += 1
-        elif gr_project(xp).digit != expected.digit:
-            mismatches += 1
-    return CheckReport(p, n, k, None, trials, mismatches, degenerate)
+
+    def sample(ring, draw):
+        a = draw()
+        return _one_plus_digit(ring, a, k) ** p, gr_power(GrElem(k, a))
+
+    counts = _check_vs_group(p, n, M, trials, seed, _phi(p, n, k), sample)
+    return CheckReport(p, n, k, None, trials, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from morava.padic import (
     CyclicDecomp,
     PadicParams,
     _is_prime,
+    binary_power,
     identity_matrix,
     invert_matrix,
     mat_mul,
@@ -33,7 +34,10 @@ class ZpModuleWithOperator:
     matrix: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(c) % self.params.modulus for c in r) for r in self.matrix)
+        ints = lambda r: isinstance(r, (list, tuple)) and all(type(c) is int for c in r)
+        if not (isinstance(self.matrix, (list, tuple)) and all(map(ints, self.matrix))):
+            raise ValueError("operator matrix must be a list of rows of integers")
+        rows = tuple(tuple(c % self.params.modulus for c in r) for r in self.matrix)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("operator matrix must be square")
         object.__setattr__(self, "matrix", rows)
@@ -45,15 +49,10 @@ class ZpModuleWithOperator:
     def power(self, e: int) -> list:
         if e < 0:
             raise ValueError(f"negative operator power {e}")
-        out = identity_matrix(self.rank)
-        base = [list(r) for r in self.matrix]
+        if e == 0:
+            return identity_matrix(self.rank)
         mod = self.params.modulus
-        while e:
-            if e & 1:
-                out = mat_mul(out, base, mod)
-            e >>= 1
-            base = mat_mul(base, base, mod)
-        return out
+        return binary_power([list(r) for r in self.matrix], e, lambda a, b: mat_mul(a, b, mod))
 
 
 @record
@@ -75,6 +74,17 @@ class CohomologyGroup:
 
 def _sub(A, B, mod):
     return [[(a - b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _norm(g, m: int, mod: int) -> list:
+    """N_m = 1 + g + ... + g^(m-1), from (g, 1)^m = (g^m, N_m) under (A, N)(B, L) = (AB, N + AL)."""
+
+    def compose(x, y):
+        gn = mat_mul(x[0], y[1], mod)
+        n_sum = [[(a + b) % mod for a, b in zip(*rows)] for rows in zip(x[1], gn)]
+        return mat_mul(x[0], y[0], mod), n_sum
+
+    return binary_power((g, identity_matrix(len(g))), m, compose)[1]
 
 
 def _kernel_indices(snf) -> list:
@@ -148,11 +158,7 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
     gm1 = _sub(module.matrix, identity_matrix(module.rank), mod)
     if s == 0:
         return _invariants(smith_normal_form(gm1, params), params.p)
-    N = identity_matrix(module.rank)
-    cur = identity_matrix(module.rank)
-    for _ in range(m - 1):
-        cur = mat_mul(cur, module.matrix, mod)
-        N = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(N, cur)]
+    N = _norm(module.matrix, m, mod)
     if s % 2:
         orders = _subquotient_orders(N, gm1, params)
         prov = "ker(norm) / im(g - 1)"

@@ -45,19 +45,23 @@ def sphere_label(p: int, s: int, t: int) -> Monomial:
     return Monomial(1, (("zeta", 1), ("eta", s - 1))).with_exp("u", (2 * s - 2 - t) // 2)
 
 
+def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
+    """The cells (s, t) with 0 <= s <= s_max and even t in [t_lo, t_hi]; refuses an empty window."""
+    if s_max < 0 or t_lo > t_hi:
+        raise ValueError(f"empty chart window: s <= {s_max}, {t_lo} <= t <= {t_hi}")
+    return [(s, t) for s in range(s_max + 1) for t in range(t_lo + t_lo % 2, t_hi + 1, 2)]
+
+
 def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Descent chart of the sphere over the given window, page 2."""
     chart = Chart(2)
-    for s in range(s_max + 1):
-        for t in range(t_lo, t_hi + 1):
-            if t % 2:
-                continue
-            orders = g1_cohomology_E1(p, s, t).decomp.orders
-            if not orders:
-                continue
-            if len(orders) != 1:
-                raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
-            chart.add(Summand(orders[0], sphere_label(p, s, t), s, t))
+    for s, t in _even_cells(s_max, t_lo, t_hi):
+        orders = g1_cohomology_E1(p, s, t).decomp.orders
+        if not orders:
+            continue
+        if len(orders) != 1:
+            raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
+        chart.add(Summand(orders[0], sphere_label(p, s, t), s, t))
     return chart
 
 
@@ -89,15 +93,14 @@ def sphere_d3_rules(s_max: int):
 def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Fixed points of the order-two subgroup alone: the real K-theory chart."""
     chart = Chart(2)
-    for s in range(s_max + 1):
-        for t in range(t_lo, t_hi + 1):
-            if t % 2 or (t - 2 * s) % 4:
-                continue
-            if s == 0:
-                chart.add(Summand(INF, Monomial(1, (("u", -t // 2),) if t else ()), 0, t))
-            else:
-                label = Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
-                chart.add(Summand(2, label, s, t))
+    for s, t in _even_cells(s_max, t_lo, t_hi):
+        if (t - 2 * s) % 4:
+            continue
+        if s == 0:
+            chart.add(Summand(INF, Monomial(1, (("u", -t // 2),) if t else ()), 0, t))
+        else:
+            label = Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
+            chart.add(Summand(2, label, s, t))
     return chart
 
 

@@ -118,15 +118,9 @@ class OrderElem(CoordElem):
         if not self.is_unit:
             raise ValueError("not a unit in the order")
         ring = self.ring
-        y = from_witt(ring, self.parts[0].inverse())
-        one = order_one(ring)
         steps = (ring.n * ring.params.M).bit_length() + 2
-        for _ in range(steps):
-            err = one - self * y
-            if err.is_zero:
-                break
-            y = y + y * err
-        if self * y != one or y * self != one:
+        y = self._newton_inverse(from_witt(ring, self.parts[0].inverse()), steps)
+        if y * self != order_one(ring):
             raise PrecisionError("unit inversion failed to converge")
         return y
 
@@ -161,10 +155,6 @@ class OrderElem(CoordElem):
 
 def _from_parts(ring: WittRing, parts) -> OrderElem:
     return OrderElem(ring, tuple(c for a in parts for c in a.coords))
-
-
-def order_zero(ring: WittRing) -> OrderElem:
-    return OrderElem(ring, (0,) * (ring.n * ring.n))
 
 
 def order_one(ring: WittRing) -> OrderElem:

@@ -8,6 +8,7 @@ silently promoted to an exact statement.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import attrgetter
 
 INF = float("inf")
@@ -52,15 +53,38 @@ def record(cls=None, *, frozen=True):
     return cls
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _prime_factors(m: int) -> set:
+    """The primes dividing m, by trial division; empty for m < 2."""
+    out = set()
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= m:
+        while m % d == 0:
+            out.add(d)
+            m //= d
         d += 1
-    return True
+    if m > 1:
+        out.add(m)
+    return out
+
+
+@lru_cache(maxsize=256)  # every chart cell checks its p, and each factoring builds a set
+def _is_prime(p: int) -> bool:
+    return _prime_factors(p) == {p}
+
+
+def binary_power(x, e: int, mul):
+    """x^e for e >= 1 from the lowest set bit of e: floor(log2 e) + popcount(e) - 1 products."""
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
+    while e:
+        x = mul(x, x)
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+    return result
 
 
 @record
@@ -236,20 +260,6 @@ class SmithForm:
     U: tuple
     V: tuple
 
-    def kernel_columns(self) -> list[list[int]]:
-        """Columns of V spanning the kernel as a Z_p-module at precision.
-
-        Only diagonal entries that vanish mod p^M count: a nonzero p-power
-        entry is injective on Z_p, so its finite mod-p^M pseudo-kernel is
-        truncation noise, not a kernel of the underlying operator.
-        """
-        rows, cols = self.shape
-        cols_out = []
-        for j in range(cols):
-            if j >= len(self.diag) or self.diag[j] == 0:
-                cols_out.append([self.V[i][j] for i in range(cols)])
-        return cols_out
-
     def cokernel_orders(self) -> list:
         """Orders of the cyclic summands of coker(A) on Z_p^rows, INF for full ones."""
         rows, cols = self.shape
@@ -364,10 +374,6 @@ class CyclicDecomp:
     @property
     def is_zero(self) -> bool:
         return not self.orders
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for o in self.orders if o == INF)
 
     def __str__(self):
         if not self.orders:

@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import lcm
 
 from morava.order import OrderElem, SValuation, from_int, from_witt, order_one, s_gen
-from morava.padic import PadicInt, nth_root_one_unit, record, unit_inverse
-from morava.witt import FqElem, PrecisionError, WittRing, _prime_factors, teichmuller
+from morava.padic import PadicInt, _prime_factors, nth_root_one_unit, record, unit_inverse
+from morava.witt import FqElem, PrecisionError, WittRing, teichmuller
 
 
 class StabElem:

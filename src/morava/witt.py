@@ -12,8 +12,19 @@ identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import mul
 
-from morava.padic import PadicInt, PadicParams, invert_matrix, mat_mul, mat_vec, nu_p
+from morava.padic import (
+    PadicInt,
+    PadicParams,
+    _prime_factors,
+    binary_power,
+    identity_matrix,
+    invert_matrix,
+    mat_mul,
+    mat_vec,
+    nu_p,
+)
 
 # Monic lifts of Conway polynomials, coefficients lowest degree first.
 # Every entry is verified irreducible and primitive mod p by the test suite.
@@ -68,31 +79,6 @@ def _pol_mul_mod(a, b, f, p):
     return out
 
 
-def _pol_pow(a, e, f, p):
-    n = len(f) - 1
-    result = [1] + [0] * (n - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _pol_mul_mod(result, base, f, p)
-        e >>= 1
-        base = _pol_mul_mod(base, base, f, p)
-    return result
-
-
-def _prime_factors(m: int) -> set:
-    out = set()
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
-
-
 def _x_vector(n: int, f, p):
     if n == 1:
         return [(-f[0]) % p]
@@ -110,19 +96,20 @@ def validate_poly_mod_p(p: int, n: int, poly) -> tuple:
     if len(f) != n + 1 or f[n] != 1:
         raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
     x = _x_vector(n, f, p)
+    x_pow = lambda e: binary_power(x, e, lambda a, b: _pol_mul_mod(a, b, f, p))
     if n > 1:
-        if _pol_pow(x, p ** n, f, p) != x:
+        if x_pow(p ** n) != x:
             raise ValueError(f"{poly} is reducible mod {p}")
         for ell in _prime_factors(n):
-            if _pol_pow(x, p ** (n // ell), f, p) == x:
+            if x_pow(p ** (n // ell)) == x:
                 raise ValueError(f"{poly} is reducible mod {p}")
     one = [1] + [0] * (n - 1)
     q1 = p ** n - 1
     if q1 > 0:
-        if _pol_pow(x, q1, f, p) != one:
+        if x_pow(q1) != one:
             raise ValueError(f"{poly} is not primitive mod {p}")
         for ell in _prime_factors(q1):
-            if _pol_pow(x, q1 // ell, f, p) == one:
+            if x_pow(q1 // ell) == one:
                 raise ValueError(f"{poly} is not primitive mod {p}")
     return f
 
@@ -381,17 +368,6 @@ def _vec_mul(a, b, pows, n, mod):
     return tuple(v % mod for v in out)
 
 
-def _vec_pow(a, e, pows, n, mod):
-    result = tuple(1 if i == 0 else 0 for i in range(n))
-    base = a
-    while e:
-        if e & 1:
-            result = _vec_mul(result, base, pows, n, mod)
-        e >>= 1
-        base = _vec_mul(base, base, pows, n, mod)
-    return result
-
-
 class WittRing:
     """W(F_{p^n}) mod p^M on the basis 1, w, ..., w^(n-1), w Teichmuller."""
 
@@ -403,12 +379,9 @@ class WittRing:
         self._omega_pows = omega_pows
         self.frobenius_matrix = frobenius_matrix
         self.fq = fq
-        identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        sig = [identity]
-        cur = identity
+        sig = [identity_matrix(n)]
         for _ in range(n - 1):
-            cur = mat_mul([list(r) for r in frobenius_matrix], cur, params.modulus)
-            sig.append(cur)
+            sig.append(mat_mul([list(r) for r in frobenius_matrix], sig[-1], params.modulus))
         self._sigma_pows = [tuple(tuple(r) for r in m) for m in sig]
         self._teich_cache = {}
 
@@ -437,11 +410,7 @@ class WittRing:
     def apply_sigma(self, coords: tuple, k: int = 1) -> tuple:
         if k % self.n == 0:
             return coords
-        mat = self._sigma_pows[k % self.n]
-        return tuple(
-            sum(mat[i][j] * coords[j] for j in range(self.n)) % self.params.modulus
-            for i in range(self.n)
-        )
+        return tuple(mat_vec(self._sigma_pows[k % self.n], coords, self.params.modulus))
 
     @cached_property
     def twisted_products(self) -> list:
@@ -466,7 +435,7 @@ class WittRing:
 class CoordElem:
     """A ring and one tuple of coordinates mod p^M: the arithmetic that is linear.
 
-    Subclasses supply __mul__ and inverse; powers are taken through them.
+    Subclasses supply __mul__ and inverse; powers and Newton inversion go through them.
     """
 
     __slots__ = ("ring", "coords")
@@ -503,19 +472,19 @@ class CoordElem:
         if e == 0:
             # the identity is the first basis vector in both the Witt ring and the order
             return type(self)(self.ring, (1,) + (0,) * (len(self.coords) - 1))
-        # start from the lowest set bit: floor(log2 e) + popcount(e) - 1 products
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        return binary_power(self, e, mul)
+
+    def _newton_inverse(self, y, steps: int):
+        """Refine a first guess y of the inverse by y <- y + y(1 - xy); checks x y = 1."""
+        one = self ** 0
+        for _ in range(steps):
+            err = one - self * y
+            if err.is_zero:
+                break
+            y = y + y * err
+        if self * y != one:
+            raise PrecisionError("unit inversion failed to converge")
+        return y
 
     def __eq__(self, other):
         return type(other) is type(self) and self.ring is other.ring and self.coords == other.coords
@@ -571,15 +540,7 @@ class WittElem(CoordElem):
         if r.is_zero:
             raise ValueError("not a unit in W")
         y = self.ring.from_coords(r.inverse().coeffs)
-        one = self.ring.one()
-        for _ in range(self.ring.params.M.bit_length() + 2):
-            err = one - self * y
-            if err.is_zero:
-                break
-            y = y + y * err
-        if self * y != one:
-            raise PrecisionError("unit inversion failed to converge")
-        return y
+        return self._newton_inverse(y, self.ring.params.M.bit_length() + 2)
 
     def div_exact_p(self) -> "WittElem":
         p = self.ring.params.p
@@ -652,7 +613,7 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
         z = tuple(1 if i == 1 else 0 for i in range(n))
     q = p ** n
     for _ in range(M + 2):
-        nxt = _vec_pow(z, q, f_pows, n, mod)
+        nxt = binary_power(z, q, lambda a, b: _vec_mul(a, b, f_pows, n, mod))
         if nxt == z:
             break
         z = nxt
@@ -676,7 +637,7 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     omega_pows = _power_table(tuple(c), n, mod)
 
     # Frobenius matrix: columns are coordinates of (w^p)^j
-    wp = _vec_pow(omega_pows[1], p, omega_pows, n, mod)
+    wp = binary_power(omega_pows[1], p, lambda a, b: _vec_mul(a, b, omega_pows, n, mod))
     F = [[0] * n for _ in range(n)]
     col = tuple(1 if i == 0 else 0 for i in range(n))
     for j in range(n):
@@ -695,8 +656,7 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
         [list(r) for r in ring._sigma_pows[n - 1]],
         mod,
     )
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if Fn != ident:
+    if Fn != identity_matrix(n):
         raise PrecisionError("Frobenius matrix does not have exact order n")
     if ring.omega ** (q - 1) != ring.one():
         raise PrecisionError("Teichmuller generator order check failed")

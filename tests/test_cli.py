@@ -133,6 +133,7 @@ def test_deep_nesting_is_a_parse_error(capsys, expr):
         ["grlie", "power", "--k", "0", "3"],
         ["grlie", "span", "--k", "0", "--l", "1"],
         ["grlie", "check", "--k", "1", "--l", "0"],
+        ["grlie", "abelianize", "--levels", "0"],
     ],
     ids=lambda argv: argv[1],
 )
@@ -150,6 +151,7 @@ def test_grlie_level_zero_is_a_usage_error(capsys, argv):
         ["grlie", "check", "--k", "1", "--power", "--trials", "0"],
         ["order", "digits", "1", "--count", "-1"],
         ["order", "digits", "1", "--count", "0"],
+        ["grlie", "abelianize", "--levels", "-3"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )
@@ -157,6 +159,15 @@ def test_nonpositive_trials_and_count_are_usage_errors(capsys, argv):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected a positive integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "window", [["--smax", "-3"], ["--tmin", "10", "--tmax", "0"]], ids=" ".join
+)
+def test_empty_e2_window_is_a_domain_error(capsys, window):
+    assert run_command(["k1", "e2", *window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty chart window" in captured.err
 
 
 def test_order_mul_json(capsys):

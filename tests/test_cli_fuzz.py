@@ -1,0 +1,94 @@
+"""A fuzz of the command line: argv drawn from the command grammar.
+
+Every command must end in exit 0 (an answer), 1 (a domain error) or 2 (a
+usage error): never a traceback and never a hang.  The draws keep p, n and
+the precision small and mix in zero and negative counts, malformed element
+expressions, matrices and stem lists.  Each call runs under a SIGALRM guard.
+"""
+
+import contextlib
+import io
+import signal
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morava.cli import run_command
+
+# valid values repeat, so that most draws reach the arithmetic
+PRIMES = st.sampled_from(["3", "2", "5"] * 4 + ["1", "4", "0", "-3"])
+HEIGHTS = st.sampled_from(["2", "1", "3"] * 4 + ["0", "-1"])
+PRECS = st.sampled_from(["4", "2", "1"] * 4 + ["0", "-2"])
+COUNTS = st.integers(min_value=-3, max_value=8).map(str)
+EXPRS = st.sampled_from(
+    ["1", "0", "3", "w", "S", "1+S", "w^3*S", "S^3", "-1/2*(1+w*S)", "1/3", "1/0", "2^0",
+     "-w", "(1+w", "w @", "", "1)", "S*w - w^2*S", "((w))", "w^w"]
+)
+MATRICES = st.sampled_from(
+    ["[[1]]", "[[81]]", "[[2, 1], [0, 1]]", "[[0, 1], [1, 0]]", "[[1, 2]]", "[]", "[[]]",
+     "5", "null", "[1,2]", "[[1.5]]", "[[true]]", '{"1": 1}', "not json"]
+)
+STEMS = st.sampled_from(["0..8", "-4..4", "3", "-2,0,2", "5..-5", "1,,2", "a..3", ""])
+
+# the arguments after "group cmd" for every command, as strategies
+COMMANDS = {
+    ("witt", "trace"): [EXPRS],
+    ("witt", "frobenius"): [EXPRS],
+    ("witt", "teich"): [COUNTS],
+    ("order", "mul"): [EXPRS, EXPRS],
+    ("order", "inv"): [EXPRS],
+    ("order", "val"): [EXPRS],
+    ("order", "digits"): [EXPRS, st.just("--count"), COUNTS],
+    ("stab", "order"): [EXPRS, st.just("--bound"), COUNTS],
+    ("stab", "comm"): [EXPRS, EXPRS],
+    ("stab", "level"): [EXPRS],
+    ("stab", "norm"): [EXPRS],
+    ("stab", "split"): [EXPRS],
+    ("stab", "inK"): [EXPRS],
+    ("grlie", "bracket"): [st.just("--k"), COUNTS, st.just("--l"), COUNTS, COUNTS, COUNTS],
+    ("grlie", "power"): [st.just("--k"), COUNTS, COUNTS],
+    ("grlie", "span"): [st.just("--k"), COUNTS, st.just("--l"), COUNTS],
+    ("grlie", "check"): [
+        st.just("--k"), COUNTS, st.sampled_from(["--l", "--power"]), COUNTS,
+        st.just("--trials"), COUNTS,
+    ],
+    ("grlie", "abelianize"): [st.just("--levels"), COUNTS],
+    ("homalg", "iwasawa"): [st.just("--matrix"), MATRICES],
+    ("homalg", "cyclic"): [
+        st.just("--matrix"), MATRICES, st.just("--order"), COUNTS, st.just("--s"), COUNTS,
+    ],
+    ("homalg", "g1"): [st.just("--s"), COUNTS, st.just("--t"), COUNTS],
+    ("k1", "e2"): [st.just("--smax"), COUNTS, st.just("--tmin"), COUNTS, st.just("--tmax"), COUNTS],
+    ("k1", "homotopy"): [st.just("--stems"), STEMS],
+    ("k1", "ko"): [st.just("--stems"), STEMS],
+    ("k1", "valuations"): [st.just("--tmax"), COUNTS],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [*command, *(draw(arg) for arg in COMMANDS[command])]
+    argv += ["--p", draw(PRIMES), "--n", draw(HEIGHTS), "--prec", draw(PRECS)]
+    return argv + ["--json"] if draw(st.booleans()) else argv
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("command ran longer than 10 s")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == 0) == (err.getvalue() == ""), argv

@@ -1,6 +1,8 @@
 """Group cohomology at precision: Smith-form kernels, subquotients, assembly."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +10,17 @@ from pathlib import Path
 import pytest
 
 import morava
+import morava.homalg
+from morava.cli import run_command
 from morava.homalg import (
     CohomologyGroup,
     ZpModuleWithOperator,
+    _norm,
     cyclic_cohomology,
     g1_cohomology_E1,
     iwasawa_cohomology,
 )
-from morava.padic import INF, PadicParams
+from morava.padic import INF, PadicParams, identity_matrix, mat_mul
 
 
 def _op(p, M, rows):
@@ -28,6 +33,90 @@ def test_operator_validation():
     m = _op(3, 8, [[1, 3], [0, 1]])
     assert m.rank == 2
     assert m.power(3) == [[1, 9], [0, 1]]
+
+
+BAD_MATRICES = ["5", "null", "[1,2]", "[[1.5]]", "[[true]]", '{"1": 1}', '[["1"]]', "[[1], 2]"]
+
+
+@pytest.mark.parametrize("text", BAD_MATRICES)
+def test_operator_must_be_rows_of_ints(text, capsys):
+    with pytest.raises(ValueError, match="list of rows of integers"):
+        ZpModuleWithOperator(PadicParams(3, 8), json.loads(text))
+    for cmd in (["iwasawa"], ["cyclic", "--order", "2", "--s", "1"]):
+        assert run_command(["homalg", *cmd, "--matrix", text]) == 1, (cmd, text)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "list of rows of integers" in captured.err
+
+
+def _power_by_loop(matrix, e, mod):
+    """Square-and-multiply from the identity, as operator powers were once taken: the oracle."""
+    out = identity_matrix(len(matrix))
+    base = [list(r) for r in matrix]
+    while e:
+        if e & 1:
+            out = mat_mul(out, base, mod)
+        e >>= 1
+        base = mat_mul(base, base, mod)
+    return out
+
+
+def test_operator_power_matches_loop():
+    rng = random.Random(71)
+    for p, M, size in ((2, 10, 1), (3, 8, 2), (5, 4, 3), (2, 6, 4)):
+        mod = p ** M
+        module = _op(p, M, [[rng.randrange(mod) for _ in range(size)] for _ in range(size)])
+        for e in range(301):
+            assert module.power(e) == _power_by_loop(module.matrix, e, mod), (p, size, e)
+
+
+def _norm_by_loop(g, m, mod):
+    """1 + g + ... + g^(m-1) with m - 1 products, as cyclic_cohomology once built it."""
+    N = identity_matrix(len(g))
+    cur = identity_matrix(len(g))
+    for _ in range(m - 1):
+        cur = mat_mul(cur, g, mod)
+        N = [[(a + b) % mod for a, b in zip(ra, rb)] for ra, rb in zip(N, cur)]
+    return N
+
+
+def _block_operator(mod, m, trivial, regular, sign):
+    """g of order dividing m on Z^trivial + Z[Z/m]^regular + Z(sign)^sign."""
+    size = trivial + regular * m + sign
+    g = [[0] * size for _ in range(size)]
+    for i in range(trivial):
+        g[i][i] = 1
+    for r in range(regular):
+        base = trivial + r * m
+        for i in range(m):
+            g[base + (i + 1) % m][base + i] = 1
+    for i in range(size - sign, size):
+        g[i][i] = mod - 1
+    return g
+
+
+def test_norm_matches_loop(monkeypatch):
+    for p, M in ((2, 10), (3, 6), (5, 4)):
+        mod = p ** M
+        for m in range(1, 13):
+            for blocks in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1), (0, 2, 0)):
+                g = _block_operator(mod, m, *blocks)
+                assert _norm(g, m, mod) == _norm_by_loop(g, m, mod), (p, m, blocks)
+                if blocks[2] and m % 2:
+                    continue  # the sign block is an action of Z/m for even m only
+                module = ZpModuleWithOperator(PadicParams(p, M), g)
+                got = [cyclic_cohomology(module, m, s) for s in range(1, 5)]
+                monkeypatch.setattr(morava.homalg, "_norm", _norm_by_loop)
+                assert got == [cyclic_cohomology(module, m, s) for s in range(1, 5)]
+                monkeypatch.undo()
+
+
+def test_cyclic_huge_order_is_fast():
+    # with m - 1 products the norm would take about an hour at m = 10^9
+    done = _python(
+        "-m", "morava.cli", "homalg", "cyclic", "--matrix", "[[1]]", "--order", "1000000000",
+        "--s", "1", timeout=10,
+    )
+    assert done.returncode == 0 and done.stdout == "H^1 = 0\n"
 
 
 def test_iwasawa_trivial_and_frozen():
@@ -60,12 +149,12 @@ def test_cyclic_rejects_trivial_group_order():
         cyclic_cohomology(_op(3, 8, [[1]]), 0, 1)
 
 
-def _python(*args):
+def _python(*args, timeout=60):
     """Run this package in a fresh interpreter; a hang fails by timeout."""
     src = str(Path(morava.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout,
     )
 
 

@@ -3,7 +3,9 @@ import pytest
 from morava.padic import INF
 from morava.k1 import (
     HomotopyTable,
+    _even_cells,
     homotopy_table,
+    ko_e2_page,
     ko_table,
     psi_valuation_report,
     sphere_e2_page,
@@ -131,6 +133,24 @@ def test_tables_refuse_empty_stems():
                 homotopy_table(p, stems)
         with pytest.raises(ValueError, match="no stems"):
             ko_table(stems)
+
+
+def test_e2_pages_refuse_empty_windows():
+    for s_max, t_lo, t_hi in ((-3, -8, 16), (-1, 0, 0), (6, 10, 0), (0, 1, 0)):
+        with pytest.raises(ValueError, match="empty chart window"):
+            sphere_e2_page(2, s_max, t_lo, t_hi)
+        with pytest.raises(ValueError, match="empty chart window"):
+            ko_e2_page(s_max, t_lo, t_hi)
+    # a window without even t is not empty: it has no cells
+    assert not sphere_e2_page(3, 2, 1, 1).entries and not ko_e2_page(2, -3, -3).entries
+
+
+def test_even_cells_match_filtered_window():
+    for s_max in range(4):
+        for t_lo in range(-7, 8):
+            for t_hi in range(t_lo, t_lo + 7):
+                want = [(s, t) for s in range(s_max + 1) for t in range(t_lo, t_hi + 1) if t % 2 == 0]
+                assert _even_cells(s_max, t_lo, t_hi) == want, (s_max, t_lo, t_hi)
 
 
 def test_final_chart_is_collapsed_page_four():

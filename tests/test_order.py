@@ -16,10 +16,10 @@ from morava.order import (
     from_json,
     from_witt,
     order_one,
-    order_zero,
     s_gen,
 )
-from morava.witt import DEFAULT_POLYS, WittElem, make_ring, teichmuller
+from morava.padic import binary_power
+from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, make_ring, teichmuller
 
 
 def _random_order_elem(ring, rng):
@@ -143,7 +143,7 @@ def test_s_valuation():
     assert from_witt(ring, ring.omega).s_valuation() == SValuation(0, 2)
     assert (s + from_int(ring, 3)).s_valuation() == SValuation(1, 2)
     assert (s * s.scale(3)).s_valuation() == SValuation(4, 2)
-    cap = order_zero(ring).s_valuation()
+    cap = from_int(ring, 0).s_valuation()
     assert cap.at_precision_cap and cap.numerator == 16
     assert str(cap) == ">= 8"
     assert str(SValuation(1, 2)) == "1/2"
@@ -237,6 +237,82 @@ def test_power_products(monkeypatch):
                 monkeypatch.undo()
                 assert got == want and len(calls) == count, (cls.__name__, p, n, e)
             assert x ** 0 == _power_from_identity(x, 0)
+    # binary_power itself, on integers and on strings under concatenation
+    for e in range(1, 301):
+        calls = []
+        got = binary_power(3, e, lambda a, b: calls.append(1) or a * b)
+        assert got == 3 ** e and len(calls) == e.bit_length() + bin(e).count("1") - 2, e
+        assert binary_power("ab", e, str.__add__) == "ab" * e
+
+
+def _witt_inverse_by_loop(x):
+    """The Newton loop WittElem.inverse once carried: the oracle."""
+    ring = x.ring
+    y = ring.from_coords(x.residue().inverse().coeffs)
+    one = ring.one()
+    for _ in range(ring.params.M.bit_length() + 2):
+        err = one - x * y
+        if err.is_zero:
+            break
+        y = y + y * err
+    if x * y != one:
+        raise PrecisionError("unit inversion failed to converge")
+    return y
+
+
+def _order_inverse_by_loop(x):
+    """The Newton loop OrderElem.inverse once carried, Witt inverse of a_0 included."""
+    ring = x.ring
+    y = from_witt(ring, _witt_inverse_by_loop(x.parts[0]))
+    one = order_one(ring)
+    for _ in range((ring.n * ring.params.M).bit_length() + 2):
+        err = one - x * y
+        if err.is_zero:
+            break
+        y = y + y * err
+    if x * y != one or y * x != one:
+        raise PrecisionError("unit inversion failed to converge")
+    return y
+
+
+def _counted(monkeypatch, fn, x):
+    """fn(x) with the number of Witt and order products it took."""
+    calls = []
+    for cls in (WittElem, OrderElem):
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, m=cls.__mul__: calls.append(1) or m(a, b))
+    try:
+        return fn(x), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_newton_inverse_matches_loops(monkeypatch):
+    rng = random.Random(47)
+    for (p, n) in [(2, 1), (3, 2), (2, 3), (5, 1), (7, 2), (2, 4), (3, 3)]:
+        for M in (1, 3, 8):
+            ring = make_ring(p, n, M)
+            units = [order_one(ring), from_witt(ring, ring.omega)]
+            while len(units) < 8:
+                x = _random_order_elem(ring, rng)
+                if x.is_unit:
+                    units.append(x)
+            for x in units:
+                for fn, oracle, arg in (
+                    (OrderElem.inverse, _order_inverse_by_loop, x),
+                    (WittElem.inverse, _witt_inverse_by_loop, x.parts[0]),
+                ):
+                    got = _counted(monkeypatch, fn, arg)
+                    assert got == _counted(monkeypatch, oracle, arg), (p, n, M, x)
+
+
+def test_newton_inverse_checks_the_product():
+    ring = make_ring(3, 2, 8)
+    x = from_int(ring, 4)
+    with pytest.raises(PrecisionError, match="failed to converge"):
+        x._newton_inverse(from_int(ring, 1), 0)
+    with pytest.raises(PrecisionError, match="failed to converge"):
+        x.parts[0]._newton_inverse(ring.one(), 2)
+    assert x._newton_inverse(from_int(ring, 1), 3) * x == order_one(ring)
 
 
 def test_geometric_series_inverse():
@@ -244,7 +320,7 @@ def test_geometric_series_inverse():
     ring = make_ring(3, 2, 6)
     s = s_gen(ring)
     x = order_one(ring) + s
-    acc = order_zero(ring)
+    acc = from_int(ring, 0)
     term = order_one(ring)
     for k in range(2 * 6):
         acc = acc + term if k % 2 == 0 else acc - term
@@ -298,7 +374,7 @@ def test_repr():
     s = s_gen(ring)
     w = from_witt(ring, ring.omega)
     assert repr(order_one(ring) + w * s) == "1 + w*S"
-    assert repr(order_zero(ring)) == "0"
+    assert repr(from_int(ring, 0)) == "0"
     assert repr(s * s) == "3"
 
 

@@ -429,7 +429,7 @@ def test_cli_import_loads_no_dataclasses():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import morava.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'typing', 'random'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from morava.padic import nu_p
+from morava.padic import _prime_factors, binary_power, nu_p
 from morava.witt import (
     DEFAULT_POLYS,
     PrecisionError,
+    _pol_mul_mod,
+    _vec_mul,
+    _x_vector,
     fq_field,
     make_ring,
     teichmuller,
@@ -222,3 +225,58 @@ def test_ring_identity_cached():
     assert make_ring(3, 2, 8) is not make_ring(3, 2, 10)
     with pytest.raises(ValueError, match="incompatible"):
         make_ring(3, 2, 8).one() + make_ring(3, 2, 10).one()
+
+
+def _pol_pow_from_identity(a, e, f, p):
+    """Powers mod (f, p) from the identity, as polynomial validation once took them: the oracle."""
+    n = len(f) - 1
+    result = [1] + [0] * (n - 1)
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _pol_mul_mod(result, base, f, p)
+        e >>= 1
+        base = _pol_mul_mod(base, base, f, p)
+    return result
+
+
+def _vec_pow_from_identity(a, e, pows, n, mod):
+    """Powers on the power basis from the identity, as ring construction once took them."""
+    result = tuple(1 if i == 0 else 0 for i in range(n))
+    base = a
+    while e:
+        if e & 1:
+            result = _vec_mul(result, base, pows, n, mod)
+        e >>= 1
+        base = _vec_mul(base, base, pows, n, mod)
+    return result
+
+
+def _exponents(p, n, rng):
+    """Every exponent polynomial validation and ring construction use, and a few random ones."""
+    q = p ** n
+    exps = {1, 2, 3, p, q, q - 1, *(p ** (n // ell) for ell in _prime_factors(n))}
+    exps |= {(q - 1) // ell for ell in _prime_factors(q - 1)}
+    return sorted(exps | {rng.randrange(1, 4 * q) for _ in range(4)})
+
+
+def test_polynomial_powers_match_loop():
+    rng = random.Random(61)
+    for (p, n), poly in sorted(DEFAULT_POLYS.items()):
+        f = validate_poly_mod_p(p, n, poly)
+        mul = lambda a, b: _pol_mul_mod(a, b, f, p)
+        for a in [_x_vector(n, f, p), *([rng.randrange(p) for _ in range(n)] for _ in range(3))]:
+            for e in _exponents(p, n, rng):
+                assert binary_power(a, e, mul) == _pol_pow_from_identity(a, e, f, p), (p, n, a, e)
+
+
+def test_power_basis_powers_match_loop():
+    rng = random.Random(62)
+    for (p, n) in sorted(DEFAULT_POLYS):
+        ring = make_ring(p, n, 3)
+        mod, pows = ring.params.modulus, ring._omega_pows
+        mul = lambda a, b: _vec_mul(a, b, pows, n, mod)
+        for a in [pows[1], *(tuple(rng.randrange(mod) for _ in range(n)) for _ in range(3))]:
+            for e in _exponents(p, n, rng):
+                want = _vec_pow_from_identity(a, e, pows, n, mod)
+                assert binary_power(a, e, mul) == want, (p, n, a, e)
