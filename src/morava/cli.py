@@ -287,8 +287,6 @@ def _cmd_grlie(args):
         if args.power:
             rep = check_power_vs_group(args.p, args.n, args.k, trials=args.trials, M=args.prec)
         else:
-            if args.l is None:
-                raise ParseError("--l is required unless --power is set")
             rep = check_bracket_vs_group(
                 args.p, args.n, args.k, args.l, trials=args.trials, M=args.prec
             )
@@ -453,8 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gsp.add_argument("--l", type=_positive_int, required=True)
     gch = _leaf(gsub, "check", common)
     gch.add_argument("--k", type=_positive_int, required=True)
-    gch.add_argument("--l", type=_positive_int, default=None)
-    gch.add_argument("--power", action="store_true")
+    gch_what = gch.add_mutually_exclusive_group(required=True)
+    gch_what.add_argument("--l", type=_positive_int)
+    gch_what.add_argument("--power", action="store_true")
     gch.add_argument("--trials", type=_positive_int, default=50)
     gab = _leaf(gsub, "abelianize", common)
     gab.add_argument("--levels", type=_positive_int, required=True)

@@ -189,6 +189,13 @@ def _c2_order(s: int, t: int) -> object:
     return 2 if s % 2 == 1 else 1
 
 
+def _lambda_valuation(p: int, m: int) -> int:
+    """nu_p((p+1)^m - 1) for m >= 1 by lifting the exponent (psi_valuation_report checks it)."""
+    if p == 2 and m % 2:
+        return 1
+    return nu_p(m, p) + (2 if p == 2 else 1)
+
+
 def _g1_cohomology_2(s: int, t: int) -> CohomologyGroup:
     """Assemble H^s(G_1, E_t) at p = 2 from the C_2 layer and psi = 3.
 
@@ -212,7 +219,7 @@ def _g1_cohomology_2(s: int, t: int) -> CohomologyGroup:
         if order == 1:
             return 1
         if order == INF:
-            return INF if t == 0 else 2 ** (nu_p(3 ** abs(t // 2) - 1, 2))
+            return INF if t == 0 else 2 ** _lambda_valuation(2, abs(t // 2))
         return order
 
     ker_part = psi_ker(_c2_order(s, t))
@@ -235,8 +242,8 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
 
     For odd p the group splits as mu_(p-1) x Z_p; the torsion part kills
     everything unless 2(p-1) divides t, and then the generator acts by
-    lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with valuation computed
-    on exact integers.  For p = 2 see the C_2 assembly.
+    lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with the valuation of
+    lambda - 1 from _lambda_valuation.  For p = 2 see the C_2 assembly.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -258,6 +265,6 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
             return CohomologyGroup(
                 1, CyclicDecomp(p, [INF], precision_caveat=True), "coker of the zero map"
             )
-        val = nu_p((p + 1) ** abs(t // 2) - 1, p)
+        val = _lambda_valuation(p, abs(t // 2))
         return CohomologyGroup(1, CyclicDecomp(p, [p ** val]), "coker(lambda - 1)")
     return CohomologyGroup(s, zero, "p-cohomological dimension one")

@@ -565,20 +565,13 @@ class WittElem(CoordElem):
 
 
 def teichmuller(ring: WittRing, x: FqElem) -> WittElem:
-    """The Teichmuller lift: the unique y with y^q = y reducing to x."""
+    """The Teichmuller lift of x = gen^j: omega^j, as omega^(q-1) = 1 exactly."""
     if x.field is not ring.fq:
         raise ValueError("residue from a different field")
     cached = ring._teich_cache.get(x.idx)
     if cached is not None:
         return cached
-    z = ring.from_coords(x.coeffs)
-    for _ in range(ring.params.M + 2):
-        nxt = z ** ring.q
-        if nxt == z:
-            break
-        z = nxt
-    else:
-        raise PrecisionError("Teichmuller iteration did not stabilize")
+    z = ring.zero() if x.is_zero else ring.omega ** ring.fq.log[x.idx]
     ring._teich_cache[x.idx] = z
     return z
 

@@ -162,6 +162,20 @@ def test_nonpositive_trials_and_count_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grlie", "check", "--k", "1", "--power", "--l", "5", "--trials", "3"], "not allowed"),
+        (["grlie", "check", "--k", "1", "--trials", "3"], "one of the arguments --l --power"),
+    ],
+    ids=["both", "neither"],
+)
+def test_grlie_check_needs_exactly_one_of_l_and_power(capsys, argv, message):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
     "window", [["--smax", "-3"], ["--tmin", "10", "--tmax", "0"]], ids=" ".join
 )
 def test_empty_e2_window_is_a_domain_error(capsys, window):

@@ -1,7 +1,10 @@
 """Graded brackets, the power operator, span laws, abelianization."""
 
+import random
+
 import pytest
 
+from morava import grlie
 from morava.grlie import (
     AbelianizationReport,
     GrElem,
@@ -16,8 +19,22 @@ from morava.grlie import (
     predicted_span,
     trace_kernel,
 )
-from morava.padic import INF
+from morava.padic import INF, CyclicDecomp
 from morava.witt import DEFAULT_POLYS, fq_field
+
+
+def _elements(space):
+    """All p^dim members of an F_p-subspace, as field elements."""
+    field = space.field
+    out = [field.zero]
+    for b in space.basis():
+        multiples = []
+        m = field.zero
+        for _ in range(field.p):
+            multiples.append(m)
+            m = m + b
+        out = [x + mult for x in out for mult in multiples]
+    return out
 
 
 def brute_force_span(p, n, k, l):
@@ -53,7 +70,7 @@ def test_subspace_basics():
     third = GrSubspace(f)
     third.insert(f.one)
     assert cp == other and cp != third
-    assert len(list(third.elements())) == 3
+    assert len(_elements(third)) == 3
 
 
 def test_trace_kernel_and_full():
@@ -61,7 +78,7 @@ def test_trace_kernel_and_full():
         f = fq_field(p, n)
         ker = trace_kernel(f)
         assert ker.dim == n - 1
-        assert all(x.trace() == 0 for x in ker.elements())
+        assert all(x.trace() == 0 for x in _elements(ker))
         assert full_space(f).dim == n
 
 
@@ -237,3 +254,215 @@ def test_abelianization_json():
     assert all(set(g) == {"level", "digit", "order"} for g in gens)
     levels = [g["level"] for g in gens]
     assert "1/2" in levels and "2/2" in levels
+
+
+def _bracket_spaces(p, n, L, poly=None):
+    """D_k, the span of the brackets landing at level k, for k = 1..L."""
+    D = {}
+    for k in range(1, L + 1):
+        D[k] = GrSubspace(fq_field(p, n, poly))
+        for k1 in range(1, k // 2 + 1):
+            for b in grlie.commutator_span(p, n, k1, k - k1, poly).basis():
+                D[k].insert(b)
+    return D
+
+
+def _abelianization_by_enumeration(p, n, L, poly=None):
+    """The q^2 enumeration that abelianization_report replaced; the oracle.
+
+    Checks well-definedness over F_q x D_k and additivity over F_q x F_q, and
+    classifies each edge and the mod-p images element by element.
+    """
+    field = fq_field(p, n, poly)
+    D = _bracket_spaces(p, n, L, poly)
+    qdim = {k: n - D[k].dim for k in range(1, L + 1)}
+    nonzero = [k for k in range(1, L + 1) if qdim[k] > 0]
+
+    power = lambda k, a: grlie._power_digit(field, k, a)
+    all_elems = list(field.elements())
+    edges = {}
+    for k in nonzero:
+        t = grlie._phi(p, n, k)
+        if t > L:
+            edges[k] = ("truncated", t)
+            continue
+        if qdim.get(t, 0) == 0:
+            edges[k] = ("zero", t)
+            continue
+        for a in all_elems:
+            pa = power(k, a)
+            for d in _elements(D[k]):
+                if not D[t].contains(power(k, a + d) - pa):
+                    raise ValueError(f"power operator not well-defined at level {k}/{n}")
+        for a in all_elems:
+            pa = power(k, a)
+            for b in all_elems:
+                if not D[t].contains(power(k, a + b) - pa - power(k, b)):
+                    raise ValueError(f"power operator not additive at level {k}/{n}")
+        if all(D[t].contains(power(k, a)) for a in all_elems):
+            edges[k] = ("zero", t)
+        elif qdim[k] == qdim[t] and all(
+            D[t].contains(power(k, a)) == D[k].contains(a) for a in all_elems
+        ):
+            edges[k] = ("iso", t)
+        else:
+            raise ValueError(f"induced power map at level {k}/{n} is neither zero nor iso")
+
+    iso_targets = {t for (kind, t) in edges.values() if kind == "iso"}
+    chains, orders, generators = [], [], []
+    caveat = False
+    for k in nonzero:
+        if k in iso_targets:
+            continue
+        nodes = [k]
+        while edges[nodes[-1]][0] == "iso":
+            nodes.append(edges[nodes[-1]][1])
+        kind = edges[nodes[-1]][0]
+        if kind == "truncated":
+            factor, caveat, label = INF, True, "Z_p"
+        else:
+            factor = p ** len(nodes)
+            label = f"Z/{factor}"
+        chains.append({"nodes": nodes, "ends": kind, "factor": label, "dim": qdim[k]})
+        orders.extend([factor] * qdim[k])
+        probe = D[k].copy()
+        for i in range(n):
+            e = field.element([1 if j == i else 0 for j in range(n)])
+            if probe.insert(e):
+                generators.append((k, e, label))
+
+    mod_rank = 0
+    for k in nonzero:
+        sub = D[k].copy()
+        for j in nonzero:
+            if edges[j][1] == k and edges[j][0] != "truncated":
+                for a in all_elems:
+                    sub.insert(power(j, a))
+        mod_rank += n - sub.dim
+    return AbelianizationReport(
+        p, n, L, CyclicDecomp(p, orders, precision_caveat=caveat),
+        CyclicDecomp(p, [p] * mod_rank), qdim, chains, generators,
+    )
+
+
+def test_abelianization_matches_enumeration():
+    cases = 0
+    for (p, n) in DEFAULT_POLYS:
+        if p**n > 64:
+            continue
+        for L in range(1, 2 * n + 3):
+            new = abelianization_report(p, n, L).to_json()
+            assert new == _abelianization_by_enumeration(p, n, L).to_json(), (p, n, L)
+            cases += 1
+    assert cases == 92
+    # the abelianize benchmark reports, one of them with q = 343
+    for (p, n, L) in [
+        (2, 2, 4), (2, 3, 6), (2, 4, 8), (2, 5, 10), (2, 6, 12), (3, 2, 3),
+        (3, 3, 4), (3, 4, 5), (5, 2, 3), (5, 3, 4), (7, 2, 3), (7, 3, 4),
+    ]:
+        new = abelianization_report(p, n, L).to_json()
+        assert new == _abelianization_by_enumeration(p, n, L).to_json(), (p, n, L)
+
+
+def _seeded_spans(rng):
+    """A fake commutator_span: a seeded subspace of dimension 0..2 per level pair."""
+    spans = {}
+
+    def fake(p, n, k, l, poly=None):
+        if (k, l) not in spans:
+            field = fq_field(p, n, poly)
+            spans[k, l] = GrSubspace(field)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                spans[k, l].insert(field.from_idx(rng.randrange(field.q)))
+        return spans[k, l]
+
+    return fake
+
+
+def _seeded_power_maps(p, n, L, kind, rng):
+    """A fake _power_digit: per level k, a seeded map F_q -> F_q with 0 -> 0.
+
+    'linear' is F_p-linear; 'linear+D' adds a non-additive error inside D_t,
+    t the target level of k; 'quadratic' adds c_i c_j v for coordinates
+    c_i, c_j (one basis direction cannot see it when neither is that
+    direction); 'table' is an arbitrary table.
+    """
+    field = fq_field(p, n)
+    D = _bracket_spaces(p, n, L)
+    tables = {}
+    for k in range(1, L + 1):
+        if kind == "table":
+            tables[k] = [0] + [rng.randrange(field.q) for _ in range(field.q - 1)]
+            continue
+        # zero and identity matrices often enough that whole reports pass
+        choice = rng.randrange(4)
+        if choice == 0:
+            mat = [[0] * n for _ in range(n)]
+        elif choice == 1:
+            mat = [[int(i == j) for j in range(n)] for i in range(n)]
+        else:
+            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        i, j = sorted(rng.randrange(n) for _ in range(2))
+        v = field.from_idx(rng.randrange(field.q))
+        table = []
+        for idx in range(field.q):
+            c = field.from_idx(idx).coeffs
+            x = field.element([sum(m * y for m, y in zip(row, c)) % p for row in mat])
+            if kind == "quadratic":
+                x = x + field.element([c[i] * c[j] * vc for vc in v.coeffs])
+            table.append(x)
+        t = grlie._phi(p, n, k)
+        if kind == "linear+D" and t <= L:
+            span = _elements(D[t])
+            table = [x if i == 0 else x + rng.choice(span) for i, x in enumerate(table)]
+        tables[k] = [x.idx for x in table]
+
+    def fake(fld, k, a):
+        return fld.from_idx(tables[k][a.idx])
+
+    return fake
+
+
+def test_abelianization_mutated_power_maps(monkeypatch):
+    # old and new agree on seeded maps, over the real bracket spaces and over
+    # seeded ones (which also give edges with qdim[k] < qdim[t])
+    rng = random.Random(20261018)
+    kinds = ("linear", "linear+D", "quadratic", "table")
+    outcomes = {kind: {"accepted": 0, "refused": 0} for kind in kinds}
+    for (p, n) in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]:
+        for L in range(1, 2 * n + 3):
+            for kind in kinds:
+                for trial in range(8):
+                    if trial % 2:
+                        monkeypatch.setattr(grlie, "commutator_span", _seeded_spans(rng))
+                    fake = _seeded_power_maps(p, n, L, kind, rng)
+                    monkeypatch.setattr(grlie, "_power_digit", fake)
+                    try:
+                        new = abelianization_report(p, n, L).to_json()
+                    except ValueError:
+                        new = None
+                    try:
+                        old = _abelianization_by_enumeration(p, n, L).to_json()
+                    except ValueError:
+                        old = None
+                    monkeypatch.undo()
+                    assert new == old, (p, n, L, kind, trial)
+                    outcomes[kind]["accepted" if new is not None else "refused"] += 1
+    assert all(o["accepted"] and o["refused"] for o in outcomes.values()), outcomes
+
+
+def test_abelianization_power_calls_are_linear_in_q(monkeypatch):
+    # one additivity pass over F_q x basis per checked edge, then only bases
+    real = grlie._power_digit
+    for (p, n, L) in [(2, 6, 12), (3, 3, 4)]:
+        calls = []
+        monkeypatch.setattr(grlie, "_power_digit", lambda f, k, a: calls.append(k) or real(f, k, a))
+        rep = abelianization_report(p, n, L)
+        dims = rep.quotient_dims
+        checked = [
+            k for k in dims
+            if dims[k] and grlie._phi(p, n, k) <= L and dims[grlie._phi(p, n, k)]
+        ]
+        q = p**n
+        assert checked, (p, n, L)
+        assert 0 < len(calls) <= 4 * n * q * len(checked), (p, n, L, len(calls))

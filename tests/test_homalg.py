@@ -15,12 +15,13 @@ from morava.cli import run_command
 from morava.homalg import (
     CohomologyGroup,
     ZpModuleWithOperator,
+    _lambda_valuation,
     _norm,
     cyclic_cohomology,
     g1_cohomology_E1,
     iwasawa_cohomology,
 )
-from morava.padic import INF, PadicParams, identity_matrix, mat_mul
+from morava.padic import INF, PadicParams, identity_matrix, mat_mul, nu_p
 
 
 def _op(p, M, rows):
@@ -250,6 +251,33 @@ def test_g1_p2_frozen():
         for t in range(-12, 13, 2):
             assert g1_cohomology_E1(2, s, t).decomp.orders == (2,), (s, t)
         assert g1_cohomology_E1(2, s, 5).is_zero
+
+
+def _lambda_valuation_by_power(p, m):
+    """nu_p((p+1)^m - 1) on the exact big integer; the oracle of the closed form."""
+    return nu_p((p + 1) ** m - 1, p)
+
+
+def test_g1_valuation_matches_big_integers(monkeypatch):
+    # m = |t/2| <= 4000 covers the benchmark's chart windows, |t| <= 8000
+    for p in (2, 3, 5, 7):
+        for m in range(1, 4001):
+            assert _lambda_valuation(p, m) == _lambda_valuation_by_power(p, m), (p, m)
+    cells = [(p, s, t) for p in (2, 3, 5, 7) for s in range(4) for t in range(-600, 601)]
+    got = [g1_cohomology_E1(*cell) for cell in cells]
+    monkeypatch.setattr(morava.homalg, "_lambda_valuation", _lambda_valuation_by_power)
+    assert got == [g1_cohomology_E1(*cell) for cell in cells]
+
+
+def test_g1_huge_stem_is_fast():
+    # (p+1)^(t/2) at t = 10^12 would have about 10^12 bits
+    code = (
+        "from morava.homalg import g1_cohomology_E1\n"
+        "for p in (2, 3): print(g1_cohomology_E1(p, 1, 10**12))"
+    )
+    done = _python("-c", code, timeout=10)
+    assert done.returncode == 0
+    assert done.stdout == "H^1 = Z/8192\nH^1 = Z/3\n"
 
 
 def test_g1_rejects_non_prime_p():

@@ -82,6 +82,34 @@ def test_teichmuller_fixed_points():
     assert teichmuller(ring, ring.fq.one) == ring.one()
 
 
+def _teichmuller_by_iteration(ring, x):
+    """The z -> z^q fixed-point iteration that the discrete-log lift replaced; the oracle."""
+    z = ring.from_coords(x.coeffs)
+    for _ in range(ring.params.M + 2):
+        nxt = z ** ring.q
+        if nxt == z:
+            return z
+        z = nxt
+    raise PrecisionError("Teichmuller iteration did not stabilize")
+
+
+def test_teichmuller_matches_iteration():
+    rng = random.Random(7)
+    cases = 0
+    for (p, n) in sorted(DEFAULT_POLYS):
+        for M in (1, 3, 8):
+            ring = make_ring(p, n, M)
+            residues = list(ring.fq.elements())
+            if ring.q > 729:  # (7, 4): a seeded sample keeps the oracle fast
+                residues = [ring.fq.zero, ring.fq.one] + rng.sample(residues, 300)
+            for x in residues:
+                lift = teichmuller(ring, x)
+                assert lift == _teichmuller_by_iteration(ring, x), (p, n, M, x)
+                assert teichmuller(ring, x) is lift
+                cases += 1
+    assert cases == 6156 + 3 * 302
+
+
 def test_omega_exact_order():
     for (p, n) in [(2, 3), (3, 2), (5, 2)]:
         ring = make_ring(p, n, 8)
