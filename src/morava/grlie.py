@@ -342,11 +342,14 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     if L < 1:
         raise ValueError("need L >= 1")
 
-    D = {}
+    spans, D = {}, {}
     for k in range(1, L + 1):
         acc = GrSubspace(field)
-        for k1 in range(1, k // 2 + 1):
-            for b in commutator_span(p, n, k1, k - k1, poly).basis():
+        for k1 in range(1, min(k // 2, n) + 1):  # brackets see levels only mod n
+            key = (k1 % n, (k - k1) % n)
+            if key not in spans:
+                spans[key] = commutator_span(p, n, k1, k - k1, poly).basis()
+            for b in spans[key]:
                 acc.insert(b)
         D[k] = acc
     qdim = {k: n - D[k].dim for k in range(1, L + 1)}

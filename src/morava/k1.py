@@ -28,21 +28,21 @@ _S_BUILD = 14
 _S_KEEP = 10
 _T_MARGIN = 4
 
+_VALUATION_BITS = 1 << 16  # longest exact power psi_valuation_report will build
+
 
 def sphere_label(p: int, s: int, t: int) -> Monomial:
-    """Name the generator of the (s, t) chart cell for the sphere."""
+    """Name the generator of the (s, t) chart cell for the sphere.
+
+    At p = 2 the cells with t - 2s = 0 mod 4 hold eta^s; every other cell
+    with s >= 1 holds zeta * eta^(s-1), whose u-exponent shifts by s - 1.
+    """
     if s == 0:
-        return Monomial.parse("1")
-    if p != 2:
-        base = (("zeta", 1),) if s == 1 else (("zeta", 1), ("eta", s - 1))
-        return Monomial(1, base).with_exp("u", -t // 2)
-    if s == 1:
-        if t % 4 == 0:
-            return Monomial(1, (("zeta", 1),)).with_exp("u", -t // 2)
-        return Monomial(1, (("eta", 1),)).with_exp("u", (2 - t) // 2)
-    if (t - 2 * s) % 4 == 0:
-        return Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
-    return Monomial(1, (("zeta", 1), ("eta", s - 1))).with_exp("u", (2 * s - 2 - t) // 2)
+        return Monomial()
+    if p == 2 and (t - 2 * s) % 4 == 0:
+        return Monomial.of((("eta", s),), s - t // 2)
+    core = (("zeta", 1),) + ((("eta", s - 1),) if s > 1 else ())
+    return Monomial.of(core, -t // 2 + (s - 1 if p == 2 else 0))
 
 
 def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
@@ -94,13 +94,9 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Fixed points of the order-two subgroup alone: the real K-theory chart."""
     chart = Chart(2)
     for s, t in _even_cells(s_max, t_lo, t_hi):
-        if (t - 2 * s) % 4:
-            continue
-        if s == 0:
-            chart.add(Summand(INF, Monomial(1, (("u", -t // 2),) if t else ()), 0, t))
-        else:
-            label = Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
-            chart.add(Summand(2, label, s, t))
+        if (t - 2 * s) % 4 == 0:
+            label = Monomial.of((("eta", s),) if s else (), s - t // 2)
+            chart.add(Summand(2 if s else INF, label, s, t))
     return chart
 
 
@@ -230,14 +226,19 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
 
     At p = 2 the generator is 3 = p + 1 but squaring replaces the (p-1)
     power and the offset is 3: nu_2(3^(2t) - 1) = nu_2(t) + 3.  Powers are
-    accumulated incrementally so each step is one big-integer multiply.
+    accumulated incrementally so each step is one big-integer multiply.  A t_max
+    is refused when e * t_max * bitlength(p+1), which bounds the bits of the
+    last power, passes _VALUATION_BITS.
     """
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if t_max < 1:
         raise ValueError("t_max must be positive")
+    e = 2 if p == 2 else p - 1
+    if e * t_max * (p + 1).bit_length() > _VALUATION_BITS:
+        raise ValueError(f"t_max = {t_max}: (p+1)^({e}t_max) may pass the {_VALUATION_BITS}-bit bound")
     offset = 3 if p == 2 else 1
-    step = (p + 1) ** (2 if p == 2 else p - 1)
+    step = (p + 1) ** e
     if p == 2:
         formula = "nu_2(3^(2t) - 1) = nu_2(t) + 3"
     else:

@@ -63,6 +63,11 @@ class Monomial:
                 exps.append((tok, 1))
         return Monomial(index, tuple(exps))
 
+    @staticmethod
+    def of(core: tuple, u: int = 0) -> "Monomial":
+        """core * u^u with index one, built and checked once."""
+        return Monomial(1, tuple(core) + ((("u", u),) if u else ()))
+
     def format(self) -> str:
         parts = [str(self.index)] if self.index != 1 or not self.exps else []
         for name, e in self.exps:
@@ -209,9 +214,7 @@ class DifferentialRule:
         )
 
     def target_label(self, label: Monomial) -> Monomial:
-        u = label.exp("u") + self.u_shift
-        exps = tuple(self.target_core) + ((("u", u),) if u else ())
-        return Monomial(1, exps)
+        return Monomial.of(self.target_core, label.exp("u") + self.u_shift)
 
 
 def apply_differentials(chart: Chart, rules) -> Chart:
@@ -221,15 +224,18 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     once.  A matched target is removed; the source keeps its kernel (order
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A source whose target cell has no matching label is
-    logged and kept.
+    logged and kept.  Each summand asks only the rules with its label core.
     """
     r = chart.page
+    by_core = {}
+    for rule in rules:
+        by_core.setdefault(tuple(sorted(rule.source_core)), []).append(rule)
     hits = []
     sources = set()
     targets = set()
     for (s, t), cell in chart.entries.items():
         for summand in cell:
-            for rule in rules:
+            for rule in by_core.get(summand.label.core(), ()):
                 if not rule.matches(summand.label):
                     continue
                 tkey = (s + r, t + r - 1)

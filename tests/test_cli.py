@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import morava
 from morava.cli import ParseError, parse_element, run_command
 from morava.order import from_coeff_rows, from_int
 from morava.stabilizer import order3_element
@@ -111,6 +116,17 @@ def test_edge_inputs_exit_codes(capsys):
         assert run_command(argv) == code, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_valuation_cli_refuses_huge_bounds_fast():
+    src = str(Path(morava.__file__).resolve().parents[1])
+    for p, t_max in (("3", "100000000"), ("10007", "100")):
+        done = subprocess.run(
+            [sys.executable, "-m", "morava.cli", "k1", "valuations", "--p", p, "--tmax", t_max],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        )
+        assert done.returncode == 1 and done.stdout == "", (p, t_max)
+        assert "65536-bit bound" in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,14 @@
 """Graded brackets, the power operator, span laws, abelianization."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import morava
 from morava import grlie
 from morava.grlie import (
     AbelianizationReport,
@@ -257,7 +262,11 @@ def test_abelianization_json():
 
 
 def _bracket_spaces(p, n, L, poly=None):
-    """D_k, the span of the brackets landing at level k, for k = 1..L."""
+    """D_k, the span of the brackets landing at level k, for k = 1..L.
+
+    One span per level pair (k1, k - k1): the loop abelianization_report
+    replaced by one span per pair of levels mod n; the oracle.
+    """
     D = {}
     for k in range(1, L + 1):
         D[k] = GrSubspace(fq_field(p, n, poly))
@@ -364,17 +373,55 @@ def test_abelianization_matches_enumeration():
         assert new == _abelianization_by_enumeration(p, n, L).to_json(), (p, n, L)
 
 
+def test_abelianization_spans_once_per_residue_pair(monkeypatch):
+    # every field with q <= 64 at L = 1..3n against the per-pair oracle
+    cases = 0
+    for (p, n) in DEFAULT_POLYS:
+        if p**n > 64:
+            continue
+        for L in range(1, 3 * n + 1):
+            calls = []
+            real = grlie.commutator_span
+            monkeypatch.setattr(grlie, "commutator_span", lambda *a: calls.append(a) or real(*a))
+            new = abelianization_report(p, n, L).to_json()
+            monkeypatch.undo()
+            assert len(calls) <= n * n, (p, n, L, len(calls))
+            assert new == _abelianization_by_enumeration(p, n, L).to_json(), (p, n, L)
+            cases += 1
+    assert cases == 99
+
+
+def test_long_abelianization_is_fast():
+    # with one span per level pair (k1, k - k1) this took 25 s on a 2-CPU Linux VM
+    code = (
+        "from morava.grlie import abelianization_report\n"
+        "print(abelianization_report(3, 2, 1000).to_json()['integral'])\n"
+    )
+    src = str(Path(morava.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "{'p': 3, 'orders': ['INF', 3, 3], 'precision_caveat': True}\n"
+
+
 def _seeded_spans(rng):
-    """A fake commutator_span: a seeded subspace of dimension 0..2 per level pair."""
+    """A fake commutator_span: a seeded subspace of dimension 0..2 per pair of levels mod n.
+
+    Like the real span it depends on the levels only mod n, which is all that
+    abelianization_report assumes when it builds each span once.
+    """
     spans = {}
 
     def fake(p, n, k, l, poly=None):
-        if (k, l) not in spans:
+        key = (k % n, l % n)
+        if key not in spans:
             field = fq_field(p, n, poly)
-            spans[k, l] = GrSubspace(field)
+            spans[key] = GrSubspace(field)
             for _ in range(rng.choice([0, 0, 1, 2])):
-                spans[k, l].insert(field.from_idx(rng.randrange(field.q)))
-        return spans[k, l]
+                spans[key].insert(field.from_idx(rng.randrange(field.q)))
+        return spans[key]
 
     return fake
 
@@ -429,6 +476,7 @@ def test_abelianization_mutated_power_maps(monkeypatch):
     rng = random.Random(20261018)
     kinds = ("linear", "linear+D", "quadratic", "table")
     outcomes = {kind: {"accepted": 0, "refused": 0} for kind in kinds}
+    growing = 0  # accepted edges k -> t with qdim[k] < qdim[t]
     for (p, n) in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]:
         for L in range(1, 2 * n + 3):
             for kind in kinds:
@@ -448,7 +496,10 @@ def test_abelianization_mutated_power_maps(monkeypatch):
                     monkeypatch.undo()
                     assert new == old, (p, n, L, kind, trial)
                     outcomes[kind]["accepted" if new is not None else "refused"] += 1
+                    dims = {int(k): d for k, d in (new or {}).get("quotient_dims", {}).items()}
+                    growing += sum(0 < d < dims.get(grlie._phi(p, n, k), 0) for k, d in dims.items())
     assert all(o["accepted"] and o["refused"] for o in outcomes.values()), outcomes
+    assert growing, "no edge with qdim[k] < qdim[t] was exercised"
 
 
 def test_abelianization_power_calls_are_linear_in_q(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from morava.padic import INF
+from morava.specseq import Chart, Monomial, Summand
 from morava.k1 import (
     HomotopyTable,
     _even_cells,
@@ -30,6 +31,44 @@ def test_sphere_label_scheme():
     }
     for (p, s, t), text in cases.items():
         assert str(sphere_label(p, s, t)) == text
+
+
+def _sphere_label_by_with_exp(p, s, t):
+    """The label scheme as first written, each label built twice; the oracle."""
+    if s == 0:
+        return Monomial.parse("1")
+    if p != 2:
+        base = (("zeta", 1),) if s == 1 else (("zeta", 1), ("eta", s - 1))
+        return Monomial(1, base).with_exp("u", -t // 2)
+    if s == 1:
+        if t % 4 == 0:
+            return Monomial(1, (("zeta", 1),)).with_exp("u", -t // 2)
+        return Monomial(1, (("eta", 1),)).with_exp("u", (2 - t) // 2)
+    if (t - 2 * s) % 4 == 0:
+        return Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
+    return Monomial(1, (("zeta", 1), ("eta", s - 1))).with_exp("u", (2 * s - 2 - t) // 2)
+
+
+def _ko_e2_page_by_with_exp(s_max, t_lo, t_hi):
+    """The real K-theory page with its labels built as first written; the oracle."""
+    chart = Chart(2)
+    for s, t in _even_cells(s_max, t_lo, t_hi):
+        if (t - 2 * s) % 4:
+            continue
+        if s == 0:
+            chart.add(Summand(INF, Monomial(1, (("u", -t // 2),) if t else ()), 0, t))
+        else:
+            label = Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
+            chart.add(Summand(2, label, s, t))
+    return chart
+
+
+def test_labels_match_with_exp_construction():
+    for p in (2, 3, 5):
+        for s in range(15):
+            for t in range(-1004, 1019, 2):
+                assert sphere_label(p, s, t) == _sphere_label_by_with_exp(p, s, t), (p, s, t)
+    assert ko_e2_page(14, -1004, 1018).to_json() == _ko_e2_page_by_with_exp(14, -1004, 1018).to_json()
 
 
 def test_sphere_chart_frozen_cells_at_two():
@@ -193,6 +232,16 @@ def test_valuation_report_exact():
     for p in (4, 6, 1):
         with pytest.raises(ValueError, match="p must be prime"):
             psi_valuation_report(p, 20)
+
+
+def test_valuation_report_refuses_powers_past_the_bit_bound():
+    # the largest reports in the tests, workloads and CLI corpus stay allowed
+    for p, t_max in ((3, 2000), (7, 2000), (7, 500), (2, 2000), (5, 2000)):
+        assert psi_valuation_report(p, t_max).ok
+    for p, t_max in ((3, 100_000_000), (10007, 100), (3, 11_000), (65521, 1)):
+        with pytest.raises(ValueError, match="65536-bit bound"):
+            psi_valuation_report(p, t_max)
+
 
 
 def test_table_type_round_trip():

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morava.k1 import ko_d3_rules, ko_e2_page, sphere_d3_rules, sphere_e2_page
 from morava.padic import INF
 from morava.specseq import (
     Chart,
@@ -35,6 +38,9 @@ def test_monomial_accessors():
     assert m.core() == (("eta", 3),)
     assert m.with_exp("u", 0) == Monomial.parse("2*eta^3")
     assert m.scaled(2) == Monomial.parse("4*eta^3*u^-2")
+    assert Monomial.of((("eta", 3),), -2) == Monomial.parse("eta^3*u^-2")
+    assert Monomial.of((("zeta", 1), ("eta", 1))) == Monomial.parse("eta*zeta") == Monomial.of([("eta", 1), ("zeta", 1)])
+    assert Monomial.of(()) == Monomial.parse("1")
 
 
 def test_monomial_rejects_garbage():
@@ -244,3 +250,175 @@ def test_assemble_refuses_to_join_free_summands():
     chart.add(Summand(2, Monomial.parse("eta^3"), 3, 6))
     with pytest.raises(ValueError, match="cannot join"):
         assemble_stems(chart, 2, [3], extensions={"modulus": 8, "join": {3}})
+
+
+def _apply_differentials_by_scan(chart, rules):
+    """The page turn that asks every rule about every summand; the oracle.
+
+    apply_differentials looks rules up by label core instead.
+    """
+    r = chart.page
+    hits = []
+    sources = set()
+    targets = set()
+    for (s, t), cell in chart.entries.items():
+        for summand in cell:
+            for rule in rules:
+                if not rule.matches(summand.label):
+                    continue
+                tkey = (s + r, t + r - 1)
+                tlabel = rule.target_label(summand.label)
+                match = next(
+                    (x for x in chart.entries.get(tkey, ()) if x.label == tlabel), None
+                )
+                if match is None:
+                    chart.log.append(
+                        f"d_{r} [{rule.name}] {summand.label} at (s={s},t={t}):"
+                        f" no target {tlabel} at {tkey}; left in place"
+                    )
+                    continue
+                hits.append((summand, match, rule))
+                sources.add((s, t, summand.label))
+                targets.add((tkey[0], tkey[1], tlabel))
+                break
+    overlap = sources & targets
+    if overlap:
+        raise ValueError(f"summand is both source and target on page {r}: {overlap}")
+
+    out = chart.copy()
+    out.page = r + 1
+    for source, target, rule in hits:
+        skey = (source.s, source.t)
+        tkey = (target.s, target.t)
+        out.entries[tkey] = tuple(x for x in out.entries[tkey] if x is not target)
+        if not out.entries[tkey]:
+            del out.entries[tkey]
+        if source.order == INF:
+            kernel = Summand(INF, source.label.scaled(target.order), source.s, source.t)
+        else:
+            if target.order == INF or source.order % target.order:
+                raise ValueError(
+                    f"inconsistent differential: {source.describe()} onto {target.describe()}"
+                )
+            q = source.order // target.order
+            kernel = (
+                Summand(q, source.label.scaled(target.order), source.s, source.t)
+                if q > 1
+                else None
+            )
+        cell = tuple(x for x in out.entries[skey] if x is not source)
+        if kernel is not None:
+            cell = cell + (kernel,)
+        if cell:
+            out.entries[skey] = cell
+        else:
+            del out.entries[skey]
+        out.log.append(
+            f"d_{r} [{rule.name}] {source.describe()} at (s={source.s},t={source.t})"
+            f" kills {target.describe()} at (s={target.s},t={target.t})"
+        )
+    return out
+
+
+def _turn(apply, chart, rules):
+    """(outcome, page or error, input log) of one page turn on a copy of chart."""
+    chart = chart.copy()
+    try:
+        out = apply(chart, rules).to_json()
+    except ValueError as exc:
+        return "error", str(exc), chart.log
+    return "ok", out, chart.log
+
+
+def _assert_same_turn(chart, rules):
+    new = _turn(apply_differentials, chart, rules)
+    assert new == _turn(_apply_differentials_by_scan, chart, rules)
+    return new
+
+
+def test_page_turn_matches_scan_on_sphere_and_ko_windows():
+    rng = random.Random(8)
+    for _ in range(4):
+        lo = rng.randrange(-3000, 1000)
+        page = apply_differentials(sphere_e2_page(2, 14, lo, lo + 300), [])
+        kind, out, _ = _assert_same_turn(page, sphere_d3_rules(14))
+        assert kind == "ok" and any("kills" in line for line in out["log"])
+        page = apply_differentials(ko_e2_page(14, lo, lo + 300), [])
+        kind, out, _ = _assert_same_turn(page, ko_d3_rules(14))
+        assert kind == "ok" and any("kills" in line for line in out["log"])
+
+
+_NAMES = ("x", "y", "z")
+
+
+def _random_core(rng):
+    return tuple((name, rng.choice((1, 2))) for name in rng.sample(_NAMES, rng.randrange(3)))
+
+
+def _random_page(rng):
+    """A small page and rule list built so that rules share cores, labels carry
+    indices > 1, some targets are missing and some targets are also sources."""
+    cores = [_random_core(rng) for _ in range(3)]
+    rules = [
+        DifferentialRule(
+            f"r{i}", rng.choice(cores), rng.choice(cores), rng.randrange(-2, 3),
+            u_mod=rng.choice((1, 2, 4)), u_res=rng.randrange(4),
+        )
+        for i in range(rng.randrange(1, 7))
+    ]
+    chart = Chart(rng.choice((2, 3)))
+    r = chart.page
+
+    def add(order, label, s, t):
+        if all(x.label != label for x in chart.cell(s, t)):
+            chart.add(Summand(order, label, s, t))
+
+    for _ in range(rng.randrange(1, 12)):
+        s, t, u = rng.randrange(5), rng.randrange(-3, 6), rng.randrange(-3, 4)
+        label = Monomial(rng.choice((1, 1, 1, 2)), rng.choice(cores) + ((("u", u),) if u else ()))
+        if rng.random() < 0.6:  # often give it the target some rule asks for
+            add(rng.choice((2, 4, INF)), rng.choice(rules).target_label(label), s + r, t + r - 1)
+        add(rng.choice((2, 4, 8, INF)), label, s, t)
+    return chart, rules
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_page_turn_matches_scan_on_drawn_charts(rng):
+    _assert_same_turn(*_random_page(rng))
+
+
+def test_drawn_charts_reach_every_case():
+    # the cases the hypothesis comparison is meant to cover all occur
+    seen = set()
+    for seed in range(300):
+        chart, rules = _random_page(random.Random(seed))
+        kind, out, log = _assert_same_turn(chart, rules)
+        by_core = {}
+        for rule in rules:
+            by_core.setdefault(tuple(sorted(rule.source_core)), []).append(rule)
+        for x in chart.summands():
+            bucket = by_core.get(x.label.core(), [])
+            if x.label.index > 1 and bucket:
+                seen.add("index > 1")
+            if len({(r.u_mod, r.u_res % r.u_mod) for r in bucket}) > 1 and any(
+                r.matches(x.label) for r in bucket[1:]
+            ):
+                seen.add("shared core")
+        if any("left in place" in line for line in log):
+            seen.add("missing target")
+        if kind == "ok" and any("kills" in line for line in out["log"]):
+            seen.add("hit")
+        if kind == "error" and "both source and target" in out:
+            seen.add("overlap")
+    assert seen == {"index > 1", "shared core", "missing target", "hit", "overlap"}
+
+
+def test_page_turn_asks_at_most_one_rule_per_summand(monkeypatch):
+    page = apply_differentials(sphere_e2_page(2, 14, -1004, 1018), [])
+    summands = sum(len(cell) for cell in page.entries.values())
+    calls = []
+    real = DifferentialRule.matches
+    monkeypatch.setattr(DifferentialRule, "matches", lambda self, label: calls.append(1) or real(self, label))
+    apply_differentials(page, sphere_d3_rules(14))
+    assert 0 < len(calls) <= summands, (len(calls), summands)
