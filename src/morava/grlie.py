@@ -413,13 +413,16 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     decomp = CyclicDecomp(p, orders, precision_caveat=caveat)
 
     # mod p: additionally kill the image of every incoming induced map
+    sources = {}
+    for j in nonzero:
+        if edges[j][0] != "truncated":
+            sources.setdefault(edges[j][1], []).append(j)
     mod_rank = 0
     for k in nonzero:
         sub = D[k].copy()
-        for j in nonzero:
-            if edges[j][1] == k and edges[j][0] != "truncated":
-                for e in basis:
-                    sub.insert(_power_digit(field, j, e))
+        for j in sources.get(k, ()):
+            for e in basis:
+                sub.insert(_power_digit(field, j, e))
         mod_rank += n - sub.dim
     mod_p_decomp = CyclicDecomp(p, [p] * mod_rank)
 

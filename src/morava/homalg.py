@@ -13,8 +13,8 @@ from morava.padic import (
     INF,
     CyclicDecomp,
     PadicParams,
-    _is_prime,
     binary_power,
+    check_prime,
     identity_matrix,
     invert_matrix,
     mat_mul,
@@ -245,8 +245,7 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with the valuation of
     lambda - 1 from _lambda_valuation.  For p = 2 see the C_2 assembly.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if s < 0:
         raise ValueError("negative degree")
     if p == 2:

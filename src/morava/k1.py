@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from morava.padic import INF, _is_prime, nu_p, record
+from morava.padic import INF, check_prime, nu_p, record
 from morava.homalg import g1_cohomology_E1
 from morava.specseq import (
     Chart,
@@ -230,8 +230,7 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     is refused when e * t_max * bitlength(p+1), which bounds the bits of the
     last power, passes _VALUATION_BITS.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if t_max < 1:
         raise ValueError("t_max must be positive")
     e = 2 if p == 2 else p - 1

@@ -72,6 +72,18 @@ def _is_prime(p: int) -> bool:
     return _prime_factors(p) == {p}
 
 
+# primes are tested by trial division, about sqrt(p) steps: 65536 at most below this bound
+PRIME_BOUND = 2**32
+
+
+def check_prime(p: int) -> None:
+    """The one prime check on inputs: ValueError unless p is a prime below PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below the 2^32 bound on primes")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def binary_power(x, e: int, mul):
     """x^e for e >= 1 from the lowest set bit of e: floor(log2 e) + popcount(e) - 1 products."""
     while not e & 1:
@@ -95,8 +107,7 @@ class PadicParams:
     M: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        check_prime(self.p)
         if self.M < 1:
             raise ValueError(f"precision M must be >= 1, got {self.M}")
         object.__setattr__(self, "_modulus", self.p ** self.M)

@@ -1,11 +1,15 @@
 """Truncated Witt vectors W(F_q) mod p^M on the Teichmuller power basis.
 
 A ring is built from a monic lift f of a primitive irreducible polynomial
-over F_p.  The Teichmuller lift w of the residue generator is computed by
-iterating z -> z^q (which converges q-adically and stabilizes exactly at
-precision M), the basis is changed to 1, w, ..., w^(n-1), and the Frobenius
-lift sigma with sigma(w) = w^p is stored as an n x n matrix mod p^M.  On
-this basis sigma has exact order n and w^(q-1) = 1 exactly, so all downstream
+over F_p.  The only check on f is the build of the F_q log table: the
+powers of x in F_p[x]/(f) must be nonzero and distinct for q - 1 steps and
+x^(q-1) must be 1.  Then every nonzero element is a unit, so F_p[x]/(f) is a
+field and x generates its units: f is irreducible and primitive.  The
+Teichmuller lift w of the residue generator is computed by iterating
+z -> z^q (which converges q-adically and stabilizes exactly at precision
+M), the basis is changed to 1, w, ..., w^(n-1), and the Frobenius lift
+sigma with sigma(w) = w^p is stored as an n x n matrix mod p^M.  On this
+basis sigma has exact order n and w^(q-1) = 1 exactly, so all downstream
 identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 """
 
@@ -17,8 +21,8 @@ from operator import mul
 from morava.padic import (
     PadicInt,
     PadicParams,
-    _prime_factors,
     binary_power,
+    check_prime,
     identity_matrix,
     invert_matrix,
     mat_mul,
@@ -27,7 +31,7 @@ from morava.padic import (
 )
 
 # Monic lifts of Conway polynomials, coefficients lowest degree first.
-# Every entry is verified irreducible and primitive mod p by the test suite.
+# Every entry is verified irreducible and primitive mod p by the F_q table build.
 DEFAULT_POLYS = {
     (2, 1): (1, 1),
     (2, 2): (1, 1, 1),
@@ -57,63 +61,6 @@ class PrecisionError(ArithmeticError):
     """An identity that must hold exactly at precision p^M failed."""
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers mod p (validation of defining polynomials)
-
-
-def _pol_mul_mod(a, b, f, p):
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for i in range(n):
-                prod[d - n + i] = (prod[d - n + i] - c * f[i]) % p
-    out = prod[:n]
-    out.extend([0] * (n - len(out)))
-    return out
-
-
-def _x_vector(n: int, f, p):
-    if n == 1:
-        return [(-f[0]) % p]
-    return [0, 1] + [0] * (n - 2)
-
-
-def validate_poly_mod_p(p: int, n: int, poly) -> tuple:
-    """Check a monic degree-n polynomial is irreducible and primitive mod p.
-
-    Returns the reduced coefficient tuple (lowest degree first).  Primitive
-    means the residue of x generates F_q^* (order exactly q - 1), which is
-    the property the Teichmuller generator inherits.
-    """
-    f = tuple(int(c) % p for c in poly)
-    if len(f) != n + 1 or f[n] != 1:
-        raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
-    x = _x_vector(n, f, p)
-    x_pow = lambda e: binary_power(x, e, lambda a, b: _pol_mul_mod(a, b, f, p))
-    if n > 1:
-        if x_pow(p ** n) != x:
-            raise ValueError(f"{poly} is reducible mod {p}")
-        for ell in _prime_factors(n):
-            if x_pow(p ** (n // ell)) == x:
-                raise ValueError(f"{poly} is reducible mod {p}")
-    one = [1] + [0] * (n - 1)
-    q1 = p ** n - 1
-    if q1 > 0:
-        if x_pow(q1) != one:
-            raise ValueError(f"{poly} is not primitive mod {p}")
-        for ell in _prime_factors(q1):
-            if x_pow(q1 // ell) == one:
-                raise ValueError(f"{poly} is not primitive mod {p}")
-    return f
-
-
 def _poly_repr(coeffs, name: str) -> str:
     """c_0 + c_1*name + c_2*name^2 + ..., zero terms left out; "0" when all are."""
     terms = []
@@ -122,6 +69,40 @@ def _poly_repr(coeffs, name: str) -> str:
             pw = name if i == 1 else f"{name}^{i}"
             terms.append(str(c) if i == 0 else pw if c == 1 else f"{c}*{pw}")
     return " + ".join(terms) or "0"
+
+
+# ---------------------------------------------------------------------------
+# products on a power basis: F_p[x]/(f) for the field, Z[x]/(f, p^M) for the ring
+
+
+def _power_table(top: tuple, n: int, mod: int) -> list:
+    """Vectors for y^d, d = 0 .. 2n-2, given y^n = top in the power basis."""
+    pows = [tuple(1 if i == d else 0 for i in range(n)) for d in range(n)]
+    pows.append(tuple(c % mod for c in top))
+    for _ in range(n - 2):
+        prev = pows[-1]
+        shifted = [0] + list(prev[: n - 1])
+        carry = prev[n - 1]
+        if carry:
+            shifted = [(s + carry * t) % mod for s, t in zip(shifted, top)]
+        pows.append(tuple(v % mod for v in shifted))
+    return pows
+
+
+def _vec_mul(a, b, pows, n, mod):
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    out = list(prod[:n])
+    for d in range(n, 2 * n - 1):
+        c = prod[d] % mod
+        if c:
+            red = pows[d]
+            for i in range(n):
+                out[i] += c * red[i]
+    return tuple(v % mod for v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +120,26 @@ class Fq:
         self.p = p
         self.n = n
         self.poly = poly
-        self.q = p ** n
-        gen = _x_vector(n, poly, p)
-        exp = [0] * max(self.q - 1, 1)
-        log = [None] * self.q
-        cur = [1] + [0] * (n - 1)
-        for k in range(max(self.q - 1, 1)):
+        self.q = q = p ** n
+        # building the tables is the check on poly: x must have order exactly q - 1
+        pows = _power_table(tuple(-c for c in poly[:n]), n, p)
+        x = pows[1]
+        exp = [0] * (q - 1)
+        log = [None] * q
+        cur = pows[0]
+        for k in range(q - 1):
             idx = self._encode(cur)
+            if idx == 0 or log[idx] is not None:
+                cur = None  # zero or a repeat before q - 1 steps
+                break
             exp[k] = idx
-            if log[idx] is None:
-                log[idx] = k
-            cur = _pol_mul_mod(cur, gen, poly, p)
-        if self._encode(cur) != exp[0]:
-            raise ValueError("generator order mismatch; polynomial not primitive")
+            log[idx] = k
+            cur = _vec_mul(x, cur, pows, n, p)  # x first: _vec_mul skips its zero coefficients
+        if cur != pows[0]:
+            raise ValueError(f"{poly} is not irreducible and primitive mod {p}")
         self.exp = exp
         self.log = log
-        self.gen_idx = exp[1 % max(self.q - 1, 1)]
+        self.gen_idx = self._encode(x)
         self._trace_table = None
 
     def _encode(self, coeffs) -> int:
@@ -186,10 +171,7 @@ class Fq:
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
             return 0
-        m = self.q - 1
-        if m == 0:
-            return i * j
-        return self.exp[(self.log[i] + self.log[j]) % m]
+        return self.exp[(self.log[i] + self.log[j]) % (self.q - 1)]
 
     def pow_idx(self, i: int, e: int) -> int:
         if i == 0:
@@ -198,11 +180,10 @@ class Fq:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero in F_q")
             return 0
-        m = max(self.q - 1, 1)
-        return self.exp[(self.log[i] * e) % m]
+        return self.exp[(self.log[i] * e) % (self.q - 1)]
 
     def frob_idx(self, i: int, k: int = 1) -> int:
-        return self.pow_idx(i, self.p ** (k % self.n if self.n else 1))
+        return self.pow_idx(i, self.p ** (k % self.n))
 
     def trace_idx(self, i: int) -> int:
         """Trace to F_p, returned as an int in [0, p)."""
@@ -314,58 +295,35 @@ class FqElem:
 
 
 def fq_field(p: int, n: int, poly=None) -> Fq:
-    """The residue field; instances are cached, so identity comparison works."""
-    return _fq_field_cached(p, n, _normalize_poly(p, n, poly))
+    """The residue field, cached on poly mod p: an integer lift and its reduction share one Fq."""
+    return _fq_field_cached(p, n, tuple(c % p for c in _normalize_poly(p, n, poly)))
 
 
 def _normalize_poly(p: int, n: int, poly) -> tuple:
+    """The one input check on (p, n, poly): p prime, n >= 1, poly the default or monic of degree n.
+
+    Whether poly is irreducible and primitive mod p is decided by building its Fq.
+    """
+    check_prime(p)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if poly is None:
         if (p, n) not in DEFAULT_POLYS:
             raise ValueError(
                 f"no default polynomial for (p, n) = ({p}, {n}); supply a primitive irreducible one"
             )
-        poly = DEFAULT_POLYS[(p, n)]
-    return tuple(int(c) for c in poly)
+        return DEFAULT_POLYS[(p, n)]
+    poly = tuple(int(c) for c in poly)
+    if len(poly) != n + 1 or poly[n] != 1:
+        raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
+    return poly
 
 
-@lru_cache(maxsize=None)
-def _fq_field_cached(p: int, n: int, poly: tuple) -> Fq:
-    f = validate_poly_mod_p(p, n, poly)
-    return Fq(p, n, f)
+_fq_field_cached = lru_cache(maxsize=None)(Fq)
 
 
 # ---------------------------------------------------------------------------
 # the Witt ring
-
-
-def _power_table(top: tuple, n: int, mod: int) -> list:
-    """Vectors for y^d, d = 0 .. 2n-2, given y^n = top in the power basis."""
-    pows = [tuple(1 if i == d else 0 for i in range(n)) for d in range(n)]
-    pows.append(tuple(c % mod for c in top))
-    for _ in range(n - 2):
-        prev = pows[-1]
-        shifted = [0] + list(prev[: n - 1])
-        carry = prev[n - 1]
-        if carry:
-            shifted = [(s + carry * t) % mod for s, t in zip(shifted, top)]
-        pows.append(tuple(v % mod for v in shifted))
-    return pows
-
-
-def _vec_mul(a, b, pows, n, mod):
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    out = list(prod[:n])
-    for d in range(n, 2 * n - 1):
-        c = prod[d] % mod
-        if c:
-            red = pows[d]
-            for i in range(n):
-                out[i] += c * red[i]
-    return tuple(v % mod for v in out)
 
 
 class WittRing:
@@ -583,8 +541,6 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
     polynomial whose reduction mod p is irreducible and primitive.  Rings
     are cached, so equal parameters give the identical object.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _make_ring_cached(p, n, M, _normalize_poly(p, n, poly))
 
 
@@ -592,21 +548,13 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
 def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     params = PadicParams(p, M)
     mod = params.modulus
-    f_lift = tuple(int(c) % mod for c in poly)
-    if len(f_lift) != n + 1 or f_lift[n] != 1:
-        raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
-    f_res = validate_poly_mod_p(p, n, f_lift)
+    fq = fq_field(p, n, poly)
 
     # arithmetic in the x-power basis of Z[x]/(f, p^M)
-    f_top = tuple((-f_lift[i]) % mod for i in range(n))
-    f_pows = _power_table(f_top, n, mod)
-    if n == 1:
-        z = (f_top[0],)
-    else:
-        z = tuple(1 if i == 1 else 0 for i in range(n))
-    q = p ** n
+    f_pows = _power_table(tuple(-c for c in poly[:n]), n, mod)
+    z = f_pows[1]
     for _ in range(M + 2):
-        nxt = binary_power(z, q, lambda a, b: _vec_mul(a, b, f_pows, n, mod))
+        nxt = binary_power(z, fq.q, lambda a, b: _vec_mul(a, b, f_pows, n, mod))
         if nxt == z:
             break
         z = nxt
@@ -614,34 +562,24 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
         raise PrecisionError("Teichmuller iteration did not stabilize")
 
     # change of basis to powers of the Teichmuller generator
-    B = [[0] * n for _ in range(n)]
-    zj = tuple(1 if i == 0 else 0 for i in range(n))
-    cols = []
-    for j in range(n):
-        cols.append(zj)
-        zj = _vec_mul(zj, z, f_pows, n, mod)
-    omega_n = zj  # z^n in the x-basis
-    for i in range(n):
-        for j in range(n):
-            B[i][j] = cols[j][i]
-    B_inv = invert_matrix(B, params)
+    cols = [f_pows[0]]
+    for _ in range(n):
+        cols.append(_vec_mul(cols[-1], z, f_pows, n, mod))
+    omega_n = cols.pop()  # z^n in the x-basis
+    B_inv = invert_matrix([list(row) for row in zip(*cols)], params)
     c = mat_vec(B_inv, list(omega_n), mod)  # w^n = sum c_j w^j
     defining_poly = tuple([(-cj) % mod for cj in c] + [1])
     omega_pows = _power_table(tuple(c), n, mod)
 
     # Frobenius matrix: columns are coordinates of (w^p)^j
     wp = binary_power(omega_pows[1], p, lambda a, b: _vec_mul(a, b, omega_pows, n, mod))
-    F = [[0] * n for _ in range(n)]
-    col = tuple(1 if i == 0 else 0 for i in range(n))
-    for j in range(n):
-        for i in range(n):
-            F[i][j] = col[i]
-        col = _vec_mul(col, wp, omega_pows, n, mod)
+    cols = [omega_pows[0]]
+    for _ in range(n - 1):
+        cols.append(_vec_mul(cols[-1], wp, omega_pows, n, mod))
 
-    if tuple(cc % p for cc in defining_poly) != f_res:
+    if tuple(cc % p for cc in defining_poly) != fq.poly:
         raise PrecisionError("basis change drifted mod p")
-    fq = fq_field(p, n, f_res)
-    ring = WittRing(params, n, defining_poly, omega_pows, tuple(tuple(r) for r in F), fq)
+    ring = WittRing(params, n, defining_poly, omega_pows, tuple(zip(*cols)), fq)
 
     # exactness checks: sigma^n = id and w^(q-1) = 1 on the nose
     Fn = mat_mul(
@@ -651,6 +589,6 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     )
     if Fn != identity_matrix(n):
         raise PrecisionError("Frobenius matrix does not have exact order n")
-    if ring.omega ** (q - 1) != ring.one():
+    if ring.omega ** (fq.q - 1) != ring.one():
         raise PrecisionError("Teichmuller generator order check failed")
     return ring

@@ -129,6 +129,22 @@ def test_valuation_cli_refuses_huge_bounds_fast():
         assert "65536-bit bound" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_huge_primes_are_refused_fast():
+    # 2^61 - 1 is prime; factoring it by trial division takes about 1.5e9 steps
+    src = str(Path(morava.__file__).resolve().parents[1])
+    big = str(2**61 - 1)
+    for argv in (
+        ["k1", "valuations", "--p", big, "--tmax", "1"],
+        ["homalg", "g1", "--p", big, "--s", "1", "--t", "2"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "morava.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        )
+        assert done.returncode == 1 and done.stdout == "", argv
+        assert "2^32 bound" in done.stderr and "Traceback" not in done.stderr, argv
+
+
 @pytest.mark.parametrize(
     "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parentheses", "minus"]
 )

@@ -406,6 +406,29 @@ def test_long_abelianization_is_fast():
     assert done.stdout == "{'p': 3, 'orders': ['INF', 3, 3], 'precision_caveat': True}\n"
 
 
+def _report_line_events(L):
+    """Lines executed in abelianization_report's own frame at (3, 2, L)."""
+    code, count = grlie.abelianization_report.__code__, [0]
+
+    def local(frame, event, arg):
+        count[0] += event == "line"
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        grlie.abelianization_report(3, 2, L)
+    finally:
+        sys.settrace(before)
+    return count[0]
+
+
+def test_abelianization_report_is_linear_in_levels():
+    # the mod-p pass once scanned every edge for each target level: 3.6x from L = 500 to 1000
+    small, large = _report_line_events(500), _report_line_events(1000)
+    assert large <= 2.1 * small, (small, large)
+
+
 def _seeded_spans(rng):
     """A fake commutator_span: a seeded subspace of dimension 0..2 per pair of levels mod n.
 

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from morava import padic
 from morava.homalg import _kernel_indices
 from morava.padic import (
     INF,
+    PRIME_BOUND,
     CyclicDecomp,
     PadicInt,
     PadicParams,
     _is_prime,
     _prime_factors,
+    check_prime,
     invert_matrix,
     mat_mul,
     nth_root_one_unit,
@@ -202,6 +205,22 @@ def _is_prime_by_loop(p):
 def test_is_prime_matches_loop():
     for p in range(-5, 5001):
         assert _is_prime(p) == _is_prime_by_loop(p), p
+
+
+def test_check_prime_bounds_before_factoring(monkeypatch):
+    for p in (2, 3, 65537, 2**31 - 1, 2**32 - 5):
+        check_prime(p)
+    for p in (-7, 0, 1, 4, 2**32 - 1):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}$"):
+            check_prime(p)
+    # 2^61 - 1 is prime, but trial division would take about 1.5e9 steps
+    monkeypatch.setattr(padic, "_is_prime", lambda p: pytest.fail(f"factored {p}"))
+    for p in (PRIME_BOUND, PRIME_BOUND + 15, 2**61 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="2\\^32 bound"):
+            check_prime(p)
+        with pytest.raises(ValueError, match="2\\^32 bound"):
+            PadicParams(p, 2)
+    assert PRIME_BOUND == 2**32
 
 
 def test_prime_factors():

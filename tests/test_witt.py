@@ -1,5 +1,6 @@
 """Witt ring construction, Teichmuller lifts, Frobenius, traces, digits."""
 
+import itertools
 import random
 
 import pytest
@@ -8,14 +9,63 @@ from morava.padic import _prime_factors, binary_power, nu_p
 from morava.witt import (
     DEFAULT_POLYS,
     PrecisionError,
-    _pol_mul_mod,
     _vec_mul,
-    _x_vector,
     fq_field,
     make_ring,
     teichmuller,
-    validate_poly_mod_p,
 )
+
+
+def _pol_mul_mod(a, b, f, p):
+    """Schoolbook product mod (f, p), as polynomial validation once took it: the oracle."""
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, n - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for i in range(n):
+                prod[d - n + i] = (prod[d - n + i] - c * f[i]) % p
+    out = prod[:n]
+    out.extend([0] * (n - len(out)))
+    return out
+
+
+def _x_vector(n, f, p):
+    if n == 1:
+        return [(-f[0]) % p]
+    return [0, 1] + [0] * (n - 2)
+
+
+def validate_poly_mod_p(p, n, poly):
+    """Irreducibility by x^(p^n) = x and no smaller field, then primitivity by
+    x^((q-1)/ell) != 1 for every prime ell | q - 1: the check that the F_q
+    table build replaced, kept as the oracle.  Returns the reduced tuple.
+    """
+    f = tuple(int(c) % p for c in poly)
+    if len(f) != n + 1 or f[n] != 1:
+        raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
+    x = _x_vector(n, f, p)
+    x_pow = lambda e: binary_power(x, e, lambda a, b: _pol_mul_mod(a, b, f, p))
+    if n > 1:
+        if x_pow(p ** n) != x:
+            raise ValueError(f"{poly} is reducible mod {p}")
+        for ell in _prime_factors(n):
+            if x_pow(p ** (n // ell)) == x:
+                raise ValueError(f"{poly} is reducible mod {p}")
+    one = [1] + [0] * (n - 1)
+    q1 = p ** n - 1
+    if q1 > 0:
+        if x_pow(q1) != one:
+            raise ValueError(f"{poly} is not primitive mod {p}")
+        for ell in _prime_factors(q1):
+            if x_pow(q1 // ell) == one:
+                raise ValueError(f"{poly} is not primitive mod {p}")
+    return f
 
 
 def test_default_table_constructs():
@@ -28,18 +78,69 @@ def test_default_table_constructs():
 
 def test_poly_validation():
     # x^2 - 1 = (x-1)(x+1) mod 3
-    with pytest.raises(ValueError, match="reducible"):
-        validate_poly_mod_p(3, 2, (2, 0, 1))
+    with pytest.raises(ValueError, match="not irreducible and primitive mod 3"):
+        fq_field(3, 2, (2, 0, 1))
     # x^2 + 1 is irreducible mod 3 but x has order 4, not 8
-    with pytest.raises(ValueError, match="primitive"):
-        validate_poly_mod_p(3, 2, (1, 0, 1))
+    with pytest.raises(ValueError, match="not irreducible and primitive mod 3"):
+        fq_field(3, 2, (1, 0, 1))
+    with pytest.raises(ValueError, match="not irreducible and primitive mod 3"):
+        make_ring(3, 2, 4, poly=(4, 3, 1))  # a lift of x^2 + 1
     with pytest.raises(ValueError, match="monic"):
-        validate_poly_mod_p(3, 1, (1, 2))
+        fq_field(3, 1, (1, 2))
     with pytest.raises(ValueError, match="no default polynomial"):
         make_ring(11, 9, 4)
     # a user-supplied polynomial works when valid: x^2 + x + 2 mod 5
     ring = make_ring(5, 2, 4, poly=(2, 1, 1))
     assert ring.omega ** 24 == ring.one()
+
+
+def test_field_boundary_edge_inputs():
+    for p, n, poly in [(0, 1, (1, 1)), (4, 2, (1, 1, 1)), (1, 1, (1, 1)), (-3, 1, (1, 1))]:
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            fq_field(p, n, poly)
+    with pytest.raises(ValueError, match="2\\^32 bound"):
+        fq_field(2**61 - 1, 1, (1, 1))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        fq_field(2, 0, (1,))
+    with pytest.raises(ValueError, match="n must be >= 1, got -1"):
+        make_ring(3, -1, 4)
+    # the leading coefficient must be exactly 1, not 1 mod p or mod p^M
+    with pytest.raises(ValueError, match="monic"):
+        fq_field(3, 2, (5, 2, 4))
+    with pytest.raises(ValueError, match="monic"):
+        make_ring(3, 2, 2, (2, 2, 10))
+    with pytest.raises(ValueError, match="monic"):
+        make_ring(3, 2, 2, (2, 2))
+    # a lift and its reduction share one field, checked once
+    assert make_ring(3, 2, 8, poly=(5, 2, 1)).fq is fq_field(3, 2)
+    assert fq_field(3, 2, (-1, -7, 1)) is fq_field(3, 2) is make_ring(3, 2, 8).fq
+
+
+def test_table_build_accepts_exactly_the_primitive_polynomials():
+    cases = accepted = 0
+    for (p, n) in sorted(DEFAULT_POLYS):
+        q = p ** n
+        if q > 625:
+            continue
+        for low in itertools.product(range(p), repeat=n):
+            poly = low + (1,)
+            try:
+                validate_poly_mod_p(p, n, poly)
+                want = True
+            except ValueError:
+                want = False
+            try:
+                field = fq_field(p, n, poly)
+                got = True
+            except ValueError as exc:
+                assert "not irreducible and primitive" in str(exc), (p, n, poly)
+                got = False
+            assert got == want, (p, n, poly)
+            if got:
+                assert sorted(field.exp) == list(range(1, q)) and field.exp[1 % (q - 1)] == field.gen_idx
+                accepted += 1
+            cases += 1
+    assert cases == 2052 and accepted == 209  # the sum of phi(q - 1)/n over the fields
 
 
 def test_frozen_ring_3_2():
