@@ -196,74 +196,62 @@ def _lambda_valuation(p: int, m: int) -> int:
     return nu_p(m, p) + (2 if p == 2 else 1)
 
 
-def _g1_cohomology_2(s: int, t: int) -> CohomologyGroup:
-    """Assemble H^s(G_1, E_t) at p = 2 from the C_2 layer and psi = 3.
+def _g1_cell_2(s: int, t: int) -> tuple:
+    """(order, provenance) of H^s(G_1, E_t) at p = 2, from the C_2 layer and psi = 3.
 
     The quotient by the center C_2 is pro-cyclic on psi, giving for each s
     a short exact sequence coker(psi - 1 on H^(s-1)(C_2)) -> H^s(G_1) ->
     ker(psi - 1 on H^s(C_2)).  psi acts by 3^(t/2) on H^0(C_2) and trivially
     on the torsion layers, and in this range only one side is ever nonzero.
     """
-    zero = CyclicDecomp(2, [])
     if t % 2:
-        return CohomologyGroup(s, zero, "odd internal degree")
-
-    def psi_ker(order) -> object:
-        if order == 1:
-            return 1
-        if order == INF:
-            return INF if t == 0 else 1
-        return order  # finite layers carry the trivial psi action
-
-    def psi_coker(order) -> object:
-        if order == 1:
-            return 1
-        if order == INF:
-            return INF if t == 0 else 2 ** _lambda_valuation(2, abs(t // 2))
-        return order
-
-    ker_part = psi_ker(_c2_order(s, t))
-    coker_part = psi_coker(_c2_order(s - 1, t)) if s >= 1 else 1
+        return 1, "odd internal degree"
+    # psi - 1 is 0 on Z_2 at t = 0, injective with cokernel Z/(3^(t/2) - 1) otherwise,
+    # and 0 on the finite layers, where psi acts trivially
+    ker_part = _c2_order(s, t)
+    if ker_part == INF and t:
+        ker_part = 1
+    coker_part = _c2_order(s - 1, t) if s >= 1 else 1
+    if coker_part == INF and t:
+        coker_part = 2 ** _lambda_valuation(2, abs(t // 2))
     if ker_part != 1 and coker_part != 1:
         raise PrecisionError("both sides of the exact sequence are nonzero")
-    order = ker_part if ker_part != 1 else coker_part
-    if order == 1:
-        return CohomologyGroup(s, zero, "zero on both sides")
     if ker_part != 1:
-        prov = f"ker(psi - 1) on H^{s}(C_2)"
-    else:
-        prov = f"coker(psi - 1) on H^{s - 1}(C_2)"
-    decomp = CyclicDecomp(2, [order], precision_caveat=order == INF)
-    return CohomologyGroup(s, decomp, prov)
+        return ker_part, f"ker(psi - 1) on H^{s}(C_2)"
+    if coker_part != 1:
+        return coker_part, f"coker(psi - 1) on H^{s - 1}(C_2)"
+    return 1, "zero on both sides"
 
 
-def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
-    """H^s of the height-one stabilizer acting on the weight-t/2 line.
+def g1_cell(p: int, s: int, t: int) -> tuple:
+    """(order, provenance) of H^s(G_1, E_t) for a prime p and s >= 0: order 1 is zero, INF free.
 
     For odd p the group splits as mu_(p-1) x Z_p; the torsion part kills
     everything unless 2(p-1) divides t, and then the generator acts by
     lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with the valuation of
     lambda - 1 from _lambda_valuation.  For p = 2 see the C_2 assembly.
     """
+    if p == 2:
+        return _g1_cell_2(s, t)
+    if t % (2 * (p - 1)) != 0:
+        return 1, "torsion character is nontrivial"
+    if s == 0:
+        if t == 0:
+            return INF, "invariants of the trivial action"
+        return 1, "ker(lambda - 1) with lambda != 1"
+    if s == 1:
+        if t == 0:
+            return INF, "coker of the zero map"
+        return p ** _lambda_valuation(p, abs(t // 2)), "coker(lambda - 1)"
+    return 1, "p-cohomological dimension one"
+
+
+def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
+    """H^s of the height-one stabilizer on the weight-t/2 line: g1_cell, free parts certified at precision."""
     check_prime(p)
     if s < 0:
         raise ValueError("negative degree")
-    if p == 2:
-        return _g1_cohomology_2(s, t)
-    zero = CyclicDecomp(p, [])
-    if t % (2 * (p - 1)) != 0:
-        return CohomologyGroup(s, zero, "torsion character is nontrivial")
-    if s == 0:
-        if t == 0:
-            return CohomologyGroup(
-                0, CyclicDecomp(p, [INF], precision_caveat=True), "invariants of the trivial action"
-            )
-        return CohomologyGroup(0, zero, "ker(lambda - 1) with lambda != 1")
-    if s == 1:
-        if t == 0:
-            return CohomologyGroup(
-                1, CyclicDecomp(p, [INF], precision_caveat=True), "coker of the zero map"
-            )
-        val = _lambda_valuation(p, abs(t // 2))
-        return CohomologyGroup(1, CyclicDecomp(p, [p ** val]), "coker(lambda - 1)")
-    return CohomologyGroup(s, zero, "p-cohomological dimension one")
+    order, provenance = g1_cell(p, s, t)
+    if order == 1:
+        return CohomologyGroup(s, CyclicDecomp(p), provenance)
+    return CohomologyGroup(s, CyclicDecomp(p, (order,), order == INF), provenance)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from morava.padic import INF, check_prime, nu_p, record
-from morava.homalg import g1_cohomology_E1
+from morava.homalg import g1_cell
 from morava.specseq import (
     Chart,
     DifferentialRule,
@@ -29,6 +29,7 @@ _S_KEEP = 10
 _T_MARGIN = 4
 
 _VALUATION_BITS = 1 << 16  # longest exact power psi_valuation_report will build
+_CHART_CELLS = 1 << 17  # most cells one chart window may hold
 
 
 def sphere_label(p: int, s: int, t: int) -> Monomial:
@@ -41,27 +42,34 @@ def sphere_label(p: int, s: int, t: int) -> Monomial:
         return Monomial()
     if p == 2 and (t - 2 * s) % 4 == 0:
         return Monomial.of((("eta", s),), s - t // 2)
-    core = (("zeta", 1),) + ((("eta", s - 1),) if s > 1 else ())
+    core = ((("eta", s - 1),) if s > 1 else ()) + (("zeta", 1),)
     return Monomial.of(core, -t // 2 + (s - 1 if p == 2 else 0))
 
 
 def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
-    """The cells (s, t) with 0 <= s <= s_max and even t in [t_lo, t_hi]; refuses an empty window."""
+    """The cells (s, t) with 0 <= s <= s_max and even t in [t_lo, t_hi].
+
+    Refuses an empty window, and one of more than _CHART_CELLS cells before building any.
+    """
+    window = f"s <= {s_max}, {t_lo} <= t <= {t_hi}"
     if s_max < 0 or t_lo > t_hi:
-        raise ValueError(f"empty chart window: s <= {s_max}, {t_lo} <= t <= {t_hi}")
-    return [(s, t) for s in range(s_max + 1) for t in range(t_lo + t_lo % 2, t_hi + 1, 2)]
+        raise ValueError(f"empty chart window: {window}")
+    first = t_lo + t_lo % 2
+    evens = max(0, (t_hi - first) // 2 + 1)
+    if (s_max + 1) * evens > _CHART_CELLS:
+        raise ValueError(f"chart window {window} passes the {_CHART_CELLS}-cell bound")
+    return [(s, t) for s in range(s_max + 1 if evens else 0) for t in range(first, t_hi + 1, 2)]
 
 
 def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Descent chart of the sphere over the given window, page 2."""
+    cells = _even_cells(s_max, t_lo, t_hi)
+    check_prime(p)
     chart = Chart(2)
-    for s, t in _even_cells(s_max, t_lo, t_hi):
-        orders = g1_cohomology_E1(p, s, t).decomp.orders
-        if not orders:
-            continue
-        if len(orders) != 1:
-            raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
-        chart.add(Summand(orders[0], sphere_label(p, s, t), s, t))
+    for s, t in cells:
+        order = g1_cell(p, s, t)[0]
+        if order != 1:
+            chart.add(Summand(order, sphere_label(p, s, t), s, t))
     return chart
 
 
@@ -152,7 +160,8 @@ def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
     ... in turn.  No differential is applied after the last page with rules,
     so the chart must collapse from there on.
     """
-    stems = sorted(stems)
+    # a range is sorted without listing it: a huge one would fill memory before the window check
+    stems = (stems if stems.step > 0 else stems[::-1]) if isinstance(stems, range) else sorted(stems)
     if not stems:
         raise ValueError("no stems requested")
     chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)

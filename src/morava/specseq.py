@@ -11,15 +11,44 @@ application is logged so a page turn is auditable.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from morava.padic import INF, CyclicDecomp, record
 
 _NAME_RE = re.compile(r"^[a-z]+$")
 
 
+@lru_cache(maxsize=1024)  # label cores come from rule sets: tens of them
+def _checked_core(exps: tuple) -> tuple:
+    """(non-u factors sorted by name, u-exponent or 0) of exps after checking class names,
+    repeats and zero exponents; cached, so each label core is checked and sorted once.
+    """
+    seen = set()
+    for name, e in exps:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"bad class name {name!r}")
+        if name in seen:
+            raise ValueError(f"repeated class name {name!r}")
+        if e == 0:
+            raise ValueError("zero exponents must be dropped")
+        seen.add(name)
+    core = tuple(sorted((pair for pair in exps if pair[0] != "u"), key=lambda pair: pair[0]))
+    return core, dict(exps).get("u", 0)
+
+
+def _fill(label, index: int, core: tuple, u: int) -> None:
+    # object.__setattr__ keeps values inline; touching __dict__ would build a dict per label
+    exps = core + ((("u", u),) if u else ())
+    for name, value in ("index", index), ("exps", exps), ("_core", core), ("_u", u):
+        object.__setattr__(label, name, value)
+
+
 @record
 class Monomial:
-    """index * prod(name^exp); exps is a sorted tuple of (name, exp)."""
+    """index * prod(name^exp); exps is sorted by name, u last so that labels read naturally.
+
+    The core (the non-u part) and the u-exponent are kept beside the fields.
+    """
 
     index: int = 1
     exps: tuple = ()
@@ -27,18 +56,12 @@ class Monomial:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("index must be a positive integer")
-        seen = set()
-        for name, e in self.exps:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"bad class name {name!r}")
-            if name in seen:
-                raise ValueError(f"repeated class name {name!r}")
-            if e == 0:
-                raise ValueError("zero exponents must be dropped")
-            seen.add(name)
-        # u is the periodicity class; keep it last so labels read naturally
-        ordered = sorted(self.exps, key=lambda pair: (pair[0] == "u", pair[0]))
-        object.__setattr__(self, "exps", tuple(ordered))
+        exps = tuple(self.exps)
+        us = [pair[1] for pair in exps if pair[0] == "u"]
+        if len(us) == 1 and us[0] != 0:  # a lone nonzero u passes every check
+            exps = tuple(pair for pair in exps if pair[0] != "u")
+        core = _checked_core(exps)[0]  # raises when u repeats or has exponent zero
+        _fill(self, self.index, core, sum(us))
 
     @staticmethod
     def parse(text: str) -> "Monomial":
@@ -65,8 +88,13 @@ class Monomial:
 
     @staticmethod
     def of(core: tuple, u: int = 0) -> "Monomial":
-        """core * u^u with index one, built and checked once."""
-        return Monomial(1, tuple(core) + ((("u", u),) if u else ()))
+        """Monomial(1, core + (("u", u),)), with core checked once per distinct core."""
+        core, u_core = _checked_core(tuple(core))
+        if u and u_core:
+            raise ValueError("repeated class name 'u'")
+        label = object.__new__(Monomial)
+        _fill(label, 1, core, u or u_core)
+        return label
 
     def format(self) -> str:
         parts = [str(self.index)] if self.index != 1 or not self.exps else []
@@ -75,13 +103,15 @@ class Monomial:
         return "*".join(parts)
 
     def exp(self, name: str) -> int:
-        for nm, e in self.exps:
+        if name == "u":
+            return self._u
+        for nm, e in self._core:
             if nm == name:
                 return e
         return 0
 
-    def core(self, without: str = "u") -> tuple:
-        return tuple((nm, e) for nm, e in self.exps if nm != without)
+    def core(self) -> tuple:
+        return self._core
 
     def with_exp(self, name: str, e: int) -> "Monomial":
         exps = [(nm, ex) for nm, ex in self.exps if nm != name]
@@ -206,10 +236,13 @@ class DifferentialRule:
     u_mod: int = 1
     u_res: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "sorted_source", tuple(sorted(self.source_core)))
+
     def matches(self, label: Monomial) -> bool:
         return (
             label.index == 1
-            and label.core() == tuple(sorted(self.source_core))
+            and label.core() == self.sorted_source
             and label.exp("u") % self.u_mod == self.u_res % self.u_mod
         )
 
@@ -224,18 +257,22 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     once.  A matched target is removed; the source keeps its kernel (order
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A source whose target cell has no matching label is
-    logged and kept.  Each summand asks only the rules with its label core.
+    logged and kept.  Each summand asks only the rules with its label core
+    and its u-exponent's residue, in their given order.
     """
     r = chart.page
-    by_core = {}
-    for rule in rules:
-        by_core.setdefault(tuple(sorted(rule.source_core)), []).append(rule)
+    buckets = {}
+    for i, rule in enumerate(rules):
+        key = (rule.sorted_source, rule.u_mod, rule.u_res % rule.u_mod)
+        buckets.setdefault(key, []).append((i, rule))
+    mods = {rule.u_mod for rule in rules}
     hits = []
     sources = set()
     targets = set()
     for (s, t), cell in chart.entries.items():
         for summand in cell:
-            for rule in by_core.get(summand.label.core(), ()):
+            core, u = summand.label.core(), summand.label.exp("u")
+            for _, rule in sorted(pair for m in mods for pair in buckets.get((core, m, u % m), ())):
                 if not rule.matches(summand.label):
                     continue
                 tkey = (s + r, t + r - 1)

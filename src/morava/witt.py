@@ -539,9 +539,9 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
 
     (p, n) must be in the default table, or `poly` a monic degree-n integer
     polynomial whose reduction mod p is irreducible and primitive.  Rings
-    are cached, so equal parameters give the identical object.
+    are cached on poly mod p, so equal rings are the identical object.
     """
-    return _make_ring_cached(p, n, M, _normalize_poly(p, n, poly))
+    return _make_ring_cached(p, n, M, tuple(c % p for c in _normalize_poly(p, n, poly)))
 
 
 @lru_cache(maxsize=None)

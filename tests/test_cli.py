@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,21 @@ def test_huge_primes_are_refused_fast():
         )
         assert done.returncode == 1 and done.stdout == "", argv
         assert "2^32 bound" in done.stderr and "Traceback" not in done.stderr, argv
+
+
+def test_oversized_chart_windows_are_domain_errors(capsys):
+    for argv in (
+        ["k1", "homotopy", "--p", "2", "--stems", "0..2000000"],
+        ["k1", "homotopy", "--p", "3", "--stems", "0..2000000000000"],
+        ["k1", "ko", "--stems", "-1000000,1000000"],
+        ["k1", "e2", "--smax", "1000000000"],
+    ):
+        start = time.perf_counter()
+        assert run_command(argv) == 1, argv
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "131072-cell bound" in captured.err, argv
+        assert "Traceback" not in captured.err, argv
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,8 @@ from morava.homalg import (
     g1_cohomology_E1,
     iwasawa_cohomology,
 )
-from morava.padic import INF, PadicParams, identity_matrix, mat_mul, nu_p
+from morava.padic import INF, CyclicDecomp, PadicParams, identity_matrix, mat_mul, nu_p
+from morava.witt import PrecisionError
 
 
 def _op(p, M, rows):
@@ -267,6 +268,89 @@ def test_g1_valuation_matches_big_integers(monkeypatch):
     got = [g1_cohomology_E1(*cell) for cell in cells]
     monkeypatch.setattr(morava.homalg, "_lambda_valuation", _lambda_valuation_by_power)
     assert got == [g1_cohomology_E1(*cell) for cell in cells]
+
+
+def _g1_cohomology_by_records(p, s, t):
+    """g1_cohomology_E1 as first written, one record per branch; the oracle of g1_cell."""
+    h = morava.homalg
+    morava.padic.check_prime(p)
+    if s < 0:
+        raise ValueError("negative degree")
+    zero = CyclicDecomp(p, [])
+    if p == 2:
+        if t % 2:
+            return CohomologyGroup(s, zero, "odd internal degree")
+
+        def psi_ker(order):
+            if order == 1:
+                return 1
+            if order == INF:
+                return INF if t == 0 else 1
+            return order
+
+        def psi_coker(order):
+            if order == 1:
+                return 1
+            if order == INF:
+                return INF if t == 0 else 2 ** h._lambda_valuation(2, abs(t // 2))
+            return order
+
+        ker_part = psi_ker(h._c2_order(s, t))
+        coker_part = psi_coker(h._c2_order(s - 1, t)) if s >= 1 else 1
+        if ker_part != 1 and coker_part != 1:
+            raise PrecisionError("both sides of the exact sequence are nonzero")
+        order = ker_part if ker_part != 1 else coker_part
+        if order == 1:
+            return CohomologyGroup(s, zero, "zero on both sides")
+        if ker_part != 1:
+            prov = f"ker(psi - 1) on H^{s}(C_2)"
+        else:
+            prov = f"coker(psi - 1) on H^{s - 1}(C_2)"
+        return CohomologyGroup(s, CyclicDecomp(2, [order], precision_caveat=order == INF), prov)
+    if t % (2 * (p - 1)) != 0:
+        return CohomologyGroup(s, zero, "torsion character is nontrivial")
+    if s == 0:
+        if t == 0:
+            return CohomologyGroup(
+                0, CyclicDecomp(p, [INF], precision_caveat=True), "invariants of the trivial action"
+            )
+        return CohomologyGroup(0, zero, "ker(lambda - 1) with lambda != 1")
+    if s == 1:
+        if t == 0:
+            return CohomologyGroup(1, CyclicDecomp(p, [INF], precision_caveat=True), "coker of the zero map")
+        val = h._lambda_valuation(p, abs(t // 2))
+        return CohomologyGroup(1, CyclicDecomp(p, [p ** val]), "coker(lambda - 1)")
+    return CohomologyGroup(s, zero, "p-cohomological dimension one")
+
+
+def _g1_outcome(fn, *cell):
+    try:
+        g = fn(*cell)
+    except (ValueError, PrecisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return g, g.decomp.orders, g.decomp.precision_caveat, g.provenance
+
+
+def test_g1_cells_match_records(monkeypatch):
+    cells = [
+        (p, s, t)
+        for p in (-3, 1, 2, 3, 4, 5, 7, 11, 2**61 - 1)
+        for s in range(-1, 6)
+        for t in range(-50, 51)
+    ]
+    cells += [(p, s, t) for p in (2, 3) for s in (0, 1, 2) for t in (-(10**12), 4 * 3**20, 10**12)]
+    outcomes = set()
+    for cell in cells:
+        got = _g1_outcome(g1_cohomology_E1, *cell)
+        assert got == _g1_outcome(_g1_cohomology_by_records, *cell), cell
+        outcomes.add(got[0] if isinstance(got[0], str) else str(got[0].decomp))
+    assert {"ValueError", "Z_2 [free part certified at precision only]", f"Z/{3**21}", "0"} <= outcomes
+    # the exact sequence never has two nonzero sides; force it to reach that branch
+    monkeypatch.setattr(morava.homalg, "_c2_order", lambda s, t: 2)
+    for s, t in ((1, 0), (3, 6), (2, 4)):
+        got = _g1_outcome(g1_cohomology_E1, 2, s, t)
+        assert got == ("PrecisionError", "both sides of the exact sequence are nonzero")
+        assert got == _g1_outcome(_g1_cohomology_by_records, 2, s, t)
 
 
 def test_g1_huge_stem_is_fast():

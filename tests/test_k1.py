@@ -1,5 +1,11 @@
+import random
+import time
+
 import pytest
 
+import morava.k1
+import morava.specseq
+from morava.homalg import g1_cohomology_E1
 from morava.padic import INF
 from morava.specseq import Chart, Monomial, Summand
 from morava.k1 import (
@@ -9,6 +15,7 @@ from morava.k1 import (
     ko_e2_page,
     ko_table,
     psi_valuation_report,
+    sphere_d3_rules,
     sphere_e2_page,
     sphere_label,
 )
@@ -190,6 +197,91 @@ def test_even_cells_match_filtered_window():
             for t_hi in range(t_lo, t_lo + 7):
                 want = [(s, t) for s in range(s_max + 1) for t in range(t_lo, t_hi + 1) if t % 2 == 0]
                 assert _even_cells(s_max, t_lo, t_hi) == want, (s_max, t_lo, t_hi)
+
+
+def _sphere_e2_page_by_records(p, s_max, t_lo, t_hi):
+    """The E_2 page with one cohomology record per cell, as first written; the oracle."""
+    chart = Chart(2)
+    for s, t in _even_cells(s_max, t_lo, t_hi):
+        orders = g1_cohomology_E1(p, s, t).decomp.orders
+        if not orders:
+            continue
+        if len(orders) != 1:
+            raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
+        chart.add(Summand(orders[0], sphere_label(p, s, t), s, t))
+    return chart
+
+
+def _page_outcome(build, *window):
+    try:
+        return build(*window).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_e2_pages_match_records():
+    rng = random.Random(10)
+    windows = [(p, 14, -8, 16) for p in (2, 3, 5, 7)]
+    windows += [(4, 3, -8, 16), (6, 2, 0, 0), (4, -1, 0, 4), (9, 2, 5, 1), (2, 0, 7, 7)]
+    for p in (2, 3, 5, 7):
+        for s_max in (1, 5, 14):
+            lo = rng.randrange(-900, 0)
+            windows.append((p, s_max, lo, rng.randrange(1, 900)))
+    for window in windows:
+        page = _page_outcome(sphere_e2_page, *window)
+        assert page == _page_outcome(_sphere_e2_page_by_records, *window), window
+    assert _page_outcome(sphere_e2_page, 4, 3, -8, 16) == "p must be prime, got 4"
+
+
+def test_chart_windows_past_the_cell_bound_are_refused_fast():
+    calls = [
+        lambda: homotopy_table(2, range(0, 2_000_001)),
+        lambda: homotopy_table(3, range(-(10**12), 10**12)),
+        lambda: homotopy_table(2, [-(10**6), 10**6]),
+        lambda: ko_table(range(0, 10**15)),
+        lambda: ko_table(range(10**15, 0, -3)),
+        lambda: sphere_e2_page(2, 10**9, -8, 16),
+        lambda: ko_e2_page(10**9, -8, 16),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="131072-cell bound"):
+            call()
+        assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert not sphere_e2_page(2, 10**9, 7, 7).entries  # no even t: no cells, at once
+    assert time.perf_counter() - start < 1
+    # today's widest windows stay far inside the bound
+    assert len(_even_cells(14, -4, 2017)) == 15 * 1011
+    assert len(_even_cells(1, -4, 8001)) == 2 * 4003
+
+
+def test_tables_read_ranges_in_any_order():
+    for p in (2, 3):
+        want = homotopy_table(p, list(range(-9, 12))).to_json()
+        assert homotopy_table(p, range(11, -10, -1)).to_json() == want
+        assert homotopy_table(p, range(-9, 12)).to_json() == want
+    assert ko_table(range(16, -1, -4)).to_json() == ko_table([0, 4, 8, 12, 16]).to_json()
+
+
+def test_cell_bound_counts_the_cells(monkeypatch):
+    monkeypatch.setattr(morava.k1, "_CHART_CELLS", 10)
+    assert len(_even_cells(1, 0, 8)) == 10
+    assert len(_even_cells(4, -1, 2)) == 10
+    for window in ((1, 0, 10), (1, -2, 9), (10, 0, 0)):
+        with pytest.raises(ValueError, match="10-cell bound"):
+            _even_cells(*window)
+
+
+def test_label_cores_are_checked_once_per_core():
+    check = morava.specseq._checked_core
+    check.cache_clear()
+    homotopy_table(2, range(0, 2000))
+    misses = check.cache_info().misses
+    page = sphere_e2_page(2, 14, -4, 2017)
+    cores = {x.label.core() for x in page.summands()}
+    cores |= {tuple(sorted(rule.target_core)) for rule in sphere_d3_rules(14)}
+    assert 0 < misses <= len(cores) <= 40, (misses, len(cores))
 
 
 def test_final_chart_is_collapsed_page_four():

@@ -140,6 +140,7 @@ class DifferentialRule:
     u_shift: int
     u_mod: int = 1
     u_res: int = 0
+    __post_init__ = specseq.DifferentialRule.__post_init__
 
 
 @dataclass(frozen=True)

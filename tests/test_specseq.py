@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morava.k1 import ko_d3_rules, ko_e2_page, sphere_d3_rules, sphere_e2_page
-from morava.padic import INF
+from morava.padic import INF, record
 from morava.specseq import (
     Chart,
     DifferentialRule,
@@ -56,6 +57,86 @@ def test_monomial_rejects_garbage():
         Monomial(0, ())
     with pytest.raises(ValueError):
         Monomial(1, (("u", 0),))
+
+
+@record
+class _MonomialByLoop:
+    """Monomial as first written, checking and sorting every label; the oracle."""
+
+    index: int = 1
+    exps: tuple = ()
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError("index must be a positive integer")
+        seen = set()
+        for name, e in self.exps:
+            if not re.match(r"^[a-z]+$", name):
+                raise ValueError(f"bad class name {name!r}")
+            if name in seen:
+                raise ValueError(f"repeated class name {name!r}")
+            if e == 0:
+                raise ValueError("zero exponents must be dropped")
+            seen.add(name)
+        ordered = sorted(self.exps, key=lambda pair: (pair[0] == "u", pair[0]))
+        object.__setattr__(self, "exps", tuple(ordered))
+
+    def observed(self):
+        u = next((e for nm, e in self.exps if nm == "u"), 0)
+        core = tuple((nm, e) for nm, e in self.exps if nm != "u")
+        eta = next((e for nm, e in self.exps if nm == "eta"), 0)
+        return self.index, self.exps, core, u, eta, Monomial.format(self)
+
+
+def _label_outcome(build):
+    try:
+        m = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(m, Monomial):
+        return m.index, m.exps, m.core(), m.exp("u"), m.exp("eta"), str(m)
+    return m.observed()
+
+
+_FACTORS = st.tuples(
+    st.sampled_from(["eta", "zeta", "u", "x", "Eta", "", "a1", "eta\n"]),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(
+    st.integers(min_value=-1, max_value=3),
+    st.lists(_FACTORS, max_size=4).map(tuple),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_labels_match_loop_check(index, exps, u):
+    assert _label_outcome(lambda: Monomial(index, exps)) == _label_outcome(
+        lambda: _MonomialByLoop(index, exps)
+    )
+    assert _label_outcome(lambda: Monomial.of(exps, u)) == _label_outcome(
+        lambda: _MonomialByLoop(1, exps + ((("u", u),) if u else ()))
+    )
+
+
+def test_label_checks_reach_every_error():
+    rng = random.Random(3)
+    names = ["eta", "zeta", "u", "x", "Eta", "", "a1"]
+    seen = set()
+    for _ in range(3000):
+        exps = tuple((rng.choice(names), rng.randrange(-2, 3)) for _ in range(rng.randrange(4)))
+        index, u = rng.randrange(-1, 3), rng.randrange(-1, 2)
+        for build, oracle in (
+            (lambda: Monomial(index, exps), lambda: _MonomialByLoop(index, exps)),
+            (lambda: Monomial.of(exps, u), lambda: _MonomialByLoop(1, exps + ((("u", u),) if u else ()))),
+        ):
+            got = _label_outcome(build)
+            assert got == _label_outcome(oracle), (index, exps, u)
+            seen.add(got[1].split(" '")[0] if got[0] == "error" else "ok")
+    assert seen == {
+        "ok", "index must be a positive integer", "bad class name", "repeated class name",
+        "zero exponents must be dropped",
+    }
 
 
 def test_summand_validation_and_stem():
@@ -415,10 +496,17 @@ def test_drawn_charts_reach_every_case():
 
 
 def test_page_turn_asks_at_most_one_rule_per_summand(monkeypatch):
-    page = apply_differentials(sphere_e2_page(2, 14, -1004, 1018), [])
-    summands = sum(len(cell) for cell in page.entries.values())
     calls = []
     real = DifferentialRule.matches
-    monkeypatch.setattr(DifferentialRule, "matches", lambda self, label: calls.append(1) or real(self, label))
-    apply_differentials(page, sphere_d3_rules(14))
-    assert 0 < len(calls) <= summands, (len(calls), summands)
+    monkeypatch.setattr(DifferentialRule, "matches", lambda self, label: calls.append(real(self, label)) or calls[-1])
+    for page, rules in (
+        (sphere_e2_page(2, 14, -1004, 1018), sphere_d3_rules(14)),
+        (ko_e2_page(14, -1004, 1018), ko_d3_rules(14)),
+    ):
+        page = apply_differentials(page, [])
+        summands = sum(len(cell) for cell in page.entries.values())
+        calls.clear()
+        apply_differentials(page, rules)
+        # the d_3 rules need u = 2 mod 4, so summands with other residues ask none
+        assert 0 < len(calls) <= summands // 2, (len(calls), summands)
+        assert sum(calls) >= 0.95 * len(calls), (sum(calls), len(calls))

@@ -352,6 +352,10 @@ def test_fq_edge_cases():
 def test_ring_identity_cached():
     assert make_ring(3, 2, 8) is make_ring(3, 2, 8)
     assert make_ring(3, 2, 8) is not make_ring(3, 2, 10)
+    # a lift of the default polynomial gives the same ring, so one object
+    lifted = make_ring(3, 2, 8, poly=(5, 2, 1))
+    assert lifted is make_ring(3, 2, 8) is make_ring(3, 2, 8, poly=(-1, -7, 1))
+    assert lifted.one() + make_ring(3, 2, 8).one() == lifted.one() + lifted.one()
     with pytest.raises(ValueError, match="incompatible"):
         make_ring(3, 2, 8).one() + make_ring(3, 2, 10).one()
 
