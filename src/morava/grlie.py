@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from morava.order import from_witt, order_one, s_gen
-from morava.padic import INF, CyclicDecomp, record
+from morava.padic import INF, CyclicDecomp, Echelon, record
 from morava.stabilizer import (
     GrElem,
     StabElem,
@@ -48,59 +48,43 @@ _BRUTE_FORCE_LIMIT = 1 << 16
 
 
 class GrSubspace:
-    """An F_p-subspace of F_q kept in reduced row echelon form."""
+    """An F_p-subspace of F_q: coefficient vectors kept in one padic.Echelon."""
 
     def __init__(self, field: Fq):
         self.field = field
-        self._rows = []  # coefficient tuples over F_p, RREF, pivots ascending
+        self._echelon = Echelon(field.p)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._echelon.rows)
 
     def copy(self) -> "GrSubspace":
         out = GrSubspace(self.field)
-        out._rows = list(self._rows)
+        out._echelon.rows = dict(self._echelon.rows)
         return out
 
-    def _reduce(self, vec: list) -> list:
-        p = self.field.p
-        for row in self._rows:
-            piv = next(i for i, c in enumerate(row) if c)
-            if vec[piv]:
-                mult = vec[piv]
-                vec = [(v - mult * r) % p for v, r in zip(vec, row)]
-        return vec
+    def _vector(self, x: FqElem) -> dict:
+        if x.field is not self.field:
+            raise ValueError(f"element of {x.field!r}, not of {self.field!r}")
+        return dict(enumerate(x.coeffs))
 
     def contains(self, x: FqElem) -> bool:
-        return not any(self._reduce(list(x.coeffs)))
+        return not self._echelon.reduce(self._vector(x))
 
     def insert(self, x: FqElem) -> bool:
         """Add x to the space; True when the dimension grew."""
-        p = self.field.p
-        vec = self._reduce(list(x.coeffs))
-        if not any(vec):
-            return False
-        piv = next(i for i, c in enumerate(vec) if c)
-        inv = pow(vec[piv], -1, p)
-        vec = [v * inv % p for v in vec]
-        # clear the new pivot from existing rows, keep RREF canonical
-        self._rows = [
-            [(r[i] - r[piv] * vec[i]) % p for i in range(len(r))] if r[piv] else r
-            for r in self._rows
-        ]
-        self._rows.append(vec)
-        self._rows.sort(key=lambda r: next(i for i, c in enumerate(r) if c))
-        return True
+        return self._echelon.insert(self._vector(x))
 
     def basis(self) -> list:
-        return [self.field.element(r) for r in self._rows]
+        """The reduced row echelon basis, pivots ascending."""
+        rows, n = self._echelon.rows, self.field.n
+        return [self.field.element([rows[c].get(i, 0) for i in range(n)]) for c in sorted(rows)]
 
     def __eq__(self, other):
         return (
             isinstance(other, GrSubspace)
             and self.field is other.field
-            and self._rows == other._rows
+            and self._echelon.rows == other._echelon.rows
         )
 
     def __repr__(self):
@@ -108,18 +92,18 @@ class GrSubspace:
 
 
 def trace_kernel(field: Fq) -> GrSubspace:
+    """ker(tr): the kernel of the trace row [tr(wb^j)], j < n, in the power basis."""
+    trace = Echelon(field.p)
+    trace.insert({j: field.trace_idx(field.p**j) for j in range(field.n)})
     out = GrSubspace(field)
-    for x in field.elements():
-        if field.trace_idx(x.idx) == 0:
-            if out.insert(x) and out.dim == field.n - 1:
-                break
+    for vec in trace.kernel(field.n):
+        out._echelon.insert(vec)
     return out
 
 
 def full_space(field: Fq) -> GrSubspace:
     out = GrSubspace(field)
-    for i in range(field.n):
-        out.insert(field.element([1 if j == i else 0 for j in range(field.n)]))
+    out._echelon.rows = {i: {i: 1} for i in range(field.n)}
     return out
 
 
@@ -155,6 +139,12 @@ def gr_power(x: GrElem) -> GrElem:
     if boundary < n:
         return GrElem(p * x.k, norm)
     return GrElem(p * x.k, a + norm)
+
+
+def _check_levels(*levels: int) -> None:
+    for k in levels:
+        if k < 1:
+            raise ValueError(f"graded levels must be >= 1, got {k}")
 
 
 def _one_plus_digit(ring, digit: FqElem, k: int) -> StabElem:
@@ -210,6 +200,7 @@ def _check_vs_group(p, n, M, trials, seed, top, sample) -> tuple:
 
 def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_bracket against group commutators of 1 + teich(a) S^k."""
+    _check_levels(k, l)
 
     def sample(ring, draw):
         a, b = draw(), draw()
@@ -221,6 +212,7 @@ def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
 
 def check_power_vs_group(p, n, k, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_power against p-th powers of 1 + teich(a) S^k."""
+    _check_levels(k)
 
     def sample(ring, draw):
         a = draw()
@@ -240,6 +232,7 @@ def commutator_span(p, n, k, l, poly=None) -> GrSubspace:
     The bracket is F_p-bilinear, so the brackets of the n^2 pairs of F_p-basis
     elements span the same space as the brackets of all q^2 pairs.
     """
+    _check_levels(k, l)
     field = fq_field(p, n, poly)
     basis = full_space(field).basis()
     span = GrSubspace(field)
@@ -255,6 +248,7 @@ def predicted_span(p, n, k, l):
     Exact answers hold when one level is 1; for general levels summing to
     an integer the span is only bounded above by the trace kernel.
     """
+    _check_levels(k, l)
     field = fq_field(p, n)
     if (k + l) % n != 0:
         return ("full", full_space(field)) if min(k, l) == 1 else ("no_claim", None)

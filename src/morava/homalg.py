@@ -62,7 +62,6 @@ class CohomologyGroup:
     s: int
     decomp: CyclicDecomp
     provenance: str = ""
-    generator_labels: tuple = ()
 
     @property
     def is_zero(self) -> bool:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/p^M: valuations, unit roots, Smith normal form.
+"""Exact arithmetic in Z/p^M: valuations, unit roots, Smith normal form, F_p echelon form.
 
 Everything works with plain Python ints reduced mod p^M.  p-adic integers
 only ever appear at this fixed finite precision; an "infinite" order found
@@ -239,22 +239,56 @@ def mat_vec(A, v, mod: int) -> list[int]:
 
 
 def invert_matrix(A, params: PadicParams) -> list[list[int]]:
-    """Inverse of a matrix whose determinant is a unit mod p^M (Gauss-Jordan)."""
-    p, mod = params.p, params.modulus
-    k = len(A)
-    work = [list(row) + irow for row, irow in zip(A, identity_matrix(k))]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if work[i][col] % p != 0), None)
-        if piv is None:
-            raise ValueError("matrix not invertible mod p")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], -1, mod)
-        work[col] = [v * inv % mod for v in work[col]]
-        for i in range(k):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(v - f * w) % mod for v, w in zip(work[i], work[col])]
-    return [row[k:] for row in work]
+    """Inverse of a square matrix invertible mod p: U * A * V = 1 in Smith form gives V * U."""
+    sf = smith_normal_form(A, params)
+    if sf.shape[0] != sf.shape[1] or any(d != 1 for d in sf.diag):
+        raise ValueError("matrix not invertible mod p")
+    return mat_mul(sf.V, sf.U, params.modulus)
+
+
+def _minus(u: dict, f: int, v: dict, p: int) -> dict:
+    """u - f * v over F_p, as a sparse vector with no zero entries."""
+    return {c: x for c in u.keys() | v.keys() if (x := (u.get(c, 0) - f * v.get(c, 0)) % p)}
+
+
+class Echelon:
+    """The one elimination over F_p: a reduced row echelon form on sparse vectors {column: coeff}.
+
+    rows maps each pivot column to its row: 1 at its pivot, 0 at every other
+    pivot and before its own.  So a vector reduces in one pass, equal spans
+    have equal rows, and the rank is len(rows).  Rows are replaced, never
+    changed in place: a copy of the dict is a copy of the echelon.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its combination of rows: empty exactly when vec lies in the span."""
+        out = {c: v % self.p for c, v in vec.items() if v % self.p}
+        for col in [c for c in out if c in self.rows]:  # rows vanish at the other pivots
+            out = _minus(out, out[col], self.rows[col], self.p)
+        return out
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; True when the rank grew."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        piv = min(vec)
+        inv = pow(vec[piv], -1, self.p)
+        vec = {c: v * inv % self.p for c, v in vec.items()}
+        for col, row in self.rows.items():
+            if piv in row:
+                self.rows[col] = _minus(row, row[piv], vec, self.p)
+        self.rows[piv] = vec
+        return True
+
+    def kernel(self, ncols: int) -> list:
+        """A basis of {x in F_p^ncols : row . x = 0 for every row}, one vector per free column."""
+        free = [j for j in range(ncols) if j not in self.rows]
+        return [{j: 1, **{c: -r[j] % self.p for c, r in self.rows.items() if j in r}} for j in free]
 
 
 @record

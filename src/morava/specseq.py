@@ -176,18 +176,13 @@ class Chart:
         out.log = list(self.log)
         return out
 
-    def crop(self, s_max=None, t_min=None, t_max=None) -> "Chart":
-        """Drop cells outside the window; used to cut boundary noise."""
+    def crop(self, s_max: int, t_min: int, t_max: int) -> "Chart":
+        """Keep the cells with s <= s_max and t_min <= t <= t_max; used to cut boundary noise."""
         out = Chart(self.page)
         out.log = list(self.log)
         for (s, t), cell in self.entries.items():
-            if s_max is not None and s > s_max:
-                continue
-            if t_min is not None and t < t_min:
-                continue
-            if t_max is not None and t > t_max:
-                continue
-            out.entries[(s, t)] = cell
+            if s <= s_max and t_min <= t <= t_max:
+                out.entries[(s, t)] = cell
         out.log.append(f"crop: s <= {s_max}, {t_min} <= t <= {t_max}")
         return out
 

@@ -140,7 +140,6 @@ class Fq:
         self.exp = exp
         self.log = log
         self.gen_idx = self._encode(x)
-        self._trace_table = None
 
     def _encode(self, coeffs) -> int:
         idx = 0
@@ -186,21 +185,13 @@ class Fq:
         return self.pow_idx(i, self.p ** (k % self.n))
 
     def trace_idx(self, i: int) -> int:
-        """Trace to F_p, returned as an int in [0, p)."""
-        if self._trace_table is None:
-            table = []
-            for idx in range(self.q):
-                acc = 0
-                conj = idx
-                for _ in range(self.n):
-                    acc = self.add_idx(acc, conj)
-                    conj = self.frob_idx(conj)
-                coeffs = self._decode(acc)
-                if any(coeffs[1:]):
-                    raise PrecisionError("trace landed outside the prime field")
-                table.append(coeffs[0])
-            self._trace_table = table
-        return self._trace_table[i]
+        """Trace to F_p, the sum of the n conjugates, returned as an int in [0, p)."""
+        acc = 0
+        for _ in range(self.n):
+            acc, i = self.add_idx(acc, i), self.frob_idx(i)
+        if acc >= self.p:  # a coefficient past the constant one
+            raise PrecisionError("trace landed outside the prime field")
+        return acc
 
     # element-level API ------------------------------------------------------
 

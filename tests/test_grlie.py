@@ -25,7 +25,10 @@ from morava.grlie import (
     trace_kernel,
 )
 from morava.padic import INF, CyclicDecomp
-from morava.witt import DEFAULT_POLYS, fq_field
+from morava.witt import DEFAULT_POLYS, Fq, PrecisionError, fq_field
+
+# every default field the kept oracles below are compared on
+SMALL_FIELDS = sorted((p, n) for (p, n) in DEFAULT_POLYS if p**n <= 625)
 
 
 def _elements(space):
@@ -55,6 +58,214 @@ def brute_force_span(p, n, k, l):
             if d and span.insert(field.from_idx(d)) and span.dim == n:
                 return span
     return span
+
+
+class _GrSubspaceByList:
+    """The dense RREF GrSubspace kept before padic.Echelon; the oracle."""
+
+    def __init__(self, field):
+        self.field = field
+        self._rows = []  # coefficient tuples over F_p, RREF, pivots ascending
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def copy(self):
+        out = _GrSubspaceByList(self.field)
+        out._rows = list(self._rows)
+        return out
+
+    def _reduce(self, vec: list) -> list:
+        p = self.field.p
+        for row in self._rows:
+            piv = next(i for i, c in enumerate(row) if c)
+            if vec[piv]:
+                mult = vec[piv]
+                vec = [(v - mult * r) % p for v, r in zip(vec, row)]
+        return vec
+
+    def contains(self, x) -> bool:
+        return not any(self._reduce(list(x.coeffs)))
+
+    def insert(self, x) -> bool:
+        p = self.field.p
+        vec = self._reduce(list(x.coeffs))
+        if not any(vec):
+            return False
+        piv = next(i for i, c in enumerate(vec) if c)
+        inv = pow(vec[piv], -1, p)
+        vec = [v * inv % p for v in vec]
+        self._rows = [
+            [(r[i] - r[piv] * vec[i]) % p for i in range(len(r))] if r[piv] else r
+            for r in self._rows
+        ]
+        self._rows.append(vec)
+        self._rows.sort(key=lambda r: next(i for i, c in enumerate(r) if c))
+        return True
+
+    def basis(self) -> list:
+        return [self.field.element(r) for r in self._rows]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _GrSubspaceByList)
+            and self.field is other.field
+            and self._rows == other._rows
+        )
+
+
+def _full_space_by_inserts(field):
+    out = _GrSubspaceByList(field)
+    for i in range(field.n):
+        out.insert(field.element([1 if j == i else 0 for j in range(field.n)]))
+    return out
+
+
+def _trace_table(field):
+    """The q-entry trace table Fq.trace_idx once built on first use; the oracle."""
+    table = []
+    for idx in range(field.q):
+        acc = 0
+        conj = idx
+        for _ in range(field.n):
+            acc = field.add_idx(acc, conj)
+            conj = field.frob_idx(conj)
+        coeffs = field._decode(acc)
+        assert not any(coeffs[1:])
+        table.append(coeffs[0])
+    return table
+
+
+def _trace_kernel_by_enumeration(field):
+    """ker(tr) from the trace table, element by element; the oracle."""
+    table = _trace_table(field)
+    out = _GrSubspaceByList(field)
+    for x in field.elements():
+        if table[x.idx] == 0:
+            if out.insert(x) and out.dim == field.n - 1:
+                break
+    return out
+
+
+def _coeffs(space):
+    return [b.coeffs for b in space.basis()]
+
+
+def test_subspace_matches_list_oracle():
+    rng = random.Random(20261018)
+    for (p, n) in SMALL_FIELDS:
+        field = fq_field(p, n)
+        for trial in range(6):
+            new, old = GrSubspace(field), _GrSubspaceByList(field)
+            snapshots = []
+            for _ in range(3 * n):
+                op = rng.randrange(4)
+                if op == 0 and new.dim:  # a combination of the basis: inside the space
+                    x = field.zero
+                    for b in new.basis():
+                        x = x + b * field.from_idx(rng.randrange(p))
+                else:
+                    x = field.from_idx(rng.randrange(field.q) if op else rng.randrange(p))
+                if op == 3:
+                    assert new.contains(x) == old.contains(x), (p, n, x)
+                    continue
+                assert new.insert(x) == old.insert(x), (p, n, x)
+                assert new.dim == old.dim and _coeffs(new) == _coeffs(old), (p, n)
+                snapshots.append((new.copy(), old.copy()))
+            # == agrees with the oracle's == on every pair of snapshots
+            for (a, a_old) in snapshots[::3]:
+                for (b, b_old) in snapshots[::2]:
+                    assert (a == b) == (a_old == b_old), (p, n)
+        # the same span inserted in reverse is equal, and copies are independent
+        elems = [field.from_idx(rng.randrange(field.q)) for _ in range(n)]
+        fwd, rev = GrSubspace(field), GrSubspace(field)
+        for x in elems:
+            fwd.insert(x)
+        for x in reversed(elems):
+            rev.insert(x)
+        assert fwd == rev and _coeffs(fwd) == _coeffs(rev)
+        cp = GrSubspace(field).copy()
+        cp.insert(field.one)
+        assert cp.dim == 1 and GrSubspace(field).dim == 0
+
+
+def test_trace_idx_matches_table():
+    for (p, n) in SMALL_FIELDS:
+        field = fq_field(p, n)
+        table = _trace_table(field)
+        assert [field.trace_idx(i) for i in range(field.q)] == table, (p, n)
+        assert [x.trace() for x in field.elements()] == table, (p, n)
+
+
+def test_trace_outside_the_prime_field_is_refused_on_every_call():
+    field = Fq(3, 2, DEFAULT_POLYS[(3, 2)])  # a private copy: its Frobenius is broken below
+    field.frob_idx = lambda i, k=1: i  # the trace becomes n * x
+    assert field.trace_idx(1) == 2
+    for _ in range(2):
+        with pytest.raises(PrecisionError, match="outside the prime field"):
+            field.trace_idx(field.gen_idx)
+
+
+def test_trace_kernel_matches_enumeration():
+    for (p, n) in SMALL_FIELDS:
+        field = fq_field(p, n)
+        new, old = trace_kernel(field), _trace_kernel_by_enumeration(field)
+        assert new.dim == n - 1 and _coeffs(new) == _coeffs(old), (p, n)
+        assert _coeffs(full_space(field)) == _coeffs(_full_space_by_inserts(field))
+
+
+def test_spans_and_reports_match_list_oracle(monkeypatch):
+    def outputs(p, n):
+        spans = [
+            (k, l, _coeffs(commutator_span(p, n, k, l)), predicted_span(p, n, k, l)[0])
+            for k in range(1, n + 2)
+            for l in range(k, n + 3)
+        ]
+        reports = [abelianization_report(p, n, L).to_json() for L in (1, n + 1, 2 * n + 1)]
+        return spans, reports
+
+    for (p, n) in SMALL_FIELDS:
+        new = outputs(p, n)
+        monkeypatch.setattr(grlie, "GrSubspace", _GrSubspaceByList)
+        monkeypatch.setattr(grlie, "full_space", _full_space_by_inserts)
+        monkeypatch.setattr(grlie, "trace_kernel", _trace_kernel_by_enumeration)
+        old = outputs(p, n)
+        monkeypatch.undo()
+        assert new == old, (p, n)
+
+
+def test_foreign_field_elements_are_refused():
+    f9, f27, f4 = fq_field(3, 2), fq_field(3, 3), fq_field(2, 2)
+    space = GrSubspace(f9)
+    space.insert(f9.gen)
+    before = space.copy()
+    for x in (f27.gen, f27.one, f4.one, f4.gen):
+        with pytest.raises(ValueError, match="not of F_9"):
+            space.insert(x)
+        with pytest.raises(ValueError, match="not of F_9"):
+            space.contains(x)
+    assert space == before and space.dim == 1
+    assert _coeffs(space) == _coeffs(before)
+    assert space.insert(f9.one) and space.dim == 2
+
+
+def test_levels_below_one_are_refused(monkeypatch):
+    # refused before any field or ring is built
+    monkeypatch.setattr(grlie, "fq_field", lambda *a: pytest.fail("built a field"))
+    monkeypatch.setattr(grlie, "make_ring", lambda *a: pytest.fail("built a ring"))
+    for bad in (0, -1):
+        for call in (
+            lambda: commutator_span(3, 2, bad, 1),
+            lambda: commutator_span(3, 2, 1, bad),
+            lambda: predicted_span(3, 2, bad, 2),
+            lambda: predicted_span(3, 2, 2, bad),
+            lambda: check_bracket_vs_group(3, 2, bad, 1, trials=5),
+            lambda: check_bracket_vs_group(3, 2, 1, bad, trials=5),
+            lambda: check_power_vs_group(3, 2, bad, trials=5),
+        ):
+            with pytest.raises(ValueError, match=f"graded levels must be >= 1, got {bad}$"):
+                call()
 
 
 def test_subspace_basics():
@@ -180,11 +391,11 @@ def test_span_matches_brute_force():
     for (p, n) in DEFAULT_POLYS:
         if p**n > 32:
             continue
-        for k in range(n + 3):
+        for k in range(1, n + 3):
             for l in range(k, n + 3):
                 assert commutator_span(p, n, k, l) == brute_force_span(p, n, k, l), (p, n, k, l)
                 cases += 1
-    assert cases == 191
+    assert cases == 133
 
 
 def test_predicted_span():

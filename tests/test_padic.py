@@ -8,11 +8,13 @@ from morava.padic import (
     INF,
     PRIME_BOUND,
     CyclicDecomp,
+    Echelon,
     PadicInt,
     PadicParams,
     _is_prime,
     _prime_factors,
     check_prime,
+    identity_matrix,
     invert_matrix,
     mat_mul,
     nth_root_one_unit,
@@ -104,6 +106,25 @@ def test_nth_root_rejects_degree_divisible_by_p():
         nth_root_one_unit(PadicInt(PadicParams(3, 4), 2), 2)  # x != 1 mod 3
 
 
+def _invert_by_gauss_jordan(A, params):
+    """The Gauss-Jordan elimination invert_matrix replaced by the Smith form; the oracle."""
+    p, mod = params.p, params.modulus
+    k = len(A)
+    work = [list(row) + irow for row, irow in zip(A, identity_matrix(k))]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if work[i][col] % p != 0), None)
+        if piv is None:
+            raise ValueError("matrix not invertible mod p")
+        work[col], work[piv] = work[piv], work[col]
+        inv = pow(work[col][col], -1, mod)
+        work[col] = [v * inv % mod for v in work[col]]
+        for i in range(k):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [(v - f * w) % mod for v, w in zip(work[i], work[col])]
+    return [row[k:] for row in work]
+
+
 def _check_snf(matrix, params):
     sf = smith_normal_form(matrix, params)
     mod = params.modulus
@@ -113,9 +134,9 @@ def _check_snf(matrix, params):
         for j in range(c):
             expect = sf.diag[i] if i == j and i < len(sf.diag) else 0
             assert D[i][j] % mod == expect % mod
-    # U, V invertible mod p^M
-    invert_matrix([list(row) for row in sf.U], params)
-    invert_matrix([list(row) for row in sf.V], params)
+    # U, V invertible mod p^M, by the elimination invert_matrix does not use
+    _invert_by_gauss_jordan([list(row) for row in sf.U], params)
+    _invert_by_gauss_jordan([list(row) for row in sf.V], params)
     # divisibility chain
     vals = [params.M if d == 0 else nu_p(d, params.p) for d in sf.diag]
     assert vals == sorted(vals)
@@ -169,6 +190,140 @@ def test_snf_random_shapes():
         c = rng.randrange(1, 5)
         A = [[rng.randrange(params.modulus) for _ in range(c)] for _ in range(r)]
         _check_snf(A, params)
+
+
+def _random_square(rng, p, k, mod, singular):
+    """A k x k matrix mod p^M; a singular one has a last row that is a combination of the others mod p."""
+    A = [[rng.randrange(mod) for _ in range(k)] for _ in range(k)]
+    if singular:
+        coeffs = [rng.randrange(p) for _ in range(k - 1)]
+        A[-1] = [
+            (sum(c * row[j] for c, row in zip(coeffs, A)) + p * rng.randrange(mod)) % mod
+            for j in range(k)
+        ]
+    return A
+
+
+def test_invert_matrix_matches_gauss_jordan():
+    rng = random.Random(23)
+    seen = {"inverted": 0, "refused": 0}
+    for trial in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        params = PadicParams(p, rng.randrange(1, 12))
+        k = rng.randrange(1, 7)
+        A = _random_square(rng, p, k, params.modulus, singular=trial % 3 == 0)
+        try:
+            expected = _invert_by_gauss_jordan(A, params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                invert_matrix(A, params)
+            seen["refused"] += 1
+            continue
+        got = invert_matrix(A, params)
+        assert got == expected, (A, params)
+        assert mat_mul(A, got, params.modulus) == identity_matrix(k)
+        seen["inverted"] += 1
+    assert seen["inverted"] > 150 and seen["refused"] > 150, seen
+    assert invert_matrix([], PadicParams(3, 2)) == [] == _invert_by_gauss_jordan([], PadicParams(3, 2))
+
+
+def test_invert_matrix_refuses_non_square():
+    params = PadicParams(3, 4)
+    for A in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 2]]):
+        with pytest.raises(ValueError, match="^matrix not invertible mod p$"):
+            invert_matrix(A, params)
+
+
+def test_rings_match_gauss_jordan_basis_change(monkeypatch):
+    # make_ring's change of basis to Teichmuller powers, rebuilt with the oracle inverse
+    from morava import witt
+
+    for (p, n), poly in sorted(witt.DEFAULT_POLYS.items()):
+        for M in (1, 8, 16):
+            ring = witt.make_ring(p, n, M)
+            monkeypatch.setattr(witt, "invert_matrix", _invert_by_gauss_jordan)
+            old = witt._make_ring_cached.__wrapped__(p, n, M, poly)
+            monkeypatch.undo()
+            assert ring.defining_poly == old.defining_poly, (p, n, M)
+            assert ring._omega_pows == old._omega_pows, (p, n, M)
+            assert ring.frobenius_matrix == old.frobenius_matrix, (p, n, M)
+
+
+def _dense_rank(rows, ncols, p):
+    """Rank mod p by plain Gaussian elimination on dense lists; the oracle."""
+    work = [[row.get(j, 0) % p for j in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [v * inv % p for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [(v - f * w) % p for v, w in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _random_sparse_rows(rng, p, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:  # a combination of earlier rows, so the rank can stall
+            row = {}
+            for other in rng.sample(rows, min(len(rows), 2)):
+                f = rng.randrange(p)
+                for c, v in other.items():
+                    row[c] = (row.get(c, 0) + f * v) % p
+        else:
+            row = {c: rng.randrange(-p, 3 * p) for c in rng.sample(range(ncols), rng.randrange(ncols + 1))}
+        rows.append(row)
+    return rows
+
+
+def test_echelon_matches_dense_oracle():
+    rng = random.Random(29)
+    for trial in range(400):
+        p = (2, 3, 5, 7)[trial % 4]
+        ncols = rng.randrange(1, 12)
+        rows = _random_sparse_rows(rng, p, rng.randrange(0, 14), ncols)
+        ech = Echelon(p)
+        for i, row in enumerate(rows):
+            grew = _dense_rank(rows[: i + 1], ncols, p) > _dense_rank(rows[:i], ncols, p)
+            assert ech.insert(row) == grew, (p, rows[: i + 1])
+            assert ech.reduce(row) == {}
+        rank = _dense_rank(rows, ncols, p)
+        assert len(ech.rows) == rank
+        # reduced echelon form: 1 at the pivot, nothing before it or at another pivot, no zeros
+        for col, row in ech.rows.items():
+            assert row[col] == 1 and min(row) == col and all(0 < v < p for v in row.values())
+            assert not any(c in ech.rows for c in row if c != col)
+        kernel = ech.kernel(ncols)
+        assert len(kernel) == ncols - rank
+        assert _dense_rank(kernel, ncols, p) == len(kernel)
+        for vec in kernel:
+            for row in rows:
+                assert sum(v * vec.get(c, 0) for c, v in row.items()) % p == 0, (p, rows, vec)
+        # a random vector reduces to {} exactly when it adds nothing to the rank
+        probe = {c: rng.randrange(p) for c in range(ncols)}
+        assert (ech.reduce(probe) == {}) == (_dense_rank(rows + [probe], ncols, p) == rank)
+
+
+def test_echelon_rows_are_canonical():
+    # the same span from rows in another order, scaled, gives equal rows
+    rng = random.Random(31)
+    for trial in range(100):
+        p = (2, 3, 5, 7)[trial % 4]
+        rows = _random_sparse_rows(rng, p, 6, 8)
+        first, second = Echelon(p), Echelon(p)
+        for row in rows:
+            first.insert(row)
+        for row in reversed(rows):
+            f = rng.randrange(1, p)
+            second.insert({c: f * v for c, v in row.items()})
+        assert first.rows == second.rows
 
 
 def test_cyclic_decomp_normalization():

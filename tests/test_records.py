@@ -113,7 +113,6 @@ class CohomologyGroup:
     s: int
     decomp: padic.CyclicDecomp
     provenance: str = ""
-    generator_labels: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ CASES = {
     "CohomologyGroup": (
         homalg.CohomologyGroup,
         CohomologyGroup,
-        lambda r: (r.randrange(3), _decomp(r), r.choice(("", "E1")), tuple(r.sample("abc", r.randrange(3)))),
+        lambda r: (r.randrange(3), _decomp(r), r.choice(("", "E1"))),
         [],
     ),
     "Monomial": (
