@@ -220,7 +220,7 @@ def _cmd_witt(args):
         x = parse_element(args.expr, ring, allow_s=False).parts[0]
         y = x.frobenius()
         return [repr(from_witt(ring, y))], {"coords": list(y.coords)}
-    x = teichmuller(ring, ring.fq.from_idx(args.residue % ring.q))
+    x = teichmuller(ring, ring.fq.from_idx(args.residue))
     return [repr(from_witt(ring, x))], {"coords": list(x.coords)}
 
 
@@ -314,9 +314,9 @@ def _cmd_grlie(args):
         line = f"dim {dim} at level ({args.k}+{args.l})/{args.n}; {wording}"
         return [line], {"dim": dim, "claim": kind}
     field = fq_field(args.p, args.n)
-    a = GrElem(args.k, field.from_idx(args.a % field.q))
+    a = GrElem(args.k, field.from_idx(args.a))
     if args.cmd == "bracket":
-        b = GrElem(args.l, field.from_idx(args.b % field.q))
+        b = GrElem(args.l, field.from_idx(args.b))
         out = gr_bracket(a, b)
     else:
         out = gr_power(a)

@@ -261,7 +261,7 @@ def predicted_span(p, n, k, l):
 # abelianization
 
 
-@record(frozen=False)
+@record
 class AbelianizationReport:
     """H_1 of the strict unit group, assembled from graded data up to level L.
 
@@ -328,7 +328,8 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     rank of P(basis) modulo D_t classifies the induced map as zero or an
     isomorphism.  Chains of isos then collapse: a chain that ends in a zero
     map contributes cyclic factors of order p^length, a chain that runs past
-    L contributes free summands certified only at this precision.
+    L contributes free summands certified only at this precision.  H_1 tensored
+    with Z/p is one Z/p per summand, read off the chains.
     """
     field = fq_field(p, n, poly)
     if field.q > _BRUTE_FORCE_LIMIT:
@@ -405,19 +406,6 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
                 generators.append((k, e, label))
 
     decomp = CyclicDecomp(p, orders, precision_caveat=caveat)
-
-    # mod p: additionally kill the image of every incoming induced map
-    sources = {}
-    for j in nonzero:
-        if edges[j][0] != "truncated":
-            sources.setdefault(edges[j][1], []).append(j)
-    mod_rank = 0
-    for k in nonzero:
-        sub = D[k].copy()
-        for j in sources.get(k, ()):
-            for e in basis:
-                sub.insert(_power_digit(field, j, e))
-        mod_rank += n - sub.dim
-    mod_p_decomp = CyclicDecomp(p, [p] * mod_rank)
-
+    # phi is injective, so Q_k mod its (at most one) incoming image is Q_k or 0
+    mod_p_decomp = CyclicDecomp(p, [p] * len(orders))
     return AbelianizationReport(p, n, L, decomp, mod_p_decomp, qdim, chains, generators)

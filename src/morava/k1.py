@@ -73,15 +73,15 @@ def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
-def _eta_towers(s_max: int, first: int, zeta: bool = False):
-    """d_3 on the towers eta^a (times zeta when asked), first <= a <= s_max.
+def _eta_towers(s_max: int, zeta: bool = False):
+    """d_3 on the towers eta^a (times zeta when asked), 0 <= a <= s_max.
 
     The differential adds three etas and two powers of u; only classes whose
     u-exponent is 2 mod 4 support it.
     """
     times = (("zeta", 1),) if zeta else ()
     rules = []
-    for a in range(first, s_max + 1):
+    for a in range(s_max + 1):
         name = f"zeta*eta^{a}" if zeta else f"eta^{a}" if a else "u"
         source = ((("eta", a),) if a else ()) + times
         target = (("eta", a + 3),) + times
@@ -90,12 +90,13 @@ def _eta_towers(s_max: int, first: int, zeta: bool = False):
 
 
 def sphere_d3_rules(s_max: int):
-    """d_3 rewrites at p = 2 on the eta towers and the zeta * eta towers.
+    """d_3 rewrites at p = 2: KO's d_3 and the zeta * eta towers.
 
     The bottom zeta tower feeds in with index one; its kernel keeps the label
-    with a doubled index.
+    with a doubled index.  KO's u tower never fires here: the sphere's only
+    class with no eta or zeta is 1, whose u-exponent is 0.
     """
-    return _eta_towers(s_max, 1) + _eta_towers(s_max, 0, zeta=True)
+    return ko_d3_rules(s_max) + _eta_towers(s_max, zeta=True)
 
 
 def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
@@ -110,7 +111,7 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
 
 def ko_d3_rules(s_max: int):
     """d_3 rewrites on the real K-theory chart: the u tower and the eta towers."""
-    return _eta_towers(s_max, 0)
+    return _eta_towers(s_max)
 
 
 @record

@@ -18,22 +18,20 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def record(cls=None, *, frozen=True):
-    """Class decorator for value classes, in the manner of @dataclass(frozen=frozen).
+def record(cls):
+    """Class decorator for value classes, in the manner of @dataclass(frozen=True).
 
     The annotated names of the class body are the fields, in order; class
     attributes give defaults.  Adds a compiled __init__ that ends by calling
     __post_init__ if defined, a repr QualName(field=value, ...) and == on the
-    field tuples of one class, unless the body defines them.  A frozen record
-    hashes as its field tuple and refuses assignment and deletion with
-    AttributeError; a mutable one is unhashable.
+    field tuples of one class, unless the body defines them.  A record hashes
+    as its field tuple and refuses assignment and deletion with
+    AttributeError.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
     body = cls.__dict__
     names = tuple(body.get("__annotations__", ()))
     params = ", ".join(f"{f}=_d_{f}" if f in body else f for f in names)
-    lines = [f"_set(self, {f!r}, {f})" if frozen else f"self.{f} = {f}" for f in names]
+    lines = [f"_set(self, {f!r}, {f})" for f in names]
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
     ns = {"_set": object.__setattr__, **{f"_d_{f}": body[f] for f in names if f in body}}
@@ -47,9 +45,8 @@ def record(cls=None, *, frozen=True):
         items = lambda a: ", ".join(f"{f}={getattr(a, f)!r}" for f in names)
         cls.__repr__ = lambda a: f"{type(a).__qualname__}({items(a)})"
     if body.get("__hash__") is None:
-        cls.__hash__ = (lambda a: hash(get(a))) if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = _frozen
+        cls.__hash__ = lambda a: hash(get(a))
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 
@@ -324,7 +321,8 @@ def smith_normal_form(matrix, params: PadicParams) -> SmithForm:
 
     Pivots are chosen by minimal p-valuation, normalized to exact powers
     of p (the unit part is divided out), so the diagonal satisfies the
-    divisibility chain and cokernel/kernel readings are immediate.
+    divisibility chain and cokernel/kernel readings are immediate.  The
+    column pass updates V alone, as no later step reads row t of A.
     """
     p, M, mod = params.p, params.M, params.modulus
     A = [[int(x) % mod for x in row] for row in matrix]
@@ -372,8 +370,6 @@ def smith_normal_form(matrix, params: PadicParams) -> SmithForm:
             x = A[t][j]
             if x:
                 f = x // piv
-                for row in A:
-                    row[j] = (row[j] - f * row[t]) % mod
                 for row in V:
                     row[j] = (row[j] - f * row[t]) % mod
         diag.append(piv % mod)

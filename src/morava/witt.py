@@ -202,6 +202,8 @@ class Fq:
         return FqElem(self, self._encode(coeffs))
 
     def from_idx(self, idx: int) -> "FqElem":
+        if not 0 <= idx < self.q:
+            raise ValueError(f"residue index {idx} outside [0, {self.q})")
         return FqElem(self, idx)
 
     @property

@@ -232,6 +232,27 @@ def test_empty_e2_window_is_a_domain_error(capsys, window):
     assert captured.out == "" and "empty chart window" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["witt", "teich", "10", "--p", "3", "--n", "2"], 10),
+        (["witt", "teich", "-1", "--p", "3", "--n", "2"], -1),
+        (["grlie", "bracket", "--p", "3", "--n", "2", "--k", "1", "--l", "1", "1", "9"], 9),
+        (["grlie", "bracket", "--p", "2", "--n", "2", "--k", "1", "--l", "2", "-3", "1"], -3),
+        (["grlie", "power", "--p", "5", "--n", "2", "--k", "1", "25"], 25),
+    ],
+    ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else str(value),
+)
+def test_residues_outside_the_field_are_domain_errors(capsys, argv, bad):
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"residue index {bad} outside" in captured.err
+    # the largest residue in range still answers
+    q = int(argv[argv.index("--p") + 1]) ** int(argv[argv.index("--n") + 1])
+    assert run_command([str(q - 1) if x == str(bad) else x for x in argv]) == 0
+    assert capsys.readouterr().out
+
+
 def test_order_mul_json(capsys):
     code = run_command(["order", "mul", "S", "w", "--p", "2", "--n", "2", "--json"])
     assert code == 0

@@ -737,17 +737,54 @@ def test_abelianization_mutated_power_maps(monkeypatch):
 
 
 def test_abelianization_power_calls_are_linear_in_q(monkeypatch):
-    # one additivity pass over F_q x basis per checked edge, then only bases
-    real = grlie._power_digit
-    for (p, n, L) in [(2, 6, 12), (3, 3, 4)]:
-        calls = []
-        monkeypatch.setattr(grlie, "_power_digit", lambda f, k, a: calls.append(k) or real(f, k, a))
+    # one additivity pass over F_q x basis per checked edge, then only bases; H_1 (x) F_p is
+    # read off the chains, with no power digit and no subspace copy after the chain walk
+    real_power, real_copy = grlie._power_digit, GrSubspace.copy
+    for (p, n, L) in [(2, 6, 12), (3, 3, 4), (2, 4, 15), (3, 2, 9), (5, 2, 9), (3, 3, 12)]:
+        calls, copies = [], []
+        monkeypatch.setattr(grlie, "_power_digit", lambda f, k, a: calls.append(k) or real_power(f, k, a))
+        monkeypatch.setattr(GrSubspace, "copy", lambda self: copies.append(self) or real_copy(self))
         rep = abelianization_report(p, n, L)
-        dims = rep.quotient_dims
+        monkeypatch.undo()
+        dims, q = rep.quotient_dims, p**n
         checked = [
             k for k in dims
             if dims[k] and grlie._phi(p, n, k) <= L and dims[grlie._phi(p, n, k)]
         ]
-        q = p**n
         assert checked, (p, n, L)
-        assert 0 < len(calls) <= 4 * n * q * len(checked), (p, n, L, len(calls))
+        # per checked edge: q (n + 1) for additivity, n basis images, dim D_k for well-definedness
+        assert len(calls) == sum(q * (n + 1) + n + n - dims[k] for k in checked), (p, n, L)
+        assert len(copies) == len(checked) + len(rep.chains), (p, n, L)
+
+
+def _mod_p_rank_by_images(p, n, L, D):
+    """The mod-p pass abelianization_report replaced by reading the chains; the oracle.
+
+    Sums dim Q_k modulo the image of P on every level j with P: j -> k, over
+    every nonzero level k <= L, without assuming that such a j is unique.
+    """
+    field = fq_field(p, n)
+    basis = full_space(field).basis()
+    nonzero = [k for k in range(1, L + 1) if D[k].dim < n]
+    rank = 0
+    for k in nonzero:
+        sub = D[k].copy()
+        for j in nonzero:
+            if grlie._phi(p, n, j) == k:
+                for e in basis:
+                    sub.insert(grlie._power_digit(field, j, e))
+        rank += n - sub.dim
+    return rank
+
+
+def test_abelianization_mod_p_matches_images():
+    cases = 0
+    for (p, n) in SMALL_FIELDS:
+        top = 3 * n + 3
+        D = _bracket_spaces(p, n, top)
+        for L in range(1, top + 1):
+            rep = abelianization_report(p, n, L)
+            rank = _mod_p_rank_by_images(p, n, L, D)
+            assert rep.mod_p_decomp == CyclicDecomp(p, [p] * rank), (p, n, L)
+            cases += 1
+    assert cases == 261

@@ -284,11 +284,23 @@ def test_label_cores_are_checked_once_per_core():
     assert 0 < misses <= len(cores) <= 40, (misses, len(cores))
 
 
-def test_final_chart_is_collapsed_page_four():
+def _sphere_d3_rules_without_u_tower(s_max):
+    """The sphere's d_3 rules as listed before they shared KO's, which adds the u tower; the oracle."""
+    rules = [rule for rule in sphere_d3_rules(s_max) if rule.name != "u tower"]
+    assert len(rules) == len(sphere_d3_rules(s_max)) - 1 == 2 * s_max + 1
+    return rules
+
+
+def test_final_chart_is_collapsed_page_four(monkeypatch):
     table = homotopy_table(2, [0, 1])
     assert table.chart.page == 4
     assert any("d_3" in line for line in table.chart.log)
     assert table.notes
+    # KO's u tower never fires on the sphere: its only class without eta or zeta is 1, at u^0
+    new = homotopy_table(2, range(-300, 301))
+    monkeypatch.setattr(morava.k1, "sphere_d3_rules", _sphere_d3_rules_without_u_tower)
+    old = homotopy_table(2, range(-300, 301))
+    assert (new.to_json(), new.chart.log, new.chart.page) == (old.to_json(), old.chart.log, old.chart.page)
 
 
 def test_table_json_and_render():

@@ -192,6 +192,70 @@ def test_snf_random_shapes():
         _check_snf(A, params)
 
 
+def _smith_with_full_column_pass(matrix, params):
+    """smith_normal_form as it was when the column pass also cleared A; the oracle."""
+    p, M, mod = params.p, params.M, params.modulus
+    A = [[int(x) % mod for x in row] for row in matrix]
+    r = len(A)
+    c = len(A[0]) if r else 0
+    U, V, diag = identity_matrix(r), identity_matrix(c), []
+    for t in range(min(r, c)):
+        best, bestv = None, M
+        for i in range(t, r):
+            for j in range(t, c):
+                if A[i][j] and nu_p(A[i][j], p) < bestv:
+                    best, bestv = (i, j), nu_p(A[i][j], p)
+            if best is not None and bestv == 0:
+                break
+        if best is None:
+            diag.extend([0] * (min(r, c) - t))
+            break
+        i0, j0 = best
+        A[t], A[i0], U[t], U[i0] = A[i0], A[t], U[i0], U[t]
+        for row in A + V:
+            row[t], row[j0] = row[j0], row[t]
+        piv = p**bestv
+        inv_unit = pow(A[t][t] // piv, -1, mod)
+        A[t] = [v * inv_unit % mod for v in A[t]]
+        U[t] = [v * inv_unit % mod for v in U[t]]
+        for i in range(t + 1, r):
+            f = A[i][t] // piv
+            A[i] = [(v - f * w) % mod for v, w in zip(A[i], A[t])]
+            U[i] = [(v - f * w) % mod for v, w in zip(U[i], U[t])]
+        for j in range(t + 1, c):
+            f = A[t][j] // piv
+            for row in A + V:
+                row[j] = (row[j] - f * row[t]) % mod
+        # every row of A is now zero off the diagonal in columns up to t
+        assert all(A[i][j] == 0 for i in range(r) for j in range(t + 1) if i != j)
+        diag.append(piv % mod)
+    return (r, c), tuple(diag), tuple(map(tuple, U)), tuple(map(tuple, V))
+
+
+def test_snf_column_pass_matches_full_pass():
+    rng = random.Random(12)
+    shapes = [(k, k) for k in range(1, 7)] + [(2, 5), (5, 2), (1, 4), (4, 1), (3, 6), (6, 3)]
+    cases = singular = 0
+    for p in (2, 3, 5, 7):
+        for M in (1, 4, 16):
+            params = PadicParams(p, M)
+            mod = params.modulus
+            for r, c in shapes:
+                for deficient in (False, True):
+                    A = [[rng.randrange(mod) for _ in range(c)] for _ in range(r)]
+                    if deficient and r > 1:
+                        # a row that is a combination of the others, and a column of p-multiples
+                        coeffs = [rng.randrange(mod) for _ in range(r - 1)]
+                        A[-1] = [sum(x * row[j] for x, row in zip(coeffs, A)) % mod for j in range(c)]
+                        for row in A:
+                            row[0] = row[0] * p % mod
+                    sf = smith_normal_form(A, params)
+                    assert (sf.shape, sf.diag, sf.U, sf.V) == _smith_with_full_column_pass(A, params), (A, params)
+                    cases += 1
+                    singular += 0 in sf.diag
+    assert cases == 4 * 3 * len(shapes) * 2 and singular > 50, (cases, singular)
+
+
 def _random_square(rng, p, k, mod, singular):
     """A k x k matrix mod p^M; a singular one has a last row that is a combination of the others mod p."""
     A = [[rng.randrange(mod) for _ in range(k)] for _ in range(k)]

@@ -347,6 +347,12 @@ def test_fq_edge_cases():
     # field with q = 2: the unit group is trivial
     f2 = fq_field(2, 1)
     assert f2.one * f2.one == f2.one
+    # residue indices name the q elements 0..q-1 and nothing else
+    for field in (fq, f2, fq_field(5, 3)):
+        assert [field.from_idx(i).idx for i in range(field.q)] == list(range(field.q))
+        for idx in (field.q, field.q + 1, 99 * field.q, -1, -field.q):
+            with pytest.raises(ValueError, match=rf"^residue index {idx} outside \[0, {field.q}\)$"):
+                field.from_idx(idx)
 
 
 def test_ring_identity_cached():
