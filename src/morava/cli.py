@@ -384,9 +384,9 @@ def _leaf(sub, name, common) -> argparse.ArgumentParser:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=3, help="the prime (default 3)")
-    common.add_argument("--n", type=int, default=2, help="the height (default 2)")
+    common.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
     common.add_argument(
-        "--prec", type=int, default=16, help="Witt digits of precision (default 16)"
+        "--prec", type=_positive_int, default=16, help="Witt digits of precision (default 16)"
     )
     common.add_argument(
         "--json", action="store_true", dest="as_json", help="print a JSON document"
@@ -481,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kko = _leaf(ksub, "ko", common)
     kko.add_argument("--stems", type=_parse_stems, required=True)
     kva = _leaf(ksub, "valuations", common)
-    kva.add_argument("--tmax", type=int, default=200)
+    kva.add_argument("--tmax", type=_positive_int, default=200)
 
     return top
 

@@ -28,7 +28,7 @@ _S_BUILD = 14
 _S_KEEP = 10
 _T_MARGIN = 4
 
-_VALUATION_BITS = 1 << 16  # longest exact power psi_valuation_report will build
+_VALUATION_BITS = 1 << 16  # bound on the bits of the last power psi_valuation_report checks
 _CHART_CELLS = 1 << 17  # most cells one chart window may hold
 
 
@@ -231,14 +231,21 @@ class ValuationReport:
         }
 
 
+def _residue_digits(t_max: int) -> int:
+    """K for psi_valuation_report: powers are kept mod p^K, far above nu_p(t) + 3 for t <= t_max."""
+    return 2 * t_max.bit_length() + 8
+
+
 def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
-    """Verify nu_p((p+1)^((p-1)t) - 1) = nu_p(t) + 1 on exact integers.
+    """Verify nu_p((p+1)^((p-1)t) - 1) = nu_p(t) + 1 exactly.
 
     At p = 2 the generator is 3 = p + 1 but squaring replaces the (p-1)
     power and the offset is 3: nu_2(3^(2t) - 1) = nu_2(t) + 3.  Powers are
-    accumulated incrementally so each step is one big-integer multiply.  A t_max
-    is refused when e * t_max * bitlength(p+1), which bounds the bits of the
-    last power, passes _VALUATION_BITS.
+    accumulated mod p^K, K = _residue_digits(t_max), one multiply per step:
+    a nonzero residue of (p+1)^(et) - 1 gives its exact valuation (below K)
+    and its exact cofactor mod p.  A power that is 1 mod p^K is rebuilt as
+    an exact integer.  A t_max is refused when e * t_max * bitlength(p+1),
+    which bounds the bits of that integer, passes _VALUATION_BITS.
     """
     check_prime(p)
     if t_max < 1:
@@ -247,7 +254,8 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     if e * t_max * (p + 1).bit_length() > _VALUATION_BITS:
         raise ValueError(f"t_max = {t_max}: (p+1)^({e}t_max) may pass the {_VALUATION_BITS}-bit bound")
     offset = 3 if p == 2 else 1
-    step = (p + 1) ** e
+    mod = p ** _residue_digits(t_max)
+    step = pow(p + 1, e, mod)
     if p == 2:
         formula = "nu_2(3^(2t) - 1) = nu_2(t) + 3"
     else:
@@ -257,10 +265,11 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     residues = []
     max_val = 0
     for t in range(1, t_max + 1):
-        cur *= step
-        val = nu_p(cur - 1, p)
+        cur = cur * step % mod
+        x = cur - 1 or (p + 1) ** (e * t) - 1  # (p+1)^(et) = 1 mod p^K: the residue knows too little
+        val = nu_p(x, p)
         max_val = max(max_val, val)
-        residues.append((cur - 1) // p**val % p)
+        residues.append(x // p**val % p)
         if val != nu_p(t, p) + offset:
             failures.append((t, val))
     return ValuationReport(p, t_max, formula, t_max, max_val, tuple(failures), tuple(residues))

@@ -382,6 +382,24 @@ def smith_normal_form(matrix, params: PadicParams) -> SmithForm:
     )
 
 
+@lru_cache(maxsize=1024)  # charts and E_1 grids build thousands of decompositions of a few order lists
+def _clean_orders(p: int, orders: tuple) -> tuple:
+    """orders as ints with the 1s dropped, sorted descending (INF first); ValueError on a non-power of p."""
+    cleaned = []
+    for o in orders:
+        if o == INF:
+            cleaned.append(INF)
+            continue
+        o = int(o)
+        if o == 1:
+            continue
+        if o <= 0 or p ** nu_p(o, p) != o:
+            raise ValueError(f"order {o} is not a power of p = {p}")
+        cleaned.append(o)
+    cleaned.sort(reverse=True)
+    return tuple(cleaned)
+
+
 @record
 class CyclicDecomp:
     """A finite direct sum of cyclic p-groups, INF marking free-at-precision factors.
@@ -396,20 +414,9 @@ class CyclicDecomp:
     precision_caveat: bool = False
 
     def __post_init__(self):
-        cleaned = []
-        for o in self.orders:
-            if o == INF:
-                cleaned.append(INF)
-                continue
-            o = int(o)
-            if o == 1:
-                continue
-            if o <= 0 or self.p ** nu_p(o, self.p) != o:
-                raise ValueError(f"order {o} is not a power of p = {self.p}")
-            cleaned.append(o)
-        cleaned.sort(reverse=True)
-        object.__setattr__(self, "orders", tuple(cleaned))
-        if not any(o == INF for o in self.orders):
+        orders = _clean_orders(self.p, tuple(self.orders))
+        object.__setattr__(self, "orders", orders)
+        if INF not in orders:
             object.__setattr__(self, "precision_caveat", False)
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import lcm
 
 from morava.padic import INF, CyclicDecomp, record
 
@@ -36,11 +37,21 @@ def _checked_core(exps: tuple) -> tuple:
     return core, dict(exps).get("u", 0)
 
 
-def _fill(label, index: int, core: tuple, u: int) -> None:
-    # object.__setattr__ keeps values inline; touching __dict__ would build a dict per label
-    exps = core + ((("u", u),) if u else ())
-    for name, value in ("index", index), ("exps", exps), ("_core", core), ("_u", u):
-        object.__setattr__(label, name, value)
+@lru_cache(maxsize=1024)
+def _core_text(core: tuple) -> str:
+    """The factors of a checked core as a label prints them: "eta^3*zeta"."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in core)
+
+
+_set = object.__setattr__  # keeps values inline; touching __dict__ would build a dict per label
+
+
+def _fill(label, index: int, core: tuple, u: int):
+    _set(label, "index", index)
+    _set(label, "exps", core + (("u", u),) if u else core)
+    _set(label, "_core", core)
+    _set(label, "_u", u)
+    return label
 
 
 @record
@@ -92,14 +103,15 @@ class Monomial:
         core, u_core = _checked_core(tuple(core))
         if u and u_core:
             raise ValueError("repeated class name 'u'")
-        label = object.__new__(Monomial)
-        _fill(label, 1, core, u or u_core)
-        return label
+        return _fill(object.__new__(Monomial), 1, core, u or u_core)
 
     def format(self) -> str:
-        parts = [str(self.index)] if self.index != 1 or not self.exps else []
-        for name, e in self.exps:
-            parts.append(name if e == 1 else f"{name}^{e}")
+        u = self._u
+        parts = [_core_text(self._core)] if self._core else []
+        if u:
+            parts.append("u" if u == 1 else f"u^{u}")
+        if self.index != 1 or not parts:
+            parts.insert(0, str(self.index))
         return "*".join(parts)
 
     def exp(self, name: str) -> int:
@@ -120,7 +132,10 @@ class Monomial:
         return Monomial(self.index, tuple(exps))
 
     def scaled(self, m: int) -> "Monomial":
-        return Monomial(self.index * m, self.exps)
+        index = self.index * m
+        if index < 1:
+            raise ValueError("index must be a positive integer")
+        return _fill(object.__new__(Monomial), index, self._core, self._u)
 
     def __str__(self):
         return self.format()
@@ -253,21 +268,26 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A source whose target cell has no matching label is
     logged and kept.  Each summand asks only the rules with its label core
-    and its u-exponent's residue, in their given order.
+    and its u-exponent's residue, in their given order; that list is built
+    once per (core, residue mod the lcm of the u_mods) on each page turn.
     """
     r = chart.page
-    buckets = {}
-    for i, rule in enumerate(rules):
-        key = (rule.sorted_source, rule.u_mod, rule.u_res % rule.u_mod)
-        buckets.setdefault(key, []).append((i, rule))
-    mods = {rule.u_mod for rule in rules}
     hits = []
     sources = set()
     targets = set()
-    for (s, t), cell in chart.entries.items():
+    mod = lcm(*(rule.u_mod for rule in rules))
+    asked = {}
+    for (s, t), cell in chart.entries.items() if rules else ():  # no rules: nothing to ask
         for summand in cell:
-            core, u = summand.label.core(), summand.label.exp("u")
-            for _, rule in sorted(pair for m in mods for pair in buckets.get((core, m, u % m), ())):
+            key = (summand.label._core, summand.label._u % mod)
+            candidates = asked.get(key)
+            if candidates is None:
+                candidates = asked[key] = [
+                    rule
+                    for rule in rules
+                    if rule.sorted_source == key[0] and key[1] % rule.u_mod == rule.u_res % rule.u_mod
+                ]
+            for rule in candidates:
                 if not rule.matches(summand.label):
                     continue
                 tkey = (s + r, t + r - 1)
@@ -357,13 +377,14 @@ def assemble_stems(chart: Chart, p: int, stems, extensions=None) -> dict:
     summand is refused.
     """
     by_stem = {}
-    for x in chart.summands():
-        by_stem.setdefault(x.stem, []).append(x)
+    entries = chart.entries
+    for key in sorted(entries):
+        by_stem.setdefault(key[1] - key[0], []).extend(entries[key])
     out = {}
     for i in stems:
-        cell = by_stem.get(i, [])
-        orders = [x.order for x in cell]
-        labels = tuple(str(x.label) for x in cell)
+        cell = by_stem.get(i, ())
+        orders = tuple([x.order for x in cell])
+        labels = tuple([str(x.label) for x in cell])
         join = (
             extensions is not None
             and len(cell) > 1

@@ -200,6 +200,15 @@ def test_grlie_level_zero_is_a_usage_error(capsys, argv):
         ["order", "digits", "1", "--count", "-1"],
         ["order", "digits", "1", "--count", "0"],
         ["grlie", "abelianize", "--levels", "-3"],
+        # the common --n and --prec, and k1 valuations --tmax: once ignored (exit 0) or refused
+        # by the library (exit 1)
+        ["k1", "homotopy", "--p", "2", "--stems", "3", "--n", "0"],
+        ["homalg", "g1", "--p", "3", "--s", "1", "--t", "4", "--prec", "0"],
+        ["order", "val", "S", "--n", "0"],
+        ["order", "val", "S", "--prec", "0"],
+        ["order", "val", "S", "--n", "-2"],
+        ["k1", "valuations", "--tmax", "0"],
+        ["k1", "valuations", "--tmax", "-5"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

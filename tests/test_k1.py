@@ -6,7 +6,7 @@ import pytest
 import morava.k1
 import morava.specseq
 from morava.homalg import g1_cohomology_E1
-from morava.padic import INF
+from morava.padic import INF, nu_p
 from morava.specseq import Chart, Monomial, Summand
 from morava.k1 import (
     HomotopyTable,
@@ -346,6 +346,63 @@ def test_valuation_report_refuses_powers_past_the_bit_bound():
         with pytest.raises(ValueError, match="65536-bit bound"):
             psi_valuation_report(p, t_max)
 
+
+
+def _psi_by_exact_powers(p, t_maxes):
+    """psi_valuation_report's loop as first written, on exact big integers: the oracle.
+
+    {t_max: (checked, max_valuation, failures, unit_residues)} for each bound in t_maxes.
+    """
+    e = 2 if p == 2 else p - 1
+    offset = 3 if p == 2 else 1
+    step = (p + 1) ** e
+    cur = 1
+    failures = []
+    residues = []
+    max_val = 0
+    out = {}
+    for t in range(1, max(t_maxes) + 1):
+        cur *= step
+        val = nu_p(cur - 1, p)
+        max_val = max(max_val, val)
+        residues.append((cur - 1) // p**val % p)
+        if val != nu_p(t, p) + offset:
+            failures.append((t, val))
+        if t in t_maxes:
+            out[t] = (t, max_val, tuple(failures), tuple(residues))
+    return out
+
+
+def _psi_observed(report):
+    return report.checked, report.max_valuation, report.failures, report.unit_residues
+
+
+# the largest t_max the 65536-bit bound allows: (1 << 16) // (e * bitlength(p + 1))
+_PSI_TOPS = {2: 16384, 3: 10922, 5: 5461, 7: 2730, 11: 1638, 13: 1365}
+
+
+def test_valuation_report_matches_exact_powers():
+    for p, top in _PSI_TOPS.items():
+        e = 2 if p == 2 else p - 1
+        assert e * top * (p + 1).bit_length() <= 1 << 16 < e * (top + 1) * (p + 1).bit_length()
+        psi_valuation_report(p, top)
+        with pytest.raises(ValueError, match="65536-bit bound"):
+            psi_valuation_report(p, top + 1)
+        # the exact loop is quadratic (1.3 s at p = 2 up to the top), so p = 2, 3 stop at a quarter;
+        # K = 2 * bitlength(t_max) + 8 changes at every power of two
+        last = top if p > 3 else top // 4
+        t_maxes = {t for t in (*range(1, 40), *(2**k + d for k in range(14) for d in (-1, 0)), last) if t <= last}
+        for t_max, expected in _psi_by_exact_powers(p, t_maxes).items():
+            assert _psi_observed(psi_valuation_report(p, t_max)) == expected, (p, t_max)
+
+
+@pytest.mark.parametrize("digits", [1, 2], ids=["every-t", "some-t"])
+def test_valuation_report_falls_back_to_exact_powers(monkeypatch, digits):
+    # with K = 1 every residue (p+1)^(et) - 1 is 0 mod p, so each t rebuilds the exact power;
+    # with K = 2 only the t with nu_p(t) + offset >= 2 do
+    monkeypatch.setattr(morava.k1, "_residue_digits", lambda t_max: digits)
+    for p in _PSI_TOPS:
+        assert _psi_observed(psi_valuation_report(p, 150)) == _psi_by_exact_powers(p, {150})[150], p
 
 
 def test_table_type_round_trip():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morava import padic
 from morava.homalg import _kernel_indices
@@ -402,6 +404,48 @@ def test_cyclic_decomp_normalization():
     assert not CyclicDecomp(2, (4, 2), precision_caveat=True).precision_caveat
     with pytest.raises(ValueError):
         CyclicDecomp(3, (6,))
+
+
+def _decomp_by_loop(p, orders, precision_caveat):
+    """CyclicDecomp's cleaning as first written, run on every construction: the oracle."""
+    cleaned = []
+    for o in orders:
+        if o == INF:
+            cleaned.append(INF)
+            continue
+        o = int(o)
+        if o == 1:
+            continue
+        if o <= 0 or p ** nu_p(o, p) != o:
+            raise ValueError(f"order {o} is not a power of p = {p}")
+        cleaned.append(o)
+    cleaned.sort(reverse=True)
+    return tuple(cleaned), precision_caveat if any(o == INF for o in cleaned) else False
+
+
+def _decomp_outcome(build):
+    try:
+        orders, caveat = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return orders, [type(o) for o in orders], caveat
+
+
+# INF, 1, 0, negatives, non-powers, big powers, and values equal to ints (True, 2.0) that
+# share a cache key with them
+_ORDERS = st.one_of(
+    st.integers(min_value=-4, max_value=30),
+    st.sampled_from([INF, float("inf"), True, False, 1.0, 2.0, 3.0, 4.0, 9.0, 8.0, 6.0, 2**70, 3**45, 5**30, 10**20]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.sampled_from([2, 3, 5]), st.lists(_ORDERS, max_size=5), st.sampled_from([False, True, 1]))
+def test_cyclic_decomp_matches_cleaning_loop(p, orders, caveat):
+    expected = _decomp_outcome(lambda: _decomp_by_loop(p, orders, caveat))
+    for _ in range(2):  # the second construction reads the cache
+        got = _decomp_outcome(lambda: (lambda d: (d.orders, d.precision_caveat))(CyclicDecomp(p, orders, caveat)))
+        assert got == expected, (p, orders, caveat)
 
 
 def test_cyclic_decomp_json():

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morava.k1 import ko_d3_rules, ko_e2_page, sphere_d3_rules, sphere_e2_page
-from morava.padic import INF, record
+from morava.padic import INF, CyclicDecomp, record
 from morava.specseq import (
     Chart,
     DifferentialRule,
     Monomial,
+    StemGroup,
     Summand,
     apply_differentials,
     assemble_stems,
@@ -81,11 +82,18 @@ class _MonomialByLoop:
         ordered = sorted(self.exps, key=lambda pair: (pair[0] == "u", pair[0]))
         object.__setattr__(self, "exps", tuple(ordered))
 
+    def format(self):
+        """Monomial.format as first written: one factor string per exponent, every call."""
+        parts = [str(self.index)] if self.index != 1 or not self.exps else []
+        for name, e in self.exps:
+            parts.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(parts)
+
     def observed(self):
         u = next((e for nm, e in self.exps if nm == "u"), 0)
         core = tuple((nm, e) for nm, e in self.exps if nm != "u")
         eta = next((e for nm, e in self.exps if nm == "eta"), 0)
-        return self.index, self.exps, core, u, eta, Monomial.format(self)
+        return self.index, self.exps, core, u, eta, self.format()
 
 
 def _label_outcome(build):
@@ -117,6 +125,21 @@ def test_labels_match_loop_check(index, exps, u):
     assert _label_outcome(lambda: Monomial.of(exps, u)) == _label_outcome(
         lambda: _MonomialByLoop(1, exps + ((("u", u),) if u else ()))
     )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(_FACTORS, max_size=4).map(tuple),
+    st.sampled_from([-2, -1, 0, 1, 2, 3, 8, INF]),
+)
+def test_scaled_matches_full_construction(index, exps, m):
+    try:
+        label = Monomial(index, exps)
+    except ValueError:
+        return
+    got = _label_outcome(lambda: label.scaled(m))
+    assert got == _label_outcome(lambda: Monomial(label.index * m, label.exps)), (index, exps, m)
 
 
 def test_label_checks_reach_every_error():
@@ -510,3 +533,69 @@ def test_page_turn_asks_at_most_one_rule_per_summand(monkeypatch):
         # the d_3 rules need u = 2 mod 4, so summands with other residues ask none
         assert 0 < len(calls) <= summands // 2, (len(calls), summands)
         assert sum(calls) >= 0.95 * len(calls), (sum(calls), len(calls))
+
+
+def _assemble_stems_by_summands(chart, p, stems, extensions=None):
+    """assemble_stems as first written, through Chart.summands(): the oracle."""
+    by_stem = {}
+    for x in chart.summands():
+        by_stem.setdefault(x.stem, []).append(x)
+    out = {}
+    for i in stems:
+        cell = by_stem.get(i, [])
+        orders = [x.order for x in cell]
+        labels = tuple(str(x.label) for x in cell)
+        join = (
+            extensions is not None
+            and len(cell) > 1
+            and i % extensions["modulus"] in extensions["join"]
+        )
+        if join:
+            if INF in orders:
+                raise ValueError(f"cannot join a free summand in stem {i}")
+            prod = 1
+            for o in orders:
+                prod *= o
+            out[i] = StemGroup(i, CyclicDecomp(p, [prod]), labels, joined=True)
+        else:
+            out[i] = StemGroup(i, CyclicDecomp(p, orders), labels)
+    return out
+
+
+def _assembled(assemble, *args):
+    try:
+        groups = assemble(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [(i, g, str(g.decomp), g.labels) for i, g in groups.items()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_assemble_matches_summand_scan_on_drawn_charts(rng):
+    chart, rules = _random_page(rng)
+    pages = [chart]
+    try:
+        pages.append(apply_differentials(chart.copy(), rules))
+    except ValueError:
+        pass
+    stems = sorted(rng.sample(range(-8, 10), rng.randrange(1, 10)))
+    extensions = rng.choice((None, {"modulus": 2, "join": {1}}, {"modulus": 3, "join": {0, 2}}))
+    for page in pages:
+        expected = _assembled(_assemble_stems_by_summands, page, 2, stems, extensions)
+        assert _assembled(assemble_stems, page, 2, stems, extensions) == expected
+
+
+def test_assemble_matches_summand_scan_on_sphere_and_ko_windows():
+    rng = random.Random(13)
+    for _ in range(3):
+        lo = rng.randrange(-3000, 1000)
+        for page, rules, extensions in (
+            (sphere_e2_page(2, 14, lo - 4, lo + 218), sphere_d3_rules(14), {"modulus": 8, "join": {3}}),
+            (ko_e2_page(14, lo - 4, lo + 218), ko_d3_rules(14), None),
+        ):
+            final = apply_differentials(apply_differentials(page, []), rules).crop(10, lo - 1, lo + 211)
+            stems = range(lo, lo + 200)
+            expected = _assembled(_assemble_stems_by_summands, final, 2, stems, extensions)
+            assert expected[0] == "ok"
+            assert _assembled(assemble_stems, final, 2, stems, extensions) == expected
