@@ -2,8 +2,9 @@
 
 cli_corpus.json holds one {"argv", "exit", "stdout"} record per command: the
 README examples, order mul/inv/digits under --json, the stab commands,
-witt frobenius and teich at n = 1..4, and four edge inputs that are usage
-or domain errors.  A refactor that changes any byte of this output changes
+witt frobenius and teich at n = 1..4, four edge inputs that are usage
+or domain errors, and the K(1) charts under --json (the sphere at p = 2
+and 5, KO, and an E_2 page).  A refactor that changes any byte of this output changes
 behaviour and must say so.
 """
 

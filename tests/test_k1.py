@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -409,3 +410,17 @@ def test_table_type_round_trip():
     table = homotopy_table(3, [11])
     assert isinstance(table, HomotopyTable)
     assert table.to_json()["notes"]
+
+
+# SHA-1 of "\n".join(chart.log) over stems -300..300, recorded before the log was made lazy
+_LOG_DIGESTS = {
+    "sphere": "18ad73dc80b9cfe0a9e4ec599611c4f6e97c45d5",
+    "ko": "15a91fe024f2d1cb97426892ce967c67d5bf65c4",
+}
+
+
+def test_chart_logs_are_pinned():
+    stems = range(-300, 301)
+    for name, table in (("sphere", homotopy_table(2, stems)), ("ko", ko_table(stems))):
+        text = "\n".join(table.chart.log)
+        assert hashlib.sha1(text.encode()).hexdigest() == _LOG_DIGESTS[name], name
