@@ -204,7 +204,10 @@ def _parse_stems(spec: str):
 
 def _positive_int(spec: str) -> int:
     """An argparse type: a positive integer."""
-    value = int(spec)
+    try:
+        value = int(spec)
+    except ValueError:  # read as a value below 1, so every refusal says the same
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
     return value

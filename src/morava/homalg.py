@@ -15,6 +15,7 @@ from morava.padic import (
     PadicParams,
     binary_power,
     check_prime,
+    cyclic_decomp,
     identity_matrix,
     invert_matrix,
     mat_mul,
@@ -251,6 +252,4 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     if s < 0:
         raise ValueError("negative degree")
     order, provenance = g1_cell(p, s, t)
-    if order == 1:
-        return CohomologyGroup(s, CyclicDecomp(p), provenance)
-    return CohomologyGroup(s, CyclicDecomp(p, (order,), order == INF), provenance)
+    return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), provenance)

@@ -9,7 +9,7 @@ chart (the order-two subgroup alone) is built by the same engine.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from morava.padic import INF, check_prime, nu_p, record
 from morava.homalg import g1_cell
@@ -40,10 +40,16 @@ def sphere_label(p: int, s: int, t: int) -> Monomial:
     """
     if s == 0:
         return Monomial()
+    eta, zeta = _row_cores(s)
     if p == 2 and (t - 2 * s) % 4 == 0:
-        return Monomial.of((("eta", s),), s - t // 2)
-    core = ((("eta", s - 1),) if s > 1 else ()) + (("zeta", 1),)
-    return Monomial.of(core, -t // 2 + (s - 1 if p == 2 else 0))
+        return Monomial.of(eta, s - t // 2)
+    return Monomial.of(zeta, -t // 2 + (s - 1 if p == 2 else 0))
+
+
+@lru_cache(maxsize=64)  # chart windows have s_max + 1 <= 15 rows
+def _row_cores(s: int) -> tuple:
+    """(eta^s, zeta * eta^(s-1)): the label cores of chart row s, built once per row."""
+    return ((("eta", s),) if s else ()), ((("eta", s - 1),) if s > 1 else ()) + (("zeta", 1),)
 
 
 def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
@@ -104,8 +110,7 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     chart = Chart(2)
     for s, t in _even_cells(s_max, t_lo, t_hi):
         if (t - 2 * s) % 4 == 0:
-            label = Monomial.of((("eta", s),) if s else (), s - t // 2)
-            chart.add(Summand(2 if s else INF, label, s, t))
+            chart.add(Summand(2 if s else INF, Monomial.of(_row_cores(s)[0], s - t // 2), s, t))
     return chart
 
 

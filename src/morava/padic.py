@@ -438,3 +438,9 @@ class CyclicDecomp:
             "orders": ["INF" if o == INF else o for o in self.orders],
             "precision_caveat": self.precision_caveat,
         }
+
+
+@lru_cache(maxsize=1024)  # one object per (p, orders, caveat) that charts and E_1 grids assemble
+def cyclic_decomp(p: int, orders: tuple = (), precision_caveat: bool = False) -> CyclicDecomp:
+    """CyclicDecomp(p, orders, precision_caveat), shared between callers: records are frozen."""
+    return CyclicDecomp(p, orders, precision_caveat)

@@ -5,7 +5,8 @@ named classes with integer exponents (e.g. "2*zeta*u^-2").  Differentials
 on page r go (s, t) -> (s + r, t + r - 1); a rule rewrites a source label
 into its target label, the matched target is wiped out, and the source is
 replaced by the kernel (order divided, label index multiplied).  Every
-application is logged so a page turn is auditable.
+application is logged so a page turn is auditable; a log line is formatted
+only when the log is first read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from functools import lru_cache
 from math import lcm
 
-from morava.padic import INF, CyclicDecomp, record
+from morava.padic import INF, CyclicDecomp, cyclic_decomp, record
 
 _NAME_RE = re.compile(r"^[a-z]+$")
 
@@ -164,16 +165,31 @@ class Summand:
 
 
 class Chart:
-    """All summands of one page, addressable by (s, t)."""
+    """All summands of one page, addressable by (s, t).
+
+    The log is kept as pending events, each a formatter and its frozen
+    arguments, and formatted in order the first time it is read.
+    """
 
     def __init__(self, page: int):
         self.page = page
         self.entries = {}
-        self.log = []
+        self._lines = []
+        self._events = []
+
+    @property
+    def log(self) -> list:
+        if self._events:
+            self._lines.extend(fmt(*args) for fmt, args in self._events)
+            self._events = []
+        return self._lines
 
     def add(self, summand: Summand) -> None:
         key = (summand.s, summand.t)
-        cell = self.entries.get(key, ())
+        cell = self.entries.get(key)
+        if cell is None:
+            self.entries[key] = (summand,)
+            return
         if any(x.label == summand.label for x in cell):
             raise ValueError(f"duplicate label {summand.label} at {key}")
         self.entries[key] = cell + (summand,)
@@ -188,17 +204,18 @@ class Chart:
     def copy(self) -> "Chart":
         out = Chart(self.page)
         out.entries = dict(self.entries)
-        out.log = list(self.log)
+        out._lines = list(self._lines)
+        out._events = list(self._events)
         return out
 
     def crop(self, s_max: int, t_min: int, t_max: int) -> "Chart":
         """Keep the cells with s <= s_max and t_min <= t <= t_max; used to cut boundary noise."""
         out = Chart(self.page)
-        out.log = list(self.log)
-        for (s, t), cell in self.entries.items():
-            if s <= s_max and t_min <= t <= t_max:
-                out.entries[(s, t)] = cell
-        out.log.append(f"crop: s <= {s_max}, {t_min} <= t <= {t_max}")
+        out.entries = {
+            (s, t): cell for (s, t), cell in self.entries.items() if s <= s_max and t_min <= t <= t_max
+        }
+        out._lines = list(self._lines)
+        out._events = self._events + [("crop: s <= {}, {} <= t <= {}".format, (s_max, t_min, t_max))]
         return out
 
     def to_json(self) -> dict:
@@ -236,7 +253,8 @@ class DifferentialRule:
 
     Applies to summands whose label core (non-u part) equals source_core and
     whose u-exponent is u_res mod u_mod; the target label replaces the core
-    and shifts the u-exponent by u_shift.
+    and shifts the u-exponent by u_shift.  Neither core may name u, and the
+    target core is checked and sorted once, here.
     """
 
     name: str
@@ -247,17 +265,43 @@ class DifferentialRule:
     u_res: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sorted_source", tuple(sorted(self.source_core)))
+        if any(pair[0] == "u" for pair in tuple(self.source_core) + tuple(self.target_core)):
+            raise ValueError(f"rule {self.name}: the u-exponent belongs in u_shift, u_mod and u_res")
+        _set(self, "sorted_source", tuple(sorted(self.source_core)))
+        _set(self, "sorted_target", _checked_core(tuple(self.target_core))[0])
 
     def matches(self, label: Monomial) -> bool:
         return (
             label.index == 1
-            and label.core() == self.sorted_source
-            and label.exp("u") % self.u_mod == self.u_res % self.u_mod
+            and label._core == self.sorted_source
+            and label._u % self.u_mod == self.u_res % self.u_mod
         )
 
     def target_label(self, label: Monomial) -> Monomial:
-        return Monomial.of(self.target_core, label.exp("u") + self.u_shift)
+        return Monomial.of(self.sorted_target, label._u + self.u_shift)
+
+
+def _miss_line(r: int, rule: DifferentialRule, label: Monomial, s: int, t: int) -> str:
+    return (
+        f"d_{r} [{rule.name}] {label} at (s={s},t={t}):"
+        f" no target {rule.target_label(label)} at {(s + r, t + r - 1)}; left in place"
+    )
+
+
+def _kill_line(r: int, rule: DifferentialRule, source: Summand, target: Summand) -> str:
+    return (
+        f"d_{r} [{rule.name}] {source.describe()} at (s={source.s},t={source.t})"
+        f" kills {target.describe()} at (s={target.s},t={target.t})"
+    )
+
+
+def _swap(entries: dict, key: tuple, old: Summand, new: tuple) -> None:
+    """Replace the summand old of entries[key] by the summands new, dropping an emptied cell."""
+    cell = tuple([x for x in entries[key] if x is not old]) + new
+    if cell:
+        entries[key] = cell
+    else:
+        del entries[key]
 
 
 def apply_differentials(chart: Chart, rules) -> Chart:
@@ -270,16 +314,18 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     logged and kept.  Each summand asks only the rules with its label core
     and its u-exponent's residue, in their given order; that list is built
     once per (core, residue mod the lcm of the u_mods) on each page turn.
+    A target is the label of index 1 with the rule's target core and the
+    shifted u-exponent; no target label is built unless a miss is logged.
     """
     r = chart.page
+    entries = chart.entries
     hits = []
-    sources = set()
-    targets = set()
     mod = lcm(*(rule.u_mod for rule in rules))
     asked = {}
-    for (s, t), cell in chart.entries.items() if rules else ():  # no rules: nothing to ask
+    for (s, t), cell in entries.items() if rules else ():  # no rules: nothing to ask
         for summand in cell:
-            key = (summand.label._core, summand.label._u % mod)
+            label = summand.label
+            key = (label._core, label._u % mod)
             candidates = asked.get(key)
             if candidates is None:
                 candidates = asked[key] = [
@@ -288,59 +334,32 @@ def apply_differentials(chart: Chart, rules) -> Chart:
                     if rule.sorted_source == key[0] and key[1] % rule.u_mod == rule.u_res % rule.u_mod
                 ]
             for rule in candidates:
-                if not rule.matches(summand.label):
+                if not rule.matches(label):
                     continue
-                tkey = (s + r, t + r - 1)
-                tlabel = rule.target_label(summand.label)
-                match = next(
-                    (x for x in chart.entries.get(tkey, ()) if x.label == tlabel), None
-                )
-                if match is None:
-                    chart.log.append(
-                        f"d_{r} [{rule.name}] {summand.label} at (s={s},t={t}):"
-                        f" no target {tlabel} at {tkey}; left in place"
-                    )
+                core, u = rule.sorted_target, label._u + rule.u_shift
+                for match in entries.get((s + r, t + r - 1), ()):
+                    if match.label._u == u and match.label._core == core and match.label.index == 1:
+                        break
+                else:
+                    chart._events.append((_miss_line, (r, rule, label, s, t)))
                     continue
                 hits.append((summand, match, rule))
-                sources.add((s, t, summand.label))
-                targets.add((tkey[0], tkey[1], tlabel))
                 break
-    overlap = sources & targets
-    if overlap:
+    sources = {id(x) for x, _, _ in hits}
+    if any(id(y) in sources for _, y, _ in hits):
+        overlap = {(x.s, x.t, x.label) for x, _, _ in hits} & {(y.s, y.t, y.label) for _, y, _ in hits}
         raise ValueError(f"summand is both source and target on page {r}: {overlap}")
 
     out = chart.copy()
     out.page = r + 1
     for source, target, rule in hits:
-        skey = (source.s, source.t)
-        tkey = (target.s, target.t)
-        out.entries[tkey] = tuple(x for x in out.entries[tkey] if x is not target)
-        if not out.entries[tkey]:
-            del out.entries[tkey]
-        if source.order == INF:
-            kernel = Summand(INF, source.label.scaled(target.order), source.s, source.t)
-        else:
-            if target.order == INF or source.order % target.order:
-                raise ValueError(
-                    f"inconsistent differential: {source.describe()} onto {target.describe()}"
-                )
-            q = source.order // target.order
-            kernel = (
-                Summand(q, source.label.scaled(target.order), source.s, source.t)
-                if q > 1
-                else None
-            )
-        cell = tuple(x for x in out.entries[skey] if x is not source)
-        if kernel is not None:
-            cell = cell + (kernel,)
-        if cell:
-            out.entries[skey] = cell
-        else:
-            del out.entries[skey]
-        out.log.append(
-            f"d_{r} [{rule.name}] {source.describe()} at (s={source.s},t={source.t})"
-            f" kills {target.describe()} at (s={target.s},t={target.t})"
-        )
+        if source.order != INF and (target.order == INF or source.order % target.order):
+            raise ValueError(f"inconsistent differential: {source.describe()} onto {target.describe()}")
+        q = INF if source.order == INF else source.order // target.order
+        kernel = (Summand(q, source.label.scaled(target.order), source.s, source.t),) if q > 1 else ()
+        _swap(out.entries, (target.s, target.t), target, ())
+        _swap(out.entries, (source.s, source.t), source, kernel)
+        out._events.append((_kill_line, (r, rule, source, target)))
     return out
 
 
@@ -381,22 +400,21 @@ def assemble_stems(chart: Chart, p: int, stems, extensions=None) -> dict:
     for key in sorted(entries):
         by_stem.setdefault(key[1] - key[0], []).extend(entries[key])
     out = {}
+    zero = cyclic_decomp(p)
     for i in stems:
-        cell = by_stem.get(i, ())
+        cell = by_stem.get(i)
+        if cell is None:
+            out[i] = StemGroup(i, zero, ())
+            continue
         orders = tuple([x.order for x in cell])
         labels = tuple([str(x.label) for x in cell])
-        join = (
-            extensions is not None
-            and len(cell) > 1
-            and i % extensions["modulus"] in extensions["join"]
-        )
-        if join:
+        if extensions is not None and len(cell) > 1 and i % extensions["modulus"] in extensions["join"]:
             if INF in orders:
                 raise ValueError(f"cannot join a free summand in stem {i}")
             prod = 1
             for o in orders:
                 prod *= o
-            out[i] = StemGroup(i, CyclicDecomp(p, [prod]), labels, joined=True)
+            out[i] = StemGroup(i, cyclic_decomp(p, (prod,)), labels, joined=True)
         else:
-            out[i] = StemGroup(i, CyclicDecomp(p, orders), labels)
+            out[i] = StemGroup(i, cyclic_decomp(p, orders), labels)
     return out

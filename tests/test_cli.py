@@ -219,6 +219,29 @@ def test_nonpositive_trials_and_count_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "val", "S", "--n", "abc"],
+        ["order", "val", "S", "--prec", "1.5"],
+        ["order", "digits", "1", "--count", "x"],
+        ["stab", "order", "2", "--bound", "ten"],
+        ["grlie", "bracket", "1", "1", "--l", "1", "--k", "abc"],
+        ["grlie", "span", "--k", "1", "--l", "abc"],
+        ["grlie", "check", "--k", "1", "--l", "1", "--trials", "abc"],
+        ["grlie", "abelianize", "--levels", "abc"],
+        ["k1", "valuations", "--tmax", "abc"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_non_integer_positive_flags_are_usage_errors(capsys, argv):
+    # the same message as a value below 1, not argparse's "invalid _positive_int value"
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"expected a positive integer, got {argv[-1]!r}" in captured.err
+    assert "_positive_int" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["grlie", "check", "--k", "1", "--power", "--l", "5", "--trials", "3"], "not allowed"),

@@ -7,7 +7,7 @@ import pytest
 import morava.k1
 import morava.specseq
 from morava.homalg import g1_cohomology_E1
-from morava.padic import INF, nu_p
+from morava.padic import INF, CyclicDecomp, nu_p
 from morava.specseq import Chart, Monomial, Summand
 from morava.k1 import (
     HomotopyTable,
@@ -424,3 +424,15 @@ def test_chart_logs_are_pinned():
     for name, table in (("sphere", homotopy_table(2, stems)), ("ko", ko_table(stems))):
         text = "\n".join(table.chart.log)
         assert hashlib.sha1(text.encode()).hexdigest() == _LOG_DIGESTS[name], name
+
+
+def test_stem_decompositions_are_shared_and_frozen():
+    table = homotopy_table(3, range(-4000, 4000))
+    decomps = {id(g.decomp): g.decomp for g in table.groups.values()}
+    # one object per distinct group over 8000 stems: 0, Z_3 and Z/3^k for k <= 7
+    assert len(decomps) == len({str(d) for d in decomps.values()}) == 9
+    for d in decomps.values():
+        assert d == CyclicDecomp(3, d.orders)
+        with pytest.raises(AttributeError):
+            d.orders = ()
+    assert g1_cohomology_E1(3, 1, 4).decomp is g1_cohomology_E1(3, 1, 8).decomp

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morava.k1 import ko_d3_rules, ko_e2_page, sphere_d3_rules, sphere_e2_page
+from morava import k1
+from morava.k1 import homotopy_table, ko_d3_rules, ko_e2_page, ko_table, sphere_d3_rules, sphere_e2_page
 from morava.padic import INF, CyclicDecomp, record
 from morava.specseq import (
     Chart,
@@ -285,6 +286,14 @@ def test_differential_source_and_target_overlap_is_an_error():
     chart.add(Summand(2, Monomial.parse("z*u^4"), 6, 4))
     with pytest.raises(ValueError, match="both source and target"):
         apply_differentials(chart, rules)
+
+
+def test_rules_refuse_cores_that_name_u():
+    # a source core naming u never matched (label cores leave u out), and a target core
+    # naming u raised "repeated class name 'u'" only once the rule fired
+    for source, target in (((("x", 1), ("u", 2)), (("y", 1),)), ((("x", 1),), (("u", 1), ("y", 1)))):
+        with pytest.raises(ValueError, match="belongs in u_shift, u_mod and u_res"):
+            DifferentialRule("with u", source, target, u_shift=2)
 
 
 def test_empty_rules_only_turn_the_page():
@@ -599,3 +608,30 @@ def test_assemble_matches_summand_scan_on_sphere_and_ko_windows():
             expected = _assembled(_assemble_stems_by_summands, final, 2, stems, extensions)
             assert expected[0] == "ok"
             assert _assembled(assemble_stems, final, 2, stems, extensions) == expected
+
+
+def _eager_log(build, rules, stems):
+    """The log of a k1 table's chart from the eager scan oracle followed by crop."""
+    page = build(stems[0] - k1._T_MARGIN, stems[-1] + k1._S_BUILD + k1._T_MARGIN)
+    final = _apply_differentials_by_scan(_apply_differentials_by_scan(page, []), rules)
+    return final.crop(k1._S_KEEP, stems[0] - 1, stems[-1] + k1._S_KEEP + 1).log
+
+
+def test_table_logs_are_formatted_only_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a log line was formatted before the log was read")
+
+    stems = range(-200, 201)
+    monkeypatch.setattr(Summand, "describe", refuse)  # "kills" lines
+    monkeypatch.setattr(DifferentialRule, "target_label", refuse)  # "no target" lines
+    sphere, ko = homotopy_table(2, stems), ko_table(stems)
+    monkeypatch.undo()
+    for table, build, rules in (
+        (sphere, lambda lo, hi: sphere_e2_page(2, k1._S_BUILD, lo, hi), sphere_d3_rules(k1._S_BUILD)),
+        (ko, lambda lo, hi: ko_e2_page(k1._S_BUILD, lo, hi), ko_d3_rules(k1._S_BUILD)),
+    ):
+        log = table.chart.log
+        assert any(" kills " in line for line in log)
+        assert log[-1] == f"crop: s <= {k1._S_KEEP}, -201 <= t <= 211"
+        assert log == _eager_log(build, rules, stems)
+        assert table.chart.log is log  # formatted once
