@@ -3,8 +3,10 @@
 cli_corpus.json holds one {"argv", "exit", "stdout"} record per command: the
 README examples, order mul/inv/digits under --json, the stab commands,
 witt frobenius and teich at n = 1..4, four edge inputs that are usage
-or domain errors, and the K(1) charts under --json (the sphere at p = 2
-and 5, KO, and an E_2 page).  A refactor that changes any byte of this output changes
+or domain errors, the K(1) charts under --json (the sphere at p = 2
+and 5, KO, and an E_2 page), and order mul, order inv, stab comm and
+stab order at heights n = 5..8 (p = 2 and 3), where a product has the
+most terms.  A refactor that changes any byte of this output changes
 behaviour and must say so.
 """
 
