@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import total_ordering
-from operator import mul
+from functools import cache, total_ordering
+from operator import lshift, mul
 
 from morava.padic import nu_p, record
 from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, make_ring, teichmuller
@@ -55,7 +55,10 @@ class SValuation:
 
 
 class OrderElem(CoordElem):
-    """sum a_i S^i, 0 <= i < n, stored flat: coords[n*i + j] is the w^j S^i coefficient."""
+    """sum a_i S^i, 0 <= i < n, stored flat: coords[n*i + j] is the w^j S^i coefficient.
+
+    Coordinates are kept reduced, in [0, p^M); the packed product's slot width relies on it.
+    """
 
     __slots__ = ()
 
@@ -67,25 +70,19 @@ class OrderElem(CoordElem):
 
     def __mul__(self, other):
         self._check(other)
-        ring = self.ring
-        n, p = ring.n, ring.params.p
-        x, y = self.coords, other.coords
-        acc = [0] * (n * n)
-        for i, mats in enumerate(ring.twisted_products):
+        ring, n = self.ring, self.ring.n
+        rows, low, slot0, fold, shifts, mask = _packing(ring)
+        x, y, mod = self.coords, other.coords, ring.params.modulus
+        acc = 0
+        for i, row in enumerate(rows):
             a = x[n * i : n * i + n]
-            if not any(a):
-                continue
-            # (a S^i)(b w^l S^k) = b a sigma^i(w^l) S^(i+k), and S^n = p
-            twisted = [[sum(map(mul, row, a)) for row in mat] for mat in mats]
-            for k in range(n):
-                start, c = (n * (i + k), 1) if i + k < n else (n * (i + k - n), p)
-                for l, b in enumerate(y[n * k : n * k + n]):
-                    if b:
-                        cb = c * b
-                        for m, t in enumerate(twisted[l]):
-                            acc[start + m] += cb * t
-        mod = ring.params.modulus
-        return OrderElem(ring, tuple(v % mod for v in acc))
+            if any(a):
+                # (a S^i) y = a sigma^i(y) S^i; the first n shifts pack a
+                acc += sum(map(lshift, a, shifts)) * sum(map(mul, y, row))
+        red = acc & low
+        for s, pw in fold:
+            red += ((acc >> s) & slot0) * pw
+        return OrderElem(ring, tuple(((red >> s) & mask) % mod for s in shifts))
 
     @property
     def is_unit(self) -> bool:
@@ -148,6 +145,38 @@ class OrderElem(CoordElem):
                 wrapped = f"({body})" if " + " in body else body
                 terms.append(f"{wrapped}*{sp}")
         return " + ".join(terms) if terms else "0"
+
+
+@cache
+def _packing(ring: WittRing) -> tuple:
+    """Kronecker tables for products in the order over `ring`, built on first use.
+
+    A Witt element packs as sum_j c_j 2^(B j), an order element as n blocks of
+    2n - 1 such slots, one per power of S.  rows[i][n k + l] is sigma^i(w^l) S^k
+    moved past S^i: in block i + k, or times p in block i + k - n.  `fold` maps
+    the slots of w^d, d >= n, back onto the basis.  For coordinates in [0, p^M)
+    a slot stays below p n^4 p^(4M), so B = 4 bitlen(p^M) + bitlen(p n^4) bits
+    never carry.
+    """
+    n, p = ring.n, ring.params.p
+    bits = 4 * ring.params.modulus.bit_length() + (p * n**4).bit_length()
+    width = 2 * n - 1
+
+    def pack(vec):
+        return sum(c << (bits * j) for j, c in enumerate(vec))
+
+    rows = []
+    for i, sig in enumerate(ring._sigma_pows):
+        cols = [pack(col) for col in zip(*sig)]
+        rows.append(tuple(
+            (col if i + k < n else p * col) << (bits * width * ((i + k) % n))
+            for k in range(n) for col in cols
+        ))
+    shifts = tuple(bits * (width * m + j) for m in range(n) for j in range(n))
+    slot0 = sum(((1 << bits) - 1) << (bits * width * m) for m in range(n))
+    low = pack([slot0] * n)  # slots 0 .. n-1 of every block
+    fold = tuple((bits * d, pack(ring._omega_pows[d])) for d in range(n, width))
+    return tuple(rows), low, slot0, fold, shifts, (1 << bits) - 1
 
 
 # constructors ---------------------------------------------------------------

@@ -15,7 +15,7 @@ identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from morava.padic import (
@@ -363,22 +363,6 @@ class WittRing:
             return coords
         return tuple(mat_vec(self._sigma_pows[k % self.n], coords, self.params.modulus))
 
-    @cached_property
-    def twisted_products(self) -> list:
-        """table[i][l]: the matrix of a -> a sigma^i(w^l); column j is w^j sigma^i(w^l).
-
-        These n^3 products are the structure constants of the order, where
-        (a S^i)(w^l S^k) = a sigma^i(w^l) S^(i+k) and S^n = p.
-        """
-        n, mod, pows = self.n, self.params.modulus, self._omega_pows
-        return [
-            [
-                tuple(zip(*(_vec_mul(pows[j], col, pows, n, mod) for j in range(n))))
-                for col in zip(*sig)
-            ]
-            for sig in self._sigma_pows
-        ]
-
     def __repr__(self):
         return f"W(F_{self.q}) mod {self.params.p}^{self.params.M}"
 
@@ -396,6 +380,8 @@ class CoordElem:
         self.coords = coords
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.ring is not other.ring:
             raise ValueError("incompatible rings")
 
@@ -430,8 +416,8 @@ class CoordElem:
         one = self ** 0
         for _ in range(steps):
             err = one - self * y
-            if err.is_zero:
-                break
+            if err.is_zero:  # x y = 1 is checked
+                return y
             y = y + y * err
         if self * y != one:
             raise PrecisionError("unit inversion failed to converge")

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morava.cli import parse_element
 from morava.order import (
     OrderElem,
     SValuation,
@@ -19,7 +22,7 @@ from morava.order import (
     s_gen,
 )
 from morava.padic import binary_power
-from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, make_ring, teichmuller
+from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, _vec_mul, make_ring, teichmuller
 
 
 def _random_order_elem(ring, rng):
@@ -47,20 +50,51 @@ def _parts_product(x, y):
     return from_coeff_rows(ring, [a.coords for a in acc])
 
 
+@cache
+def _twisted_table(ring):
+    """table[i][l][m][j]: coordinate m of w^j sigma^i(w^l), the order's n^4 structure constants."""
+    n, mod, pows = ring.n, ring.params.modulus, ring._omega_pows
+    return [
+        [tuple(zip(*(_vec_mul(pows[j], col, pows, n, mod) for j in range(n)))) for col in zip(*sig)]
+        for sig in ring._sigma_pows
+    ]
+
+
+def _twisted_table_product(x, y):
+    """The structure-table loop the packed product replaced, 2 n^4 multiply-adds: the second oracle."""
+    ring = x.ring
+    n, p = ring.n, ring.params.p
+    acc = [0] * (n * n)
+    for i, mats in enumerate(_twisted_table(ring)):
+        a = x.coords[n * i : n * i + n]
+        # (a S^i)(b w^l S^k) = b a sigma^i(w^l) S^(i+k), and S^n = p
+        twisted = [[sum(map(mul, row, a)) for row in mat] for mat in mats]
+        for k in range(n):
+            start, c = (n * (i + k), 1) if i + k < n else (n * (i + k - n), p)
+            for l, b in enumerate(y.coords[n * k : n * k + n]):
+                for m, t in enumerate(twisted[l]):
+                    acc[start + m] += c * b * t
+    return OrderElem(ring, tuple(v % ring.params.modulus for v in acc))
+
+
+def _factor_kinds(ring, rng):
+    """Zero, sparse, random, and all coordinates p^M - 1, which fills the packed slots most."""
+    mod, size = ring.params.modulus, ring.n * ring.n
+    dense = _random_order_elem(ring, rng)
+    sparse = OrderElem(ring, tuple(c * (rng.random() < 0.3) for c in dense.coords))
+    return [OrderElem(ring, (0,) * size), sparse, dense, OrderElem(ring, (mod - 1,) * size)]
+
+
 def test_product_matches_parts_oracle():
     rng = random.Random(53)
     for (p, n) in sorted(DEFAULT_POLYS):
-        if n > 5:
-            continue
-        for M in (1, 2, 16):
+        for M in (1, 2, 16, 40):
             ring = make_ring(p, n, M)
-            for trial in range(6):
-                x, y = _random_order_elem(ring, rng), _random_order_elem(ring, rng)
-                if trial % 2:
-                    # sparse factors take the zero-skipping branches
-                    x, y = (OrderElem(ring, tuple(c * (rng.random() < 0.3) for c in e.coords))
-                            for e in (x, y))
-                assert x * y == _parts_product(x, y), (p, n, M, trial)
+            kinds = _factor_kinds(ring, rng)
+            for x in kinds:
+                for y in kinds:
+                    want = _parts_product(x, y)
+                    assert x * y == want == _twisted_table_product(x, y), (p, n, M, x, y)
 
 
 def test_flat_representation():
@@ -297,12 +331,15 @@ def test_newton_inverse_matches_loops(monkeypatch):
                 if x.is_unit:
                     units.append(x)
             for x in units:
-                for fn, oracle, arg in (
-                    (OrderElem.inverse, _order_inverse_by_loop, x),
-                    (WittElem.inverse, _witt_inverse_by_loop, x.parts[0]),
+                # loops: Newton loops run, each ending on err == 0, whose product
+                # already checked x y = 1; the oracles take that product again
+                for fn, oracle, arg, loops in (
+                    (OrderElem.inverse, _order_inverse_by_loop, x, 2),
+                    (WittElem.inverse, _witt_inverse_by_loop, x.parts[0], 1),
                 ):
-                    got = _counted(monkeypatch, fn, arg)
-                    assert got == _counted(monkeypatch, oracle, arg), (p, n, M, x)
+                    got, muls = _counted(monkeypatch, fn, arg)
+                    want, oracle_muls = _counted(monkeypatch, oracle, arg)
+                    assert got == want and muls == oracle_muls - loops, (p, n, M, x)
 
 
 def test_newton_inverse_checks_the_product():
@@ -313,6 +350,34 @@ def test_newton_inverse_checks_the_product():
     with pytest.raises(PrecisionError, match="failed to converge"):
         x.parts[0]._newton_inverse(ring.one(), 2)
     assert x._newton_inverse(from_int(ring, 1), 3) * x == order_one(ring)
+
+
+def test_mixed_operands_are_refused():
+    ring = make_ring(3, 2, 8)
+    s, w = s_gen(ring), ring.omega
+    for a, b in ((s, w), (w, s), (s, 3), (3, s), (w, 3), (3, w)):
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert not a == b and a != b
+    with pytest.raises(ValueError, match="incompatible rings"):
+        s * s_gen(make_ring(3, 2, 4))
+
+
+def test_constructors_keep_coordinates_reduced():
+    ring = make_ring(2, 3, 4)
+    mod = ring.params.modulus
+    rows = [[-1, mod, 3 * mod + 5], [-mod - 2, 0, 2 * mod], [7, -17, mod - 1]]
+    elems = [
+        from_coeff_rows(ring, rows),
+        from_json({"p": 2, "n": 3, "M": 4, "coeffs": rows}),
+        parse_element("-1 - 17*w*S + (99 - w^2)*S^2 - 35*w^5", ring),
+        parse_element("-(1 + w*S)^5 - 3/5", ring),
+    ]
+    for x in elems:
+        assert all(0 <= c < mod for c in x.coords), x.coords
+    assert elems[0] == elems[1]
+    assert elems[0].coords == (15, 0, 5, 14, 0, 0, 7, 15, 15)
 
 
 def test_geometric_series_inverse():

@@ -1,11 +1,13 @@
 """Property tests on random elements of the order over the default fields.
 
 Elements are drawn as Witt coordinate rows mod p^M, units and non-units
-alike, over every default (p, n) with q <= 625 at M in {1, 2, 5}.  Two
+alike, over every default (p, n) with q <= 625 at M in {1, 2, 5}.  Three
 identities must hold exactly:
 
 - the printed form parses back: parse_element(repr(x), ring) == x;
-- the reduced norm is multiplicative: Nrd(x y) = Nrd(x) Nrd(y) mod p^M.
+- the reduced norm is multiplicative: Nrd(x y) = Nrd(x) Nrd(y) mod p^M;
+- the packed product equals the two loops it is checked against in
+  test_order (on Witt coefficients, and on the order's structure table).
 """
 
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from morava.cli import parse_element
 from morava.order import from_coeff_rows
 from morava.stabilizer import reduced_norm
 from morava.witt import DEFAULT_POLYS, make_ring
+from test_order import _parts_product, _twisted_table_product
 
 FIELDS = sorted((p, n) for (p, n) in DEFAULT_POLYS if p**n <= 625)
 PRECISIONS = (1, 2, 5)
@@ -65,3 +68,10 @@ def test_reduced_norm_is_multiplicative(pair):
     mod = x.ring.params.modulus
     nx, ny = reduced_norm(x).value, reduced_norm(y).value
     assert reduced_norm(x * y).value == nx * ny % mod, (repr(x), repr(y))
+
+
+@SETTINGS
+@given(element_pairs())
+def test_product_matches_oracles(pair):
+    x, y = pair
+    assert x * y == _parts_product(x, y) == _twisted_table_product(x, y), (repr(x), repr(y))
