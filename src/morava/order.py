@@ -149,14 +149,14 @@ class OrderElem(CoordElem):
 
 @cache
 def _packing(ring: WittRing) -> tuple:
-    """Kronecker tables for products in the order over `ring`, built on first use.
+    """(rows, low, slot0, fold, shifts, mask): Kronecker tables for products over `ring`.
 
     A Witt element packs as sum_j c_j 2^(B j), an order element as n blocks of
-    2n - 1 such slots, one per power of S.  rows[i][n k + l] is sigma^i(w^l) S^k
-    moved past S^i: in block i + k, or times p in block i + k - n.  `fold` maps
-    the slots of w^d, d >= n, back onto the basis.  For coordinates in [0, p^M)
-    a slot stays below p n^4 p^(4M), so B = 4 bitlen(p^M) + bitlen(p n^4) bits
-    never carry.
+    2n - 1 B-bit slots, one per power of S.  rows[i][n k + l] is sigma^i(w^l) S^k
+    moved past S^i: in block i + k, or times p in block i + k - n.  Each `fold`
+    pair (shift, packed w^d) moves slot d >= n of every block (`slot0` masks
+    slot 0) onto slots 0 .. n-1 (`low`); coordinate c sits at slot shifts[c].
+    For coordinates in [0, p^M) a slot stays below p n^4 p^(4M): B never carries.
     """
     n, p = ring.n, ring.params.p
     bits = 4 * ring.params.modulus.bit_length() + (p * n**4).bit_length()
@@ -174,7 +174,7 @@ def _packing(ring: WittRing) -> tuple:
         ))
     shifts = tuple(bits * (width * m + j) for m in range(n) for j in range(n))
     slot0 = sum(((1 << bits) - 1) << (bits * width * m) for m in range(n))
-    low = pack([slot0] * n)  # slots 0 .. n-1 of every block
+    low = pack([slot0] * n)
     fold = tuple((bits * d, pack(ring._omega_pows[d])) for d in range(n, width))
     return tuple(rows), low, slot0, fold, shifts, (1 << bits) - 1
 
