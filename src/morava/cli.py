@@ -18,40 +18,13 @@ domain error (bad element, lost precision), 2 is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from functools import partial
 
-from morava.padic import PadicParams
-from morava.witt import fq_field, make_ring, teichmuller
-from morava.order import OrderElem, from_int, from_witt, s_gen
-from morava.stabilizer import (
-    GrElem,
-    StabElem,
-    commutator,
-    default_order_bound,
-    element_order,
-    filtration_level,
-    in_K,
-    reduced_norm,
-    s1_split,
-)
-from morava.grlie import (
-    abelianization_report,
-    check_bracket_vs_group,
-    check_power_vs_group,
-    commutator_span,
-    gr_bracket,
-    gr_power,
-    predicted_span,
-)
-from morava.homalg import (
-    ZpModuleWithOperator,
-    cyclic_cohomology,
-    g1_cohomology_E1,
-    iwasawa_cohomology,
-)
-from morava.k1 import homotopy_table, ko_table, psi_valuation_report, sphere_e2_page
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from morava.order import OrderElem
 
 
 class ParseError(ValueError):
@@ -141,6 +114,8 @@ class _Parser:
         return out
 
     def base(self) -> OrderElem:
+        from morava.order import from_int, from_witt, s_gen
+
         kind, value, pos = self.peek()
         if kind == "-":
             self.take()
@@ -184,6 +159,8 @@ def parse_element(src: str, ring, allow_s: bool = True) -> OrderElem:
 
 
 def _ring(args):
+    from morava.witt import make_ring
+
     return make_ring(args.p, args.n, args.prec)
 
 
@@ -213,7 +190,11 @@ def _positive_int(spec: str) -> int:
     return value
 
 
+# each handler imports its layers when it runs, so that a cold command loads no other layer
 def _cmd_witt(args):
+    from morava.order import from_witt
+    from morava.witt import teichmuller
+
     ring = _ring(args)
     if args.cmd == "trace":
         x = parse_element(args.expr, ring, allow_s=False).parts[0]
@@ -248,6 +229,17 @@ def _cmd_order(args):
 
 
 def _cmd_stab(args):
+    from morava.stabilizer import (
+        StabElem,
+        commutator,
+        default_order_bound,
+        element_order,
+        filtration_level,
+        in_K,
+        reduced_norm,
+        s1_split,
+    )
+
     ring = _ring(args)
     cap = args.n * args.prec
     x = StabElem(parse_element(args.expr, ring))
@@ -279,6 +271,18 @@ def _cmd_stab(args):
 
 
 def _cmd_grlie(args):
+    from morava.grlie import (
+        abelianization_report,
+        check_bracket_vs_group,
+        check_power_vs_group,
+        commutator_span,
+        gr_bracket,
+        gr_power,
+        predicted_span,
+    )
+    from morava.stabilizer import GrElem
+    from morava.witt import fq_field
+
     if args.cmd == "abelianize":
         report = abelianization_report(args.p, args.n, args.levels)
         lines = [
@@ -327,10 +331,17 @@ def _cmd_grlie(args):
 
 
 def _homalg_module(args):
+    import json
+
+    from morava.homalg import ZpModuleWithOperator
+    from morava.padic import PadicParams
+
     return ZpModuleWithOperator(PadicParams(args.p, args.prec), json.loads(args.matrix))
 
 
 def _cmd_homalg(args):
+    from morava.homalg import cyclic_cohomology, g1_cohomology_E1, iwasawa_cohomology
+
     if args.cmd == "iwasawa":
         h0, h1 = iwasawa_cohomology(_homalg_module(args))
         return [str(h0), str(h1)], {"H0": str(h0.decomp), "H1": str(h1.decomp)}
@@ -345,6 +356,8 @@ def _cmd_homalg(args):
 
 
 def _cmd_k1(args):
+    from morava.k1 import homotopy_table, ko_table, psi_valuation_report, sphere_e2_page
+
     if args.cmd == "e2":
         chart = sphere_e2_page(args.p, args.smax, args.tmin, args.tmax)
         return chart.render_text().splitlines(), chart.to_json()
@@ -363,28 +376,101 @@ def _cmd_k1(args):
     return [line], report.to_json()
 
 
-_HANDLERS = {
-    "witt": _cmd_witt,
-    "order": _cmd_order,
-    "stab": _cmd_stab,
-    "grlie": _cmd_grlie,
-    "homalg": _cmd_homalg,
-    "k1": _cmd_k1,
-}
-
-
 # element expressions and stem lists may begin with a dash; any dashed token
 # that is not a registered flag must be read as a value, not an option
 _DASHED_VALUE = re.compile(r"^-.+$")
 
 
-def _leaf(sub, name, common) -> argparse.ArgumentParser:
+def _leaf(sub, common, name, *positionals) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, parents=[common])
     parser._negative_number_matcher = _DASHED_VALUE
+    for dest in positionals:
+        parser.add_argument(dest)
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _witt_leaves(leaf):
+    leaf("trace", "expr")
+    leaf("frobenius", "expr")
+    leaf("teich").add_argument("residue", type=int)
+
+
+def _order_leaves(leaf):
+    leaf("mul", "expr", "other")
+    leaf("inv", "expr")
+    leaf("val", "expr")
+    leaf("digits", "expr").add_argument("--count", type=_positive_int, default=None)
+
+
+def _stab_leaves(leaf):
+    leaf("order", "expr").add_argument("--bound", type=_positive_int, default=None)
+    leaf("comm", "expr", "other")
+    for name in ("level", "norm", "split", "inK"):
+        leaf(name, "expr")
+
+
+def _grlie_leaves(leaf):
+    level = {"type": _positive_int, "required": True}
+    bracket = leaf("bracket")
+    bracket.add_argument("--k", **level)
+    bracket.add_argument("--l", **level)
+    bracket.add_argument("a", type=int)
+    bracket.add_argument("b", type=int)
+    power = leaf("power")
+    power.add_argument("--k", **level)
+    power.add_argument("a", type=int)
+    span = leaf("span")
+    span.add_argument("--k", **level)
+    span.add_argument("--l", **level)
+    check = leaf("check")
+    check.add_argument("--k", **level)
+    what = check.add_mutually_exclusive_group(required=True)
+    what.add_argument("--l", type=_positive_int)
+    what.add_argument("--power", action="store_true")
+    check.add_argument("--trials", type=_positive_int, default=50)
+    leaf("abelianize").add_argument("--levels", **level)
+
+
+def _homalg_leaves(leaf):
+    leaf("iwasawa").add_argument("--matrix", required=True, help="operator as a JSON matrix")
+    cyclic = leaf("cyclic")
+    cyclic.add_argument("--matrix", required=True)
+    cyclic.add_argument("--order", type=int, required=True)
+    cyclic.add_argument("--s", type=int, required=True)
+    g1 = leaf("g1")
+    g1.add_argument("--s", type=int, required=True)
+    g1.add_argument("--t", type=int, required=True)
+
+
+def _k1_leaves(leaf):
+    e2 = leaf("e2")
+    e2.add_argument("--smax", type=int, default=6)
+    e2.add_argument("--tmin", type=int, default=-8)
+    e2.add_argument("--tmax", type=int, default=16)
+    leaf("homotopy").add_argument(
+        "--stems", type=_parse_stems, required=True, help="a..b or a comma list"
+    )
+    leaf("ko").add_argument("--stems", type=_parse_stems, required=True)
+    leaf("valuations").add_argument("--tmax", type=_positive_int, default=200)
+
+
+# group -> (help, the function that adds its leaf parsers, its handler)
+_GROUPS = {
+    "witt": ("truncated Witt vector arithmetic", _witt_leaves, _cmd_witt),
+    "order": ("arithmetic in the twisted order", _order_leaves, _cmd_order),
+    "stab": ("unit group operations", _stab_leaves, _cmd_stab),
+    "grlie": ("graded Lie formulas and H_1", _grlie_leaves, _cmd_grlie),
+    "homalg": ("operator (co)homology", _homalg_leaves, _cmd_homalg),
+    "k1": ("height-one charts and homotopy", _k1_leaves, _cmd_k1),
+}
+
+
+def _build_parser(group=None) -> argparse.ArgumentParser:
+    """The parser of every group, with the leaves of `group` alone when it names one.
+
+    An argv that starts with a group name is parsed by that group's leaves
+    only; top-level help and errors need the group parsers, not their leaves.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=3, help="the prime (default 3)")
     common.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
@@ -399,107 +485,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="morava", description="exact arithmetic in small stabilizer groups"
     )
     groups = top.add_subparsers(dest="group", required=True)
-
-    witt = groups.add_parser("witt", help="truncated Witt vector arithmetic")
-    wsub = witt.add_subparsers(dest="cmd", required=True)
-    wtrace = _leaf(wsub, "trace", common)
-    wtrace.add_argument("expr")
-    wfrob = _leaf(wsub, "frobenius", common)
-    wfrob.add_argument("expr")
-    wteich = _leaf(wsub, "teich", common)
-    wteich.add_argument("residue", type=int)
-
-    order = groups.add_parser("order", help="arithmetic in the twisted order")
-    osub = order.add_subparsers(dest="cmd", required=True)
-    omul = _leaf(osub, "mul", common)
-    omul.add_argument("expr")
-    omul.add_argument("other")
-    oinv = _leaf(osub, "inv", common)
-    oinv.add_argument("expr")
-    oval = _leaf(osub, "val", common)
-    oval.add_argument("expr")
-    odig = _leaf(osub, "digits", common)
-    odig.add_argument("expr")
-    odig.add_argument("--count", type=_positive_int, default=None)
-
-    stab = groups.add_parser("stab", help="unit group operations")
-    ssub = stab.add_subparsers(dest="cmd", required=True)
-    sorder = _leaf(ssub, "order", common)
-    sorder.add_argument("expr")
-    sorder.add_argument("--bound", type=_positive_int, default=None)
-    scomm = _leaf(ssub, "comm", common)
-    scomm.add_argument("expr")
-    scomm.add_argument("other")
-    slevel = _leaf(ssub, "level", common)
-    slevel.add_argument("expr")
-    snorm = _leaf(ssub, "norm", common)
-    snorm.add_argument("expr")
-    ssplit = _leaf(ssub, "split", common)
-    ssplit.add_argument("expr")
-    sink = _leaf(ssub, "inK", common)
-    sink.add_argument("expr")
-
-    grlie = groups.add_parser("grlie", help="graded Lie formulas and H_1")
-    gsub = grlie.add_subparsers(dest="cmd", required=True)
-    gbr = _leaf(gsub, "bracket", common)
-    gbr.add_argument("--k", type=_positive_int, required=True)
-    gbr.add_argument("--l", type=_positive_int, required=True)
-    gbr.add_argument("a", type=int)
-    gbr.add_argument("b", type=int)
-    gpw = _leaf(gsub, "power", common)
-    gpw.add_argument("--k", type=_positive_int, required=True)
-    gpw.add_argument("a", type=int)
-    gsp = _leaf(gsub, "span", common)
-    gsp.add_argument("--k", type=_positive_int, required=True)
-    gsp.add_argument("--l", type=_positive_int, required=True)
-    gch = _leaf(gsub, "check", common)
-    gch.add_argument("--k", type=_positive_int, required=True)
-    gch_what = gch.add_mutually_exclusive_group(required=True)
-    gch_what.add_argument("--l", type=_positive_int)
-    gch_what.add_argument("--power", action="store_true")
-    gch.add_argument("--trials", type=_positive_int, default=50)
-    gab = _leaf(gsub, "abelianize", common)
-    gab.add_argument("--levels", type=_positive_int, required=True)
-
-    homalg = groups.add_parser("homalg", help="operator (co)homology")
-    hsub = homalg.add_subparsers(dest="cmd", required=True)
-    hiw = _leaf(hsub, "iwasawa", common)
-    hiw.add_argument("--matrix", required=True, help="operator as a JSON matrix")
-    hcy = _leaf(hsub, "cyclic", common)
-    hcy.add_argument("--matrix", required=True)
-    hcy.add_argument("--order", type=int, required=True)
-    hcy.add_argument("--s", type=int, required=True)
-    hg1 = _leaf(hsub, "g1", common)
-    hg1.add_argument("--s", type=int, required=True)
-    hg1.add_argument("--t", type=int, required=True)
-
-    k1 = groups.add_parser("k1", help="height-one charts and homotopy")
-    ksub = k1.add_subparsers(dest="cmd", required=True)
-    ke2 = _leaf(ksub, "e2", common)
-    ke2.add_argument("--smax", type=int, default=6)
-    ke2.add_argument("--tmin", type=int, default=-8)
-    ke2.add_argument("--tmax", type=int, default=16)
-    kho = _leaf(ksub, "homotopy", common)
-    kho.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
-    kko = _leaf(ksub, "ko", common)
-    kko.add_argument("--stems", type=_parse_stems, required=True)
-    kva = _leaf(ksub, "valuations", common)
-    kva.add_argument("--tmax", type=_positive_int, default=200)
-
+    for name, (help_text, add_leaves, _) in _GROUPS.items():
+        leaves = groups.add_parser(name, help=help_text).add_subparsers(dest="cmd", required=True)
+        if group == name or group not in _GROUPS:
+            add_leaves(partial(_leaf, leaves, common))
     return top
 
 
 def run_command(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        lines, payload = _HANDLERS[args.group](args)
+        lines, payload = _GROUPS[args.group][2](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.as_json:
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

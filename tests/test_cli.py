@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import morava
+from morava import cli
 from morava.cli import ParseError, parse_element, run_command
 from morava.order import from_coeff_rows, from_int
 from morava.stabilizer import order3_element
@@ -362,3 +366,180 @@ def test_grlie_check_and_abelianize(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "H_1 = Z_3 + Z/3 + Z/3" in out
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """The parser as built before it built one group's leaves: every group, every leaf."""
+
+    def _leaf(sub, name, common):
+        parser = sub.add_parser(name, parents=[common])
+        parser._negative_number_matcher = cli._DASHED_VALUE
+        return parser
+
+    _positive_int, _parse_stems = cli._positive_int, cli._parse_stems
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, default=3, help="the prime (default 3)")
+    common.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
+    common.add_argument(
+        "--prec", type=_positive_int, default=16, help="Witt digits of precision (default 16)"
+    )
+    common.add_argument(
+        "--json", action="store_true", dest="as_json", help="print a JSON document"
+    )
+
+    top = argparse.ArgumentParser(
+        prog="morava", description="exact arithmetic in small stabilizer groups"
+    )
+    groups = top.add_subparsers(dest="group", required=True)
+
+    witt = groups.add_parser("witt", help="truncated Witt vector arithmetic")
+    wsub = witt.add_subparsers(dest="cmd", required=True)
+    wtrace = _leaf(wsub, "trace", common)
+    wtrace.add_argument("expr")
+    wfrob = _leaf(wsub, "frobenius", common)
+    wfrob.add_argument("expr")
+    wteich = _leaf(wsub, "teich", common)
+    wteich.add_argument("residue", type=int)
+
+    order = groups.add_parser("order", help="arithmetic in the twisted order")
+    osub = order.add_subparsers(dest="cmd", required=True)
+    omul = _leaf(osub, "mul", common)
+    omul.add_argument("expr")
+    omul.add_argument("other")
+    oinv = _leaf(osub, "inv", common)
+    oinv.add_argument("expr")
+    oval = _leaf(osub, "val", common)
+    oval.add_argument("expr")
+    odig = _leaf(osub, "digits", common)
+    odig.add_argument("expr")
+    odig.add_argument("--count", type=_positive_int, default=None)
+
+    stab = groups.add_parser("stab", help="unit group operations")
+    ssub = stab.add_subparsers(dest="cmd", required=True)
+    sorder = _leaf(ssub, "order", common)
+    sorder.add_argument("expr")
+    sorder.add_argument("--bound", type=_positive_int, default=None)
+    scomm = _leaf(ssub, "comm", common)
+    scomm.add_argument("expr")
+    scomm.add_argument("other")
+    slevel = _leaf(ssub, "level", common)
+    slevel.add_argument("expr")
+    snorm = _leaf(ssub, "norm", common)
+    snorm.add_argument("expr")
+    ssplit = _leaf(ssub, "split", common)
+    ssplit.add_argument("expr")
+    sink = _leaf(ssub, "inK", common)
+    sink.add_argument("expr")
+
+    grlie = groups.add_parser("grlie", help="graded Lie formulas and H_1")
+    gsub = grlie.add_subparsers(dest="cmd", required=True)
+    gbr = _leaf(gsub, "bracket", common)
+    gbr.add_argument("--k", type=_positive_int, required=True)
+    gbr.add_argument("--l", type=_positive_int, required=True)
+    gbr.add_argument("a", type=int)
+    gbr.add_argument("b", type=int)
+    gpw = _leaf(gsub, "power", common)
+    gpw.add_argument("--k", type=_positive_int, required=True)
+    gpw.add_argument("a", type=int)
+    gsp = _leaf(gsub, "span", common)
+    gsp.add_argument("--k", type=_positive_int, required=True)
+    gsp.add_argument("--l", type=_positive_int, required=True)
+    gch = _leaf(gsub, "check", common)
+    gch.add_argument("--k", type=_positive_int, required=True)
+    gch_what = gch.add_mutually_exclusive_group(required=True)
+    gch_what.add_argument("--l", type=_positive_int)
+    gch_what.add_argument("--power", action="store_true")
+    gch.add_argument("--trials", type=_positive_int, default=50)
+    gab = _leaf(gsub, "abelianize", common)
+    gab.add_argument("--levels", type=_positive_int, required=True)
+
+    homalg = groups.add_parser("homalg", help="operator (co)homology")
+    hsub = homalg.add_subparsers(dest="cmd", required=True)
+    hiw = _leaf(hsub, "iwasawa", common)
+    hiw.add_argument("--matrix", required=True, help="operator as a JSON matrix")
+    hcy = _leaf(hsub, "cyclic", common)
+    hcy.add_argument("--matrix", required=True)
+    hcy.add_argument("--order", type=int, required=True)
+    hcy.add_argument("--s", type=int, required=True)
+    hg1 = _leaf(hsub, "g1", common)
+    hg1.add_argument("--s", type=int, required=True)
+    hg1.add_argument("--t", type=int, required=True)
+
+    k1 = groups.add_parser("k1", help="height-one charts and homotopy")
+    ksub = k1.add_subparsers(dest="cmd", required=True)
+    ke2 = _leaf(ksub, "e2", common)
+    ke2.add_argument("--smax", type=int, default=6)
+    ke2.add_argument("--tmin", type=int, default=-8)
+    ke2.add_argument("--tmax", type=int, default=16)
+    kho = _leaf(ksub, "homotopy", common)
+    kho.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
+    kko = _leaf(ksub, "ko", common)
+    kko.add_argument("--stems", type=_parse_stems, required=True)
+    kva = _leaf(ksub, "valuations", common)
+    kva.add_argument("--tmax", type=_positive_int, default=200)
+
+    return top
+
+
+LEAVES = {
+    "witt": ["trace", "frobenius", "teich"],
+    "order": ["mul", "inv", "val", "digits"],
+    "stab": ["order", "comm", "level", "norm", "split", "inK"],
+    "grlie": ["bracket", "power", "span", "check", "abelianize"],
+    "homalg": ["iwasawa", "cyclic", "g1"],
+    "k1": ["e2", "homotopy", "ko", "valuations"],
+}
+ORACLE_ARGVS = [
+    ["--help"],
+    *([group, "--help"] for group in LEAVES),
+    *([group, leaf, "--help"] for group, leaves in LEAVES.items() for leaf in leaves),
+    [],
+    ["nosuch"],
+    ["order"],
+    ["order", "nosuch"],
+    ["--json", "order", "val", "S"],
+    ["-h", "order"],
+    ["--p", "3"],
+    ["order", "val", "S", "x"],
+    ["order", "val", "S", "--nosuch"],
+    ["grlie", "span", "--k", "1"],
+    ["grlie", "check", "--k", "1"],
+    ["k1", "homotopy", "--stems", "5..-5"],
+    ["order", "val", "S", "--n", "abc"],
+    # argv that parse: the namespaces must agree too
+    ["order", "val", "-1/2*(1+w*S)", "--p", "5", "--json"],
+    ["grlie", "check", "--k", "1", "--power", "--trials", "3"],
+    ["k1", "homotopy", "--p", "2", "--stems", "-8..8"],
+    ["homalg", "cyclic", "--matrix", "[[1]]", "--order", "2", "--s", "1"],
+]
+
+
+class _Parsed(Exception):
+    """Raised by a stub handler with the namespace run_command parsed."""
+
+
+def _stop(args):
+    raise _Parsed(vars(args))
+
+
+def _outcome(run, argv):
+    """(namespace dict or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = run(argv)
+        except SystemExit as exc:
+            result = exc.code
+        except _Parsed as parsed:
+            result = parsed.args[0]
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_matches_eager_oracle(monkeypatch, argv):
+    # run_command's parser, which builds one group's leaves, against one with every leaf
+    monkeypatch.setenv("COLUMNS", "80")
+    stubbed = {name: (*entry[:2], _stop) for name, entry in cli._GROUPS.items()}
+    monkeypatch.setattr(cli, "_GROUPS", stubbed)
+    eager = _outcome(lambda argv: vars(_eager_parser().parse_args(argv)), argv)
+    assert _outcome(run_command, argv) == eager

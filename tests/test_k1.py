@@ -1,6 +1,9 @@
 import hashlib
 import random
 import time
+from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
@@ -436,3 +439,23 @@ def test_stem_decompositions_are_shared_and_frozen():
         with pytest.raises(AttributeError):
             d.orders = ()
     assert g1_cohomology_E1(3, 1, 4).decomp is g1_cohomology_E1(3, 1, 8).decomp
+
+
+@cache
+def _bernoulli(count: int) -> tuple:
+    """B_0 .. B_count as exact fractions, from sum_(j <= m) C(m + 1, j) B_j = 0 for m >= 1."""
+    b = []
+    for m in range(count + 1):
+        b.append(Fraction(m == 0) - Fraction(sum(comb(m + 1, j) * b[j] for j in range(m)), m + 1))
+    return tuple(b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_image_of_j_matches_bernoulli_denominators(p):
+    # Adams, J(X) IV: pi_(4k-1) is cyclic of order the p-part of the denominator of B_2k / 4k;
+    # an oracle that reads no chart, against the d_3 rules and the hidden extension at p = 2
+    table = homotopy_table(p, range(3, 4 * 79, 4))
+    for k in range(1, 80):
+        denominator = (_bernoulli(158)[2 * k] / (4 * k)).denominator
+        order = p ** nu_p(denominator, p)
+        assert table.group(4 * k - 1).decomp.orders == ((order,) if order > 1 else ()), (p, k)
