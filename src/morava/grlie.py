@@ -10,10 +10,8 @@ together by the induced P operators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from morava.order import from_witt, order_one, s_gen
-from morava.padic import INF, CyclicDecomp, Echelon, record
+from morava.padic import INF, CyclicDecomp, Echelon, check_int, record
 from morava.stabilizer import (
     GrElem,
     StabElem,
@@ -22,23 +20,6 @@ from morava.stabilizer import (
     gr_project,
 )
 from morava.witt import Fq, FqElem, fq_field, make_ring, teichmuller
-
-__all__ = [
-    "GrElem",
-    "GrSubspace",
-    "gr_project",
-    "gr_bracket",
-    "gr_power",
-    "check_bracket_vs_group",
-    "check_power_vs_group",
-    "commutator_span",
-    "trace_kernel",
-    "full_space",
-    "predicted_span",
-    "abelianization_report",
-    "AbelianizationReport",
-    "CheckReport",
-]
 
 _BRUTE_FORCE_LIMIT = 1 << 16
 
@@ -141,12 +122,6 @@ def gr_power(x: GrElem) -> GrElem:
     return GrElem(p * x.k, a + norm)
 
 
-def _check_levels(*levels: int) -> None:
-    for k in levels:
-        if k < 1:
-            raise ValueError(f"graded levels must be >= 1, got {k}")
-
-
 def _one_plus_digit(ring, digit: FqElem, k: int) -> StabElem:
     """The unit 1 + teich(digit) S^k."""
     return StabElem(order_one(ring) + from_witt(ring, teichmuller(ring, digit)) * s_gen(ring) ** k)
@@ -174,11 +149,13 @@ def _check_vs_group(p, n, M, trials, seed, top, sample) -> tuple:
 
     draw() gives a random nonzero residue; top is the highest level the check reaches.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_int("trials", trials)
+    check_int("n", n)
+    check_int("precision M", M)  # make_ring checks them too, but p only after this refusal
     if top >= n * M:
         raise ValueError("levels exceed precision; raise M")
-    import random  # here, not at the top: a cold `import morava.cli` need not load it
+    import random  # here, not at the top, as Fraction: a cold command need not load them
+    from fractions import Fraction
 
     ring = make_ring(p, n, M)
     rng = random.Random(seed)
@@ -200,7 +177,8 @@ def _check_vs_group(p, n, M, trials, seed, top, sample) -> tuple:
 
 def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_bracket against group commutators of 1 + teich(a) S^k."""
-    _check_levels(k, l)
+    check_int("graded levels", k)
+    check_int("graded levels", l)
 
     def sample(ring, draw):
         a, b = draw(), draw()
@@ -212,7 +190,7 @@ def check_bracket_vs_group(p, n, k, l, trials=50, M=16, seed=0) -> CheckReport:
 
 def check_power_vs_group(p, n, k, trials=50, M=16, seed=0) -> CheckReport:
     """Compare gr_power against p-th powers of 1 + teich(a) S^k."""
-    _check_levels(k)
+    check_int("graded levels", k)
 
     def sample(ring, draw):
         a = draw()
@@ -232,7 +210,8 @@ def commutator_span(p, n, k, l, poly=None) -> GrSubspace:
     The bracket is F_p-bilinear, so the brackets of the n^2 pairs of F_p-basis
     elements span the same space as the brackets of all q^2 pairs.
     """
-    _check_levels(k, l)
+    check_int("graded levels", k)
+    check_int("graded levels", l)
     field = fq_field(p, n, poly)
     basis = full_space(field).basis()
     span = GrSubspace(field)
@@ -248,7 +227,8 @@ def predicted_span(p, n, k, l):
     Exact answers hold when one level is 1; for general levels summing to
     an integer the span is only bounded above by the trace kernel.
     """
-    _check_levels(k, l)
+    check_int("graded levels", k)
+    check_int("graded levels", l)
     field = fq_field(p, n)
     if (k + l) % n != 0:
         return ("full", full_space(field)) if min(k, l) == 1 else ("no_claim", None)
@@ -334,8 +314,7 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     field = fq_field(p, n, poly)
     if field.q > _BRUTE_FORCE_LIMIT:
         raise ValueError("brute force out of range for this field size")
-    if L < 1:
-        raise ValueError("need L >= 1")
+    check_int("L", L)
 
     spans, D = {}, {}
     for k in range(1, L + 1):

@@ -14,6 +14,7 @@ from morava.padic import (
     CyclicDecomp,
     PadicParams,
     binary_power,
+    check_int,
     check_prime,
     cyclic_decomp,
     identity_matrix,
@@ -48,8 +49,7 @@ class ZpModuleWithOperator:
         return len(self.matrix)
 
     def power(self, e: int) -> list:
-        if e < 0:
-            raise ValueError(f"negative operator power {e}")
+        check_int("operator power", e, 0)
         if e == 0:
             return identity_matrix(self.rank)
         mod = self.params.modulus
@@ -147,14 +147,12 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
     Standard periodic resolution: H^0 = ker(g-1), odd H^s = ker(N)/im(g-1),
     even H^s = ker(g-1)/im(N), with N = 1 + g + ... + g^(m-1).
     """
-    if m < 1:
-        raise ValueError(f"group order must be positive, got {m}")
+    check_int("group order", m)
     params = module.params
     mod = params.modulus
     if module.power(m) != identity_matrix(module.rank):
         raise ValueError(f"not a valid action: operator order does not divide {m}")
-    if s < 0:
-        raise ValueError("negative degree")
+    check_int("degree s", s, 0)
     gm1 = _sub(module.matrix, identity_matrix(module.rank), mod)
     if s == 0:
         return _invariants(smith_normal_form(gm1, params), params.p)
@@ -249,7 +247,6 @@ def g1_cell(p: int, s: int, t: int) -> tuple:
 def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     """H^s of the height-one stabilizer on the weight-t/2 line: g1_cell, free parts certified at precision."""
     check_prime(p)
-    if s < 0:
-        raise ValueError("negative degree")
+    check_int("degree s", s, 0)
     order, provenance = g1_cell(p, s, t)
     return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), provenance)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from morava.padic import INF, check_prime, nu_p, record
+from morava.padic import INF, check_int, check_prime, nu_p, record
 from morava.homalg import g1_cell
 from morava.specseq import (
     Chart,
@@ -57,6 +57,8 @@ def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
 
     Refuses an empty window, and one of more than _CHART_CELLS cells before building any.
     """
+    for name, bound in (("s_max", s_max), ("t_lo", t_lo), ("t_hi", t_hi)):
+        check_int(name, bound, -INF)
     window = f"s <= {s_max}, {t_lo} <= t <= {t_hi}"
     if s_max < 0 or t_lo > t_hi:
         raise ValueError(f"empty chart window: {window}")
@@ -166,8 +168,13 @@ def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
     ... in turn.  No differential is applied after the last page with rules,
     so the chart must collapse from there on.
     """
-    # a range is sorted without listing it: a huge one would fill memory before the window check
-    stems = (stems if stems.step > 0 else stems[::-1]) if isinstance(stems, range) else sorted(stems)
+    if isinstance(stems, range):  # sorted without listing it: a huge one would fill memory
+        stems = stems if stems.step > 0 else stems[::-1]
+    else:  # a range holds ints only; any other list is checked
+        stems = list(stems)
+        for t in stems:
+            check_int("stem", t, -INF)
+        stems.sort()
     if not stems:
         raise ValueError("no stems requested")
     chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)
@@ -253,8 +260,7 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     which bounds the bits of that integer, passes _VALUATION_BITS.
     """
     check_prime(p)
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
+    check_int("t_max", t_max)
     e = 2 if p == 2 else p - 1
     if e * t_max * (p + 1).bit_length() > _VALUATION_BITS:
         raise ValueError(f"t_max = {t_max}: (p+1)^({e}t_max) may pass the {_VALUATION_BITS}-bit bound")

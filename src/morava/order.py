@@ -8,12 +8,10 @@ expansion interleaves the p-adic Teichmuller digits of the coefficients.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from functools import cache, total_ordering
 from operator import lshift, mul
 
-from morava.padic import nu_p, record
+from morava.padic import INF, check_int, nu_p, record
 from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, make_ring, teichmuller
 
 
@@ -31,7 +29,9 @@ class SValuation:
     at_precision_cap: bool = False
 
     @property
-    def value(self) -> Fraction:
+    def value(self) -> "Fraction":
+        from fractions import Fraction  # here, not at the top: it loads decimal
+
         return Fraction(self.numerator, self.denominator)
 
     def __eq__(self, other):
@@ -103,8 +103,7 @@ class OrderElem(CoordElem):
     def s_digits(self, count: int) -> list:
         """First `count` S-adic Teichmuller digits, elements of F_q."""
         n = self.ring.n
-        if count < 0:
-            raise ValueError(f"digit count must be >= 0, got {count}")
+        check_int("digit count", count, 0)
         if count > n * self.ring.params.M:
             raise ValueError("digit count exceeds precision")
         cols = [a.teich_digits((count - i + n - 1) // n) for i, a in enumerate(self.parts)]
@@ -228,9 +227,13 @@ def from_digits(ring: WittRing, digits) -> OrderElem:
 
 def from_json(data) -> OrderElem:
     if isinstance(data, str):
+        import json  # here, not at the top: only this reader needs it
+
         data = json.loads(data)
     missing = [key for key in ("p", "n", "M", "coeffs") if key not in data]
     if missing:
         raise ValueError(f"order element JSON lacks {', '.join(map(repr, missing))}")
-    ring = make_ring(int(data["p"]), int(data["n"]), int(data["M"]))
+    ring = make_ring(data["p"], data["n"], data["M"])
+    for c in (c for row in data["coeffs"] for c in row):
+        check_int("coefficient", c, -INF)
     return from_coeff_rows(ring, data["coeffs"])

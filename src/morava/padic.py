@@ -73,9 +73,18 @@ def _is_prime(p: int) -> bool:
 PRIME_BOUND = 2**32
 
 
+def check_int(name: str, value, lo=1) -> None:
+    """The one integer check on inputs: ValueError unless value is an int, not a bool, and >= lo."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
 def check_prime(p: int) -> None:
-    """The one prime check on inputs: ValueError unless p is a prime below PRIME_BOUND."""
-    if p >= PRIME_BOUND:
+    """The one prime check on inputs: ValueError unless p is a prime int below PRIME_BOUND."""
+    if type(p) is not int or p >= PRIME_BOUND:  # a test, not a call: every E_1 cell passes here
+        check_int("p", p, -INF)
         raise ValueError(f"p = {p} is not below the 2^32 bound on primes")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -105,8 +114,7 @@ class PadicParams:
 
     def __post_init__(self):
         check_prime(self.p)
-        if self.M < 1:
-            raise ValueError(f"precision M must be >= 1, got {self.M}")
+        check_int("precision M", self.M)
         object.__setattr__(self, "_modulus", self.p ** self.M)
 
     @property

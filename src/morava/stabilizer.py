@@ -7,11 +7,10 @@ of x in the associated graded group (an F_q line at each level k/n).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from morava.order import OrderElem, SValuation, from_int, from_witt, order_one, s_gen
-from morava.padic import PadicInt, _prime_factors, nth_root_one_unit, record, unit_inverse
+from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record, unit_inverse
 from morava.witt import FqElem, PrecisionError, WittRing, teichmuller
 
 
@@ -61,7 +60,9 @@ class GrElem:
     digit: FqElem
 
     @property
-    def level(self) -> Fraction:
+    def level(self) -> "Fraction":
+        from fractions import Fraction  # here, not at the top: it loads decimal
+
         return Fraction(self.k, self.digit.field.n)
 
     def __repr__(self):
@@ -109,8 +110,7 @@ def element_order(x: StabElem, bound: int | None = None) -> int | None:
     """
     if bound is None:
         bound = default_order_bound(x.ring)
-    if bound < 1:
-        raise ValueError(f"order bound must be positive, got {bound}")
+    check_int("order bound", bound)
     p, q = x.ring.params.p, x.ring.q
     one = identity(x.ring)
     y, ppow = x ** (q - 1), 1

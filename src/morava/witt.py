@@ -19,9 +19,11 @@ from functools import lru_cache
 from operator import mul
 
 from morava.padic import (
+    INF,
     PadicInt,
     PadicParams,
     binary_power,
+    check_int,
     check_prime,
     identity_matrix,
     invert_matrix,
@@ -202,6 +204,7 @@ class Fq:
         return FqElem(self, self._encode(coeffs))
 
     def from_idx(self, idx: int) -> "FqElem":
+        check_int("residue index", idx, -INF)
         if not 0 <= idx < self.q:
             raise ValueError(f"residue index {idx} outside [0, {self.q})")
         return FqElem(self, idx)
@@ -298,8 +301,7 @@ def _normalize_poly(p: int, n: int, poly) -> tuple:
     Whether poly is irreducible and primitive mod p is decided by building its Fq.
     """
     check_prime(p)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_int("n", n)
     if poly is None:
         if (p, n) not in DEFAULT_POLYS:
             raise ValueError(
@@ -520,7 +522,9 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
     polynomial whose reduction mod p is irreducible and primitive.  Rings
     are cached on poly mod p, so equal rings are the identical object.
     """
-    return _make_ring_cached(p, n, M, tuple(c % p for c in _normalize_poly(p, n, poly)))
+    poly = tuple(c % p for c in _normalize_poly(p, n, poly))
+    check_int("precision M", M)  # before the cache, where M = True would find the ring of M = 1
+    return _make_ring_cached(p, n, M, poly)
 
 
 @lru_cache(maxsize=None)

@@ -147,7 +147,7 @@ def test_cyclic_rejects_wrong_order():
 
 
 def test_cyclic_rejects_trivial_group_order():
-    with pytest.raises(ValueError, match="group order must be positive"):
+    with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
         cyclic_cohomology(_op(3, 8, [[1]]), 0, 1)
 
 
@@ -165,14 +165,14 @@ def test_negative_powers_are_refused():
     done = _python(
         "-m", "morava.cli", "homalg", "cyclic", "--matrix", "[[1]]", "--order", "-2", "--s", "2"
     )
-    assert done.returncode == 1 and "group order must be positive" in done.stderr
+    assert done.returncode == 1 and "group order must be >= 1, got -2" in done.stderr
     done = _python(
         "-c",
         "from morava.homalg import ZpModuleWithOperator\n"
         "from morava.padic import PadicParams\n"
         "ZpModuleWithOperator(PadicParams(3, 8), ((1,),)).power(-1)",
     )
-    assert done.returncode == 1 and "negative operator power" in done.stderr
+    assert done.returncode == 1 and "operator power must be >= 0, got -1" in done.stderr
 
 
 def test_cyclic_c2_closed_forms():
@@ -275,7 +275,7 @@ def _g1_cohomology_by_records(p, s, t):
     h = morava.homalg
     morava.padic.check_prime(p)
     if s < 0:
-        raise ValueError("negative degree")
+        raise ValueError(f"degree s must be >= 0, got {s}")
     zero = CyclicDecomp(p, [])
     if p == 2:
         if t % 2:

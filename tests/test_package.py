@@ -20,11 +20,14 @@ LAYERS = ["padic", "witt", "order", "stabilizer", "grlie", "homalg", "specseq", 
 # what the chart commands (k1, homalg) need not load, and what the group commands need not
 GROUP_LAYERS = ["morava.order", "morava.stabilizer", "morava.grlie", "fractions", "decimal"]
 CHART_LAYERS = ["morava.specseq", "morava.k1", "morava.homalg"]
+# what a group command that prints no valuation, level or JSON need not load
+READERS = ["fractions", "decimal", "json"]
 
 
 def _loaded_after(code: str) -> set:
     """The modules a fresh interpreter holds after running code."""
-    script = f"import sys\n{code}\nprint(__import__('json').dumps(sorted(sys.modules)))"
+    # the list is taken before json is imported to print it
+    script = f"import sys\n{code}\nmods = sorted(sys.modules)\nimport json\nprint(json.dumps(mods))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
@@ -56,8 +59,13 @@ def test_import_loads_no_layer(module):
         (["witt", "trace", "w"], CHART_LAYERS),
         (["stab", "level", "1+S"], CHART_LAYERS),
         (["grlie", "span", "--k", "1", "--l", "1"], CHART_LAYERS),
+        (["stab", "order", "1+S", "--p", "5"], READERS),
+        (["order", "inv", "1+S", "--p", "5"], READERS),
     ],
-    ids=["k1 ko", "homalg g1", "order val", "witt trace", "stab level", "grlie span"],
+    ids=[
+        "k1 ko", "homalg g1", "order val", "witt trace", "stab level", "grlie span", "stab order",
+        "order inv",
+    ],
 )
 def test_command_loads_only_its_layers(argv, unloaded):
     loaded = _loaded_after(_run(argv))
