@@ -8,10 +8,10 @@ import importlib
 
 # home module -> the public names it exports, in the order of __all__
 _EXPORTS = {
-    "padic": ("INF", "CyclicDecomp", "PadicInt", "PadicParams", "nu_p"),
+    "padic": ("INF", "CyclicDecomp", "PadicInt", "PadicParams", "PrecisionError", "nu_p"),
     "witt": (
-        "DEFAULT_POLYS", "Fq", "FqElem", "PrecisionError", "WittElem", "WittRing", "fq_field",
-        "make_ring", "teichmuller",
+        "DEFAULT_POLYS", "Fq", "FqElem", "WittElem", "WittRing", "fq_field", "make_ring",
+        "teichmuller",
     ),
     "order": (
         "OrderElem", "SValuation", "from_digits", "from_int", "from_json", "from_witt",

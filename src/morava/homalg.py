@@ -13,6 +13,7 @@ from morava.padic import (
     INF,
     CyclicDecomp,
     PadicParams,
+    PrecisionError,
     binary_power,
     check_int,
     check_prime,
@@ -25,7 +26,6 @@ from morava.padic import (
     record,
     smith_normal_form,
 )
-from morava.witt import PrecisionError
 
 
 @record
@@ -172,19 +172,17 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
 # the height-one arithmetic: cohomology of the units acting on E_t
 
 
-def _c2_order(s: int, t: int) -> object:
-    """H^s(C_2, Z_2(t/2)) as an order: INF, 2, or 1 (zero).
+def cm_order(p: int, r: int, t: int) -> object:
+    """H^r(C_m, E_t) for even t and r >= 0 as an order: INF, 2, or 1 (zero).
 
-    Trivial action for t = 0 mod 4: Z_2, 0, Z/2, 0, Z/2, ...
-    Sign action for t = 2 mod 4: 0, Z/2, 0, Z/2, ...
+    C_m is the torsion of Z_p^x (m = 2 at p = 2, else p - 1), acting on the
+    weight-t/2 line through its character, which is trivial when m divides t/2.
+    At p = 2 the trivial action gives Z_2, 0, Z/2, 0, Z/2, ... and the sign
+    action 0, Z/2, 0, Z/2, ...; at odd p, m is prime to p and only H^0 survives.
     """
-    if t % 2:
-        return 1
-    if (t // 2) % 2 == 0:
-        if s == 0:
-            return INF
-        return 2 if s % 2 == 0 else 1
-    return 2 if s % 2 == 1 else 1
+    if r == 0:
+        return INF if t % (4 if p == 2 else 2 * p - 2) == 0 else 1
+    return 2 if p == 2 and (r % 2 == 0) == (t % 4 == 0) else 1
 
 
 def _lambda_valuation(p: int, m: int) -> int:
@@ -194,59 +192,42 @@ def _lambda_valuation(p: int, m: int) -> int:
     return nu_p(m, p) + (2 if p == 2 else 1)
 
 
-def _g1_cell_2(s: int, t: int) -> tuple:
-    """(order, provenance) of H^s(G_1, E_t) at p = 2, from the C_2 layer and psi = 3.
-
-    The quotient by the center C_2 is pro-cyclic on psi, giving for each s
-    a short exact sequence coker(psi - 1 on H^(s-1)(C_2)) -> H^s(G_1) ->
-    ker(psi - 1 on H^s(C_2)).  psi acts by 3^(t/2) on H^0(C_2) and trivially
-    on the torsion layers, and in this range only one side is ever nonzero.
-    """
-    if t % 2:
-        return 1, "odd internal degree"
-    # psi - 1 is 0 on Z_2 at t = 0, injective with cokernel Z/(3^(t/2) - 1) otherwise,
-    # and 0 on the finite layers, where psi acts trivially
-    ker_part = _c2_order(s, t)
-    if ker_part == INF and t:
-        ker_part = 1
-    coker_part = _c2_order(s - 1, t) if s >= 1 else 1
-    if coker_part == INF and t:
-        coker_part = 2 ** _lambda_valuation(2, abs(t // 2))
-    if ker_part != 1 and coker_part != 1:
-        raise PrecisionError("both sides of the exact sequence are nonzero")
-    if ker_part != 1:
-        return ker_part, f"ker(psi - 1) on H^{s}(C_2)"
-    if coker_part != 1:
-        return coker_part, f"coker(psi - 1) on H^{s - 1}(C_2)"
-    return 1, "zero on both sides"
-
-
 def g1_cell(p: int, s: int, t: int) -> tuple:
-    """(order, provenance) of H^s(G_1, E_t) for a prime p and s >= 0: order 1 is zero, INF free.
+    """(order, provenance, row) of H^s(G_1, E_t) for s >= 0: order 1 is zero, INF free.
 
-    For odd p the group splits as mu_(p-1) x Z_p; the torsion part kills
-    everything unless 2(p-1) divides t, and then the generator acts by
-    lambda = (p+1)^(t/2), so H^1 = Z_p/(lambda - 1) with the valuation of
-    lambda - 1 from _lambda_valuation.  For p = 2 see the C_2 assembly.
+    G_1 = C_m x Z_p, and the quotient by C_m is pro-cyclic on psi = p + 1,
+    giving for each s a short exact sequence coker(psi - 1 on H^(s-1)(C_m))
+    -> H^s(G_1) -> ker(psi - 1 on H^s(C_m)).  psi acts by (p+1)^(t/2) on
+    H^0(C_m) and trivially on the torsion layers, and only one side is ever
+    nonzero.  row is the degree of the C_m class the cell comes from: s on
+    the kernel side, s - 1 on the cokernel side, None for a zero cell.
     """
     if p == 2:
-        return _g1_cell_2(s, t)
-    if t % (2 * (p - 1)) != 0:
-        return 1, "torsion character is nontrivial"
-    if s == 0:
-        if t == 0:
-            return INF, "invariants of the trivial action"
-        return 1, "ker(lambda - 1) with lambda != 1"
-    if s == 1:
-        if t == 0:
-            return INF, "coker of the zero map"
-        return p ** _lambda_valuation(p, abs(t // 2)), "coker(lambda - 1)"
-    return 1, "p-cohomological dimension one"
+        if t % 2:
+            return 1, "odd internal degree", None
+    elif t % (2 * p - 2):
+        return 1, "torsion character is nontrivial", None
+    # psi - 1 is 0 on the finite layers and on Z_p = H^0(C_m) at t = 0; on Z_p at t != 0 it is
+    # injective with cokernel Z_p/((p+1)^(t/2) - 1)
+    ker_part = cm_order(p, s, t) if s or not t else 1
+    coker_part = cm_order(p, s - 1, t) if s else 1
+    if coker_part == INF and t:
+        coker_part = p ** _lambda_valuation(p, abs(t // 2))
+    if ker_part != 1 and coker_part != 1:
+        raise PrecisionError("both sides of the exact sequence are nonzero")
+    if ker_part == coker_part == 1:
+        return 1, "zero on both sides", None
+    cm = "C_2" if p == 2 else f"C_{p - 1}"
+    if ker_part != 1:
+        return ker_part, f"ker(psi - 1) on H^{s}({cm})", s
+    return coker_part, f"coker(psi - 1) on H^{s - 1}({cm})", s - 1
 
 
 def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     """H^s of the height-one stabilizer on the weight-t/2 line: g1_cell, free parts certified at precision."""
     check_prime(p)
     check_int("degree s", s, 0)
-    order, provenance = g1_cell(p, s, t)
+    if type(t) is not int:  # a test, not a call: every E_1 cell passes here
+        check_int("degree t", t, -INF)
+    order, provenance, _ = g1_cell(p, s, t)
     return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), provenance)

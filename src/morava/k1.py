@@ -9,10 +9,10 @@ chart (the order-two subgroup alone) is built by the same engine.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from morava.padic import INF, check_int, check_prime, nu_p, record
-from morava.homalg import g1_cell
+from morava.homalg import cm_order, g1_cell
 from morava.specseq import (
     Chart,
     DifferentialRule,
@@ -30,26 +30,6 @@ _T_MARGIN = 4
 
 _VALUATION_BITS = 1 << 16  # bound on the bits of the last power psi_valuation_report checks
 _CHART_CELLS = 1 << 17  # most cells one chart window may hold
-
-
-def sphere_label(p: int, s: int, t: int) -> Monomial:
-    """Name the generator of the (s, t) chart cell for the sphere.
-
-    At p = 2 the cells with t - 2s = 0 mod 4 hold eta^s; every other cell
-    with s >= 1 holds zeta * eta^(s-1), whose u-exponent shifts by s - 1.
-    """
-    if s == 0:
-        return Monomial()
-    eta, zeta = _row_cores(s)
-    if p == 2 and (t - 2 * s) % 4 == 0:
-        return Monomial.of(eta, s - t // 2)
-    return Monomial.of(zeta, -t // 2 + (s - 1 if p == 2 else 0))
-
-
-@lru_cache(maxsize=64)  # chart windows have s_max + 1 <= 15 rows
-def _row_cores(s: int) -> tuple:
-    """(eta^s, zeta * eta^(s-1)): the label cores of chart row s, built once per row."""
-    return ((("eta", s),) if s else ()), ((("eta", s - 1),) if s > 1 else ()) + (("zeta", 1),)
 
 
 def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
@@ -70,14 +50,21 @@ def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
 
 
 def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
-    """Descent chart of the sphere over the given window, page 2."""
+    """Descent chart of the sphere over the given window, page 2.
+
+    A cell from H^row(C_m) holds eta^row, times zeta when it comes from the
+    cokernel side (row = s - 1), times u^(row - t/2).
+    """
     cells = _even_cells(s_max, t_lo, t_hi)
     check_prime(p)
     chart = Chart(2)
     for s, t in cells:
-        order = g1_cell(p, s, t)[0]
+        order, _, row = g1_cell(p, s, t)
         if order != 1:
-            chart.add(Summand(order, sphere_label(p, s, t), s, t))
+            core = (("eta", row),) if row else ()
+            if row != s:
+                core += (("zeta", 1),)
+            chart.add(Summand(order, Monomial.of(core, row - t // 2), s, t))
     return chart
 
 
@@ -111,8 +98,9 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Fixed points of the order-two subgroup alone: the real K-theory chart."""
     chart = Chart(2)
     for s, t in _even_cells(s_max, t_lo, t_hi):
-        if (t - 2 * s) % 4 == 0:
-            chart.add(Summand(2 if s else INF, Monomial.of(_row_cores(s)[0], s - t // 2), s, t))
+        order = cm_order(2, s, t)
+        if order != 1:
+            chart.add(Summand(order, Monomial.of((("eta", s),) if s else (), s - t // 2), s, t))
     return chart
 
 

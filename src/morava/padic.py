@@ -14,6 +14,10 @@ from operator import attrgetter
 INF = float("inf")
 
 
+class PrecisionError(ArithmeticError):
+    """An identity that must hold exactly at precision p^M failed."""
+
+
 def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 

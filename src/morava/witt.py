@@ -22,6 +22,7 @@ from morava.padic import (
     INF,
     PadicInt,
     PadicParams,
+    PrecisionError,
     binary_power,
     check_int,
     check_prime,
@@ -57,10 +58,6 @@ DEFAULT_POLYS = {
     (7, 3): (4, 0, 6, 1),
     (7, 4): (3, 4, 5, 0, 1),
 }
-
-
-class PrecisionError(ArithmeticError):
-    """An identity that must hold exactly at precision p^M failed."""
 
 
 def _poly_repr(coeffs, name: str) -> str:

@@ -72,6 +72,7 @@ BOUNDARY = [
     ("cyclic_cohomology s", lambda v: cyclic_cohomology(TRIVIAL, 2, v), "degree s", 0),
     ("g1_cohomology_E1 p", lambda v: g1_cohomology_E1(v, 1, 4), "p", -INF),
     ("g1_cohomology_E1 s", lambda v: g1_cohomology_E1(3, v, 4), "degree s", 0),
+    ("g1_cohomology_E1 t", lambda v: g1_cohomology_E1(3, 1, v), "degree t", -INF),
     ("psi_valuation_report t_max", lambda v: psi_valuation_report(3, v), "t_max", 1),
     ("homotopy_table stem", lambda v: homotopy_table(3, [0, v]), "stem", -INF),
     ("ko_table stem", lambda v: ko_table([v, 4]), "stem", -INF),
@@ -104,6 +105,8 @@ def test_entry_points_refuse_bad_integers(call, value, message):
         lambda: make_ring(3, 2, True),
         lambda: element_order(UNIT, 2.5),
         lambda: g1_cohomology_E1(3, 0.5, 4),
+        lambda: g1_cohomology_E1(3, 1, 2.5),
+        lambda: g1_cohomology_E1(2, 1, 4.0),
         lambda: cyclic_cohomology(TRIVIAL, 2, True),
         lambda: abelianization_report(3, 2, True),
         lambda: check_bracket_vs_group(3, 2, True, 1, trials=True),
@@ -113,13 +116,14 @@ def test_entry_points_refuse_bad_integers(call, value, message):
         lambda: from_json({"p": 3, "n": 2, "M": 8, "coeffs": [[1, 2.7], [0, 0]]}),
     ],
     ids=[
-        "make_ring M=True", "element_order 2.5", "g1 s=0.5", "cyclic s=True", "abelianize L=True",
-        "bracket check k=True", "check_prime 3.0", "from_idx 1.0", "from_json M=8.9",
-        "from_json coefficient 2.7",
+        "make_ring M=True", "element_order 2.5", "g1 s=0.5", "g1 t=2.5", "g1 t=4.0",
+        "cyclic s=True", "abelianize L=True", "bracket check k=True", "check_prime 3.0",
+        "from_idx 1.0", "from_json M=8.9", "from_json coefficient 2.7",
     ],
 )
 def test_former_holes_raise(call):
-    # each of these once answered: a ring mod 3^True, no order, H^0.5 = 0, a truncated M
+    # each of these once answered: a ring mod 3^True, no order, H^0.5 = 0, H^1 = 0 at t = 2.5,
+    # H^1 = Z/8 at t = 4.0, a truncated M
     with pytest.raises(ValueError, match="must be an integer"):
         call()
 

@@ -6,9 +6,9 @@ witt frobenius and teich at n = 1..4, four edge inputs that are usage
 or domain errors, the K(1) charts under --json (the sphere at p = 2
 and 5, KO, and an E_2 page), order mul, order inv, stab comm and stab
 order at heights n = 5..8 (p = 2 and 3), where a product has the most
-terms, and `homalg g1` on both sides of the height-one exact sequence at
-p = 2 with the E_2 pages at p = 3 and 5.  A refactor that changes any byte of this output changes
-behaviour and must say so.
+terms, `homalg g1` on both sides of the height-one exact sequence at
+p = 2, 3 and 5, and the E_2 pages at p = 3 and 5.  A refactor that
+changes any byte of this output changes behaviour and must say so.
 """
 
 import json

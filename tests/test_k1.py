@@ -21,7 +21,6 @@ from morava.k1 import (
     psi_valuation_report,
     sphere_d3_rules,
     sphere_e2_page,
-    sphere_label,
 )
 
 
@@ -41,7 +40,8 @@ def test_sphere_label_scheme():
         (3, 1, 0): "zeta",
     }
     for (p, s, t), text in cases.items():
-        assert str(sphere_label(p, s, t)) == text
+        (cell,) = sphere_e2_page(p, s, t, t).cell(s, t)
+        assert str(cell.label) == text
 
 
 def _sphere_label_by_with_exp(p, s, t):
@@ -75,10 +75,10 @@ def _ko_e2_page_by_with_exp(s_max, t_lo, t_hi):
 
 
 def test_labels_match_with_exp_construction():
-    for p in (2, 3, 5):
-        for s in range(15):
-            for t in range(-1004, 1019, 2):
-                assert sphere_label(p, s, t) == _sphere_label_by_with_exp(p, s, t), (p, s, t)
+    for p in (2, 3, 5, 7):
+        page = sphere_e2_page(p, 14, -1004, 1018)
+        for cell in page.summands():
+            assert cell.label == _sphere_label_by_with_exp(p, cell.s, cell.t), (p, cell.s, cell.t)
     assert ko_e2_page(14, -1004, 1018).to_json() == _ko_e2_page_by_with_exp(14, -1004, 1018).to_json()
 
 
@@ -212,7 +212,7 @@ def _sphere_e2_page_by_records(p, s_max, t_lo, t_hi):
             continue
         if len(orders) != 1:
             raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
-        chart.add(Summand(orders[0], sphere_label(p, s, t), s, t))
+        chart.add(Summand(orders[0], _sphere_label_by_with_exp(p, s, t), s, t))
     return chart
 
 

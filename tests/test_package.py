@@ -18,7 +18,9 @@ SRC = str(Path(morava.__file__).resolve().parents[1])
 
 LAYERS = ["padic", "witt", "order", "stabilizer", "grlie", "homalg", "specseq", "k1"]
 # what the chart commands (k1, homalg) need not load, and what the group commands need not
-GROUP_LAYERS = ["morava.order", "morava.stabilizer", "morava.grlie", "fractions", "decimal"]
+GROUP_LAYERS = [
+    "morava.witt", "morava.order", "morava.stabilizer", "morava.grlie", "fractions", "decimal",
+]
 CHART_LAYERS = ["morava.specseq", "morava.k1", "morava.homalg"]
 # what a group command that prints no valuation, level or JSON need not load
 READERS = ["fractions", "decimal", "json"]
@@ -54,6 +56,7 @@ def test_import_loads_no_layer(module):
     "argv, unloaded",
     [
         (["k1", "ko", "--stems", "0..3"], GROUP_LAYERS),
+        (["k1", "homotopy", "--p", "2", "--stems", "-8..8"], GROUP_LAYERS),
         (["homalg", "g1", "--p", "3", "--s", "1", "--t", "36"], GROUP_LAYERS),
         (["order", "val", "S^3"], CHART_LAYERS),
         (["witt", "trace", "w"], CHART_LAYERS),
@@ -63,8 +66,8 @@ def test_import_loads_no_layer(module):
         (["order", "inv", "1+S", "--p", "5"], READERS),
     ],
     ids=[
-        "k1 ko", "homalg g1", "order val", "witt trace", "stab level", "grlie span", "stab order",
-        "order inv",
+        "k1 ko", "k1 homotopy", "homalg g1", "order val", "witt trace", "stab level", "grlie span",
+        "stab order", "order inv",
     ],
 )
 def test_command_loads_only_its_layers(argv, unloaded):
