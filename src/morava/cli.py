@@ -12,12 +12,14 @@ Parentheses and unary minus nest at most 100 deep.
 
 Every command takes --p, --n and --prec (Witt digits) and prints plain
 text, or a JSON document under --json.  Exit code 0 is success, 1 is a
-domain error (bad element, lost precision), 2 is a usage error.
+domain error (bad element, lost precision) or a closed stdout, 2 is a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import partial
@@ -514,7 +516,13 @@ def run_command(argv=None) -> int:
 
 
 def main():
-    sys.exit(run_command())
+    try:
+        code = run_command()
+        sys.stdout.flush()  # inside the try: a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader has gone; devnull silences the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

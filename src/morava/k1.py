@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 
 from morava.padic import INF, check_int, check_prime, nu_p, record
-from morava.homalg import cm_order, g1_cell
+from morava.homalg import _lambda_valuation, cm_order, g1_cell
 from morava.specseq import (
     Chart,
     DifferentialRule,
@@ -64,7 +64,7 @@ def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
             core = (("eta", row),) if row else ()
             if row != s:
                 core += (("zeta", 1),)
-            chart.add(Summand(order, Monomial.of(core, row - t // 2), s, t))
+            chart.add(Summand(order, Monomial(1, core, row - t // 2), s, t))
     return chart
 
 
@@ -100,7 +100,7 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     for s, t in _even_cells(s_max, t_lo, t_hi):
         order = cm_order(2, s, t)
         if order != 1:
-            chart.add(Summand(order, Monomial.of((("eta", s),) if s else (), s - t // 2), s, t))
+            chart.add(Summand(order, Monomial(1, (("eta", s),) if s else (), s - t // 2), s, t))
     return chart
 
 
@@ -237,10 +237,12 @@ def _residue_digits(t_max: int) -> int:
 
 
 def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
-    """Verify nu_p((p+1)^((p-1)t) - 1) = nu_p(t) + 1 exactly.
+    """Verify nu_p((p+1)^(et) - 1) = homalg._lambda_valuation(p, et) exactly, t <= t_max.
 
-    At p = 2 the generator is 3 = p + 1 but squaring replaces the (p-1)
-    power and the offset is 3: nu_2(3^(2t) - 1) = nu_2(t) + 3.  Powers are
+    e = p - 1, where the law reads nu_p(t) + 1; at p = 2 the generator is
+    3 = p + 1 but squaring replaces the (p-1) power, e = 2, and the law reads
+    nu_2(3^(2t) - 1) = nu_2(t) + 3.  g1_cell reads its orders off the same
+    _lambda_valuation, so this report checks the E_2 pages' valuations.  Powers are
     accumulated mod p^K, K = _residue_digits(t_max), one multiply per step:
     a nonzero residue of (p+1)^(et) - 1 gives its exact valuation (below K)
     and its exact cofactor mod p.  A power that is 1 mod p^K is rebuilt as
@@ -252,7 +254,6 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
     e = 2 if p == 2 else p - 1
     if e * t_max * (p + 1).bit_length() > _VALUATION_BITS:
         raise ValueError(f"t_max = {t_max}: (p+1)^({e}t_max) may pass the {_VALUATION_BITS}-bit bound")
-    offset = 3 if p == 2 else 1
     mod = p ** _residue_digits(t_max)
     step = pow(p + 1, e, mod)
     if p == 2:
@@ -269,6 +270,6 @@ def psi_valuation_report(p: int, t_max: int) -> ValuationReport:
         val = nu_p(x, p)
         max_val = max(max_val, val)
         residues.append(x // p**val % p)
-        if val != nu_p(t, p) + offset:
+        if val != _lambda_valuation(p, e * t):
             failures.append((t, val))
     return ValuationReport(p, t_max, formula, t_max, max_val, tuple(failures), tuple(residues))

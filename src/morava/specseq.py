@@ -20,22 +20,24 @@ from morava.padic import INF, CyclicDecomp, cyclic_decomp, record
 _NAME_RE = re.compile(r"^[a-z]+$")
 
 
-@lru_cache(maxsize=1024)  # label cores come from rule sets: tens of them
-def _checked_core(exps: tuple) -> tuple:
-    """(non-u factors sorted by name, u-exponent or 0) of exps after checking class names,
-    repeats and zero exponents; cached, so each label core is checked and sorted once.
+@lru_cache(maxsize=1024)  # label and rule cores: tens of them
+def _checked_core(core: tuple) -> tuple:
+    """core sorted by name: the one check on label and rule cores, cached per distinct core.
+
+    Refuses bad class names, repeats, zero exponents and u, whose exponent is kept apart.
     """
     seen = set()
-    for name, e in exps:
+    for name, e in core:
         if not _NAME_RE.match(name):
             raise ValueError(f"bad class name {name!r}")
+        if name == "u":
+            raise ValueError("a core may not name u: the u-exponent is kept apart")
         if name in seen:
             raise ValueError(f"repeated class name {name!r}")
         if e == 0:
             raise ValueError("zero exponents must be dropped")
         seen.add(name)
-    core = tuple(sorted((pair for pair in exps if pair[0] != "u"), key=lambda pair: pair[0]))
-    return core, dict(exps).get("u", 0)
+    return tuple(sorted(core))  # names are distinct, so this sorts by name
 
 
 @lru_cache(maxsize=1024)
@@ -47,41 +49,25 @@ def _core_text(core: tuple) -> str:
 _set = object.__setattr__  # keeps values inline; touching __dict__ would build a dict per label
 
 
-def _fill(label, index: int, core: tuple, u: int):
-    _set(label, "index", index)
-    _set(label, "exps", core + (("u", u),) if u else core)
-    _set(label, "_core", core)
-    _set(label, "_u", u)
-    return label
-
-
 @record
 class Monomial:
-    """index * prod(name^exp); exps is sorted by name, u last so that labels read naturally.
-
-    The core (the non-u part) and the u-exponent are kept beside the fields.
-    """
+    """index * prod(name^exp) * u^u: core holds the non-u factors sorted by name, printed before u."""
 
     index: int = 1
-    exps: tuple = ()
+    core: tuple = ()
+    u: int = 0
 
     def __post_init__(self):
-        if self.index < 1:
+        if type(self.index) is not int or self.index < 1:  # a test, not a call: every label passes here
             raise ValueError("index must be a positive integer")
-        exps = tuple(self.exps)
-        us = [pair[1] for pair in exps if pair[0] == "u"]
-        if len(us) == 1 and us[0] != 0:  # a lone nonzero u passes every check
-            exps = tuple(pair for pair in exps if pair[0] != "u")
-        core = _checked_core(exps)[0]  # raises when u repeats or has exponent zero
-        _fill(self, self.index, core, sum(us))
+        _set(self, "core", _checked_core(tuple(self.core)))
 
     @staticmethod
     def parse(text: str) -> "Monomial":
         text = text.strip()
         if not text:
             raise ValueError("empty monomial")
-        index = 1
-        exps = []
+        index, core, u = 1, [], 0
         for tok in text.split("*"):
             tok = tok.strip()
             if not tok:
@@ -89,54 +75,28 @@ class Monomial:
             if tok.lstrip("-").isdigit():
                 index = index * int(tok)
                 continue
-            if "^" in tok:
-                name, _, e = tok.partition("^")
-                if not e.lstrip("-").isdigit():
-                    raise ValueError(f"bad exponent in {tok!r}")
-                exps.append((name, int(e)))
+            name, caret, e = tok.partition("^")
+            if caret and not e.lstrip("-").isdigit():
+                raise ValueError(f"bad exponent in {tok!r}")
+            e = int(e) if caret else 1
+            if name != "u":
+                core.append((name, e))
+            elif u or not e:
+                raise ValueError(f"u must appear once, with a nonzero exponent, in {text!r}")
             else:
-                exps.append((tok, 1))
-        return Monomial(index, tuple(exps))
-
-    @staticmethod
-    def of(core: tuple, u: int = 0) -> "Monomial":
-        """Monomial(1, core + (("u", u),)), with core checked once per distinct core."""
-        core, u_core = _checked_core(tuple(core))
-        if u and u_core:
-            raise ValueError("repeated class name 'u'")
-        return _fill(object.__new__(Monomial), 1, core, u or u_core)
+                u = e
+        return Monomial(index, tuple(core), u)
 
     def format(self) -> str:
-        u = self._u
-        parts = [_core_text(self._core)] if self._core else []
-        if u:
-            parts.append("u" if u == 1 else f"u^{u}")
+        parts = [_core_text(self.core)] if self.core else []
+        if self.u:
+            parts.append("u" if self.u == 1 else f"u^{self.u}")
         if self.index != 1 or not parts:
             parts.insert(0, str(self.index))
         return "*".join(parts)
 
-    def exp(self, name: str) -> int:
-        if name == "u":
-            return self._u
-        for nm, e in self._core:
-            if nm == name:
-                return e
-        return 0
-
-    def core(self) -> tuple:
-        return self._core
-
-    def with_exp(self, name: str, e: int) -> "Monomial":
-        exps = [(nm, ex) for nm, ex in self.exps if nm != name]
-        if e != 0:
-            exps.append((name, e))
-        return Monomial(self.index, tuple(exps))
-
     def scaled(self, m: int) -> "Monomial":
-        index = self.index * m
-        if index < 1:
-            raise ValueError("index must be a positive integer")
-        return _fill(object.__new__(Monomial), index, self._core, self._u)
+        return Monomial(self.index * m, self.core, self.u)
 
     def __str__(self):
         return self.format()
@@ -251,10 +211,10 @@ class Chart:
 class DifferentialRule:
     """Rewrite rule for one family of differentials on a page.
 
-    Applies to summands whose label core (non-u part) equals source_core and
-    whose u-exponent is u_res mod u_mod; the target label replaces the core
-    and shifts the u-exponent by u_shift.  Neither core may name u, and the
-    target core is checked and sorted once, here.
+    Applies to summands of index one whose label core (non-u part) equals
+    source_core and whose u-exponent is u_res mod u_mod; the target label
+    replaces the core and shifts the u-exponent by u_shift.  Both cores pass
+    the label core check and are sorted, here.
     """
 
     name: str
@@ -265,20 +225,18 @@ class DifferentialRule:
     u_res: int = 0
 
     def __post_init__(self):
-        if any(pair[0] == "u" for pair in tuple(self.source_core) + tuple(self.target_core)):
-            raise ValueError(f"rule {self.name}: the u-exponent belongs in u_shift, u_mod and u_res")
-        _set(self, "sorted_source", tuple(sorted(self.source_core)))
-        _set(self, "sorted_target", _checked_core(tuple(self.target_core))[0])
+        _set(self, "source_core", _checked_core(tuple(self.source_core)))
+        _set(self, "target_core", _checked_core(tuple(self.target_core)))
 
     def matches(self, label: Monomial) -> bool:
         return (
             label.index == 1
-            and label._core == self.sorted_source
-            and label._u % self.u_mod == self.u_res % self.u_mod
+            and label.core == self.source_core
+            and label.u % self.u_mod == self.u_res % self.u_mod
         )
 
     def target_label(self, label: Monomial) -> Monomial:
-        return Monomial.of(self.sorted_target, label._u + self.u_shift)
+        return Monomial(1, self.target_core, label.u + self.u_shift)
 
 
 def _miss_line(r: int, rule: DifferentialRule, label: Monomial, s: int, t: int) -> str:
@@ -310,10 +268,12 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     All matches are found against the incoming page and then applied at
     once.  A matched target is removed; the source keeps its kernel (order
     divided by the target's order, label index multiplied by it; removed if
-    nothing is left).  A source whose target cell has no matching label is
-    logged and kept.  Each summand asks only the rules with its label core
-    and its u-exponent's residue, in their given order; that list is built
-    once per (core, residue mod the lcm of the u_mods) on each page turn.
+    nothing is left).  A free target, or a finite one whose order does not
+    divide the source's, is refused.  A source whose target cell has no
+    matching label is logged and kept.  Each summand asks only the rules
+    with its label core and its u-exponent's residue, in their given order;
+    that list is built once per (core, residue mod the lcm of the u_mods) on
+    each page turn.
     A target is the label of index 1 with the rule's target core and the
     shifted u-exponent; no target label is built unless a miss is logged.
     """
@@ -325,20 +285,20 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     for (s, t), cell in entries.items() if rules else ():  # no rules: nothing to ask
         for summand in cell:
             label = summand.label
-            key = (label._core, label._u % mod)
+            key = (label.core, label.u % mod)
             candidates = asked.get(key)
             if candidates is None:
                 candidates = asked[key] = [
                     rule
                     for rule in rules
-                    if rule.sorted_source == key[0] and key[1] % rule.u_mod == rule.u_res % rule.u_mod
+                    if rule.source_core == key[0] and key[1] % rule.u_mod == rule.u_res % rule.u_mod
                 ]
             for rule in candidates:
                 if not rule.matches(label):
                     continue
-                core, u = rule.sorted_target, label._u + rule.u_shift
+                core, u = rule.target_core, label.u + rule.u_shift
                 for match in entries.get((s + r, t + r - 1), ()):
-                    if match.label._u == u and match.label._core == core and match.label.index == 1:
+                    if match.label.u == u and match.label.core == core and match.label.index == 1:
                         break
                 else:
                     chart._events.append((_miss_line, (r, rule, label, s, t)))
@@ -353,7 +313,7 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     out = chart.copy()
     out.page = r + 1
     for source, target, rule in hits:
-        if source.order != INF and (target.order == INF or source.order % target.order):
+        if target.order == INF or (source.order != INF and source.order % target.order):
             raise ValueError(f"inconsistent differential: {source.describe()} onto {target.describe()}")
         q = INF if source.order == INF else source.order // target.order
         kernel = (Summand(q, source.label.scaled(target.order), source.s, source.t),) if q > 1 else ()

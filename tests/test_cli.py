@@ -134,6 +134,22 @@ def test_valuation_cli_refuses_huge_bounds_fast():
         assert "65536-bit bound" in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [["k1", "ko", "--stems", "0..8"], ["k1", "homotopy", "--p", "2", "--stems", "3", "--json"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the read end of the pipe is closed before the command starts: exit 1, stderr empty
+    src = str(Path(morava.__file__).resolve().parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "morava.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (1, ""), argv
+
+
 def test_huge_primes_are_refused_fast():
     # 2^61 - 1 is prime; factoring it by trial division takes about 1.5e9 steps
     src = str(Path(morava.__file__).resolve().parents[1])

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import morava.homalg
 import morava.k1
 import morava.specseq
 from morava.homalg import g1_cohomology_E1
@@ -44,20 +45,25 @@ def test_sphere_label_scheme():
         assert str(cell.label) == text
 
 
+def _with_u(label, e):
+    """Monomial.with_exp("u", e) as it was: a second label, of the same index and core."""
+    return Monomial(label.index, label.core, e)
+
+
 def _sphere_label_by_with_exp(p, s, t):
     """The label scheme as first written, each label built twice; the oracle."""
     if s == 0:
         return Monomial.parse("1")
     if p != 2:
         base = (("zeta", 1),) if s == 1 else (("zeta", 1), ("eta", s - 1))
-        return Monomial(1, base).with_exp("u", -t // 2)
+        return _with_u(Monomial(1, base), -t // 2)
     if s == 1:
         if t % 4 == 0:
-            return Monomial(1, (("zeta", 1),)).with_exp("u", -t // 2)
-        return Monomial(1, (("eta", 1),)).with_exp("u", (2 - t) // 2)
+            return _with_u(Monomial(1, (("zeta", 1),)), -t // 2)
+        return _with_u(Monomial(1, (("eta", 1),)), (2 - t) // 2)
     if (t - 2 * s) % 4 == 0:
-        return Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
-    return Monomial(1, (("zeta", 1), ("eta", s - 1))).with_exp("u", (2 * s - 2 - t) // 2)
+        return _with_u(Monomial(1, (("eta", s),)), (2 * s - t) // 2)
+    return _with_u(Monomial(1, (("zeta", 1), ("eta", s - 1))), (2 * s - 2 - t) // 2)
 
 
 def _ko_e2_page_by_with_exp(s_max, t_lo, t_hi):
@@ -67,9 +73,9 @@ def _ko_e2_page_by_with_exp(s_max, t_lo, t_hi):
         if (t - 2 * s) % 4:
             continue
         if s == 0:
-            chart.add(Summand(INF, Monomial(1, (("u", -t // 2),) if t else ()), 0, t))
+            chart.add(Summand(INF, Monomial(1, (), -t // 2), 0, t))
         else:
-            label = Monomial(1, (("eta", s),)).with_exp("u", (2 * s - t) // 2)
+            label = _with_u(Monomial(1, (("eta", s),)), (2 * s - t) // 2)
             chart.add(Summand(2, label, s, t))
     return chart
 
@@ -283,8 +289,8 @@ def test_label_cores_are_checked_once_per_core():
     homotopy_table(2, range(0, 2000))
     misses = check.cache_info().misses
     page = sphere_e2_page(2, 14, -4, 2017)
-    cores = {x.label.core() for x in page.summands()}
-    cores |= {tuple(sorted(rule.target_core)) for rule in sphere_d3_rules(14)}
+    cores = {x.label.core for x in page.summands()}
+    cores |= {core for rule in sphere_d3_rules(14) for core in (rule.source_core, rule.target_core)}
     assert 0 < misses <= len(cores) <= 40, (misses, len(cores))
 
 
@@ -340,6 +346,15 @@ def test_valuation_report_exact():
     for p in (4, 6, 1):
         with pytest.raises(ValueError, match="p must be prime"):
             psi_valuation_report(p, 20)
+
+
+def test_valuation_report_checks_the_law_g1_cell_reads(monkeypatch):
+    # the report restates no valuation law: a wrong p = 2 term in homalg's fails it
+    assert morava.k1._lambda_valuation is morava.homalg._lambda_valuation
+    real = morava.homalg._lambda_valuation
+    monkeypatch.setattr(morava.k1, "_lambda_valuation", lambda p, m: real(p, m) + (p == 2 and m % 4 == 0))
+    assert psi_valuation_report(2, 20).failures == tuple((t, nu_p(t, 2) + 3) for t in range(2, 21, 2))
+    assert psi_valuation_report(3, 20).ok
 
 
 def test_valuation_report_refuses_powers_past_the_bit_bound():

@@ -118,7 +118,8 @@ class CohomologyGroup:
 @dataclass(frozen=True)
 class Monomial:
     index: int = 1
-    exps: tuple = ()
+    core: tuple = ()
+    u: int = 0
     __post_init__ = specseq.Monomial.__post_init__
 
 
@@ -184,7 +185,8 @@ def _decomp(rng):
 
 def _monomial_args(rng):
     names = rng.sample(("u", "eta", "zeta", "x"), rng.randrange(3))
-    return rng.randint(1, 3), tuple((nm, rng.choice((-2, 1, 3))) for nm in names)
+    exps = tuple((nm, rng.choice((-2, 1, 3))) for nm in names)
+    return rng.randint(1, 3), tuple(pair for pair in exps if pair[0] != "u"), dict(exps).get("u", 0)
 
 
 def _monomial(rng):
@@ -256,7 +258,7 @@ CASES = {
         specseq.Monomial,
         Monomial,
         _monomial_args,
-        [(0, ()), (1, (("X1", 1),)), (1, (("u", 1), ("u", 2))), (1, (("u", 0),))],
+        [(0, ()), (2.0, ()), (1, (("X1", 1),)), (1, (("u", 1),)), (1, (("eta", 0),)), (1, (("x", 1), ("x", 2)))],
     ),
     "Summand": (
         specseq.Summand,
@@ -268,7 +270,7 @@ CASES = {
         specseq.DifferentialRule,
         DifferentialRule,
         lambda r: ("d3", (("eta", 1),), (("eta", 4),), r.choice((-2, 2)), r.choice((1, 4)), r.randrange(4)),
-        [],
+        [("d3", (("eta", 0),), (), 2), ("d3", (), (("u", 1),), 2)],
     ),
     "StemGroup": (
         specseq.StemGroup,
