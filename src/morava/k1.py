@@ -68,32 +68,6 @@ def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
-def _eta_towers(s_max: int, zeta: bool = False):
-    """d_3 on the towers eta^a (times zeta when asked), 0 <= a <= s_max.
-
-    The differential adds three etas and two powers of u; only classes whose
-    u-exponent is 2 mod 4 support it.
-    """
-    times = (("zeta", 1),) if zeta else ()
-    rules = []
-    for a in range(s_max + 1):
-        name = f"zeta*eta^{a}" if zeta else f"eta^{a}" if a else "u"
-        source = ((("eta", a),) if a else ()) + times
-        target = (("eta", a + 3),) + times
-        rules.append(DifferentialRule(f"{name} tower", source, target, u_shift=2, u_mod=4, u_res=2))
-    return rules
-
-
-def sphere_d3_rules(s_max: int):
-    """d_3 rewrites at p = 2: KO's d_3 and the zeta * eta towers.
-
-    The bottom zeta tower feeds in with index one; its kernel keeps the label
-    with a doubled index.  KO's u tower never fires here: the sphere's only
-    class with no eta or zeta is 1, whose u-exponent is 0.
-    """
-    return ko_d3_rules(s_max) + _eta_towers(s_max, zeta=True)
-
-
 def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Fixed points of the order-two subgroup alone: the real K-theory chart."""
     chart = Chart(2)
@@ -104,9 +78,10 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
-def ko_d3_rules(s_max: int):
-    """d_3 rewrites on the real K-theory chart: the u tower and the eta towers."""
-    return _eta_towers(s_max)
+# d_3 at p = 2, on the sphere and KO alike: a class whose u-exponent is 2 mod 4 hits its
+# product with eta^3 u^2.  On the sphere the bottom zeta class feeds in with index one, and
+# its kernel keeps the label with a doubled index.
+_D3 = DifferentialRule("eta^3*u^2", (("eta", 3),), u_shift=2, u_mod=4, u_res=2)
 
 
 @record
@@ -180,7 +155,7 @@ def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
 def ko_table(stems) -> HomotopyTable:
     """Run the real K-theory chart through d_3 and read off the stems."""
     notes = ("d_3 doubles the u tower in stems 4 mod 8",)
-    return _table(2, stems, partial(ko_e2_page, _S_BUILD), ([], ko_d3_rules(_S_BUILD)), None, notes)
+    return _table(2, stems, partial(ko_e2_page, _S_BUILD), ([], [_D3]), None, notes)
 
 
 def homotopy_table(p: int, stems) -> HomotopyTable:
@@ -192,9 +167,8 @@ def homotopy_table(p: int, stems) -> HomotopyTable:
         "d_3 adds three etas and two powers of u where the u-exponent is 2 mod 4",
         "stems 3 mod 8 carry a hidden extension joining the two summands",
     )
-    pages = ([], sphere_d3_rules(_S_BUILD))
     extensions = {"modulus": 8, "join": {3}}
-    return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), pages, extensions, notes)
+    return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), ([], [_D3]), extensions, notes)
 
 
 @record

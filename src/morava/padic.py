@@ -394,8 +394,7 @@ def smith_normal_form(matrix, params: PadicParams) -> SmithForm:
     )
 
 
-@lru_cache(maxsize=1024)  # charts and E_1 grids build thousands of decompositions of a few order lists
-def _clean_orders(p: int, orders: tuple) -> tuple:
+def _clean_orders(p: int, orders) -> tuple:
     """orders as ints with the 1s dropped, sorted descending (INF first); ValueError on a non-power of p."""
     cleaned = []
     for o in orders:
@@ -426,7 +425,7 @@ class CyclicDecomp:
     precision_caveat: bool = False
 
     def __post_init__(self):
-        orders = _clean_orders(self.p, tuple(self.orders))
+        orders = _clean_orders(self.p, self.orders)
         object.__setattr__(self, "orders", orders)
         if INF not in orders:
             object.__setattr__(self, "precision_caveat", False)

@@ -2,11 +2,11 @@
 
 Charts hold cyclic summands at positions (s, t), labeled by monomials in
 named classes with integer exponents (e.g. "2*zeta*u^-2").  Differentials
-on page r go (s, t) -> (s + r, t + r - 1); a rule rewrites a source label
-into its target label, the matched target is wiped out, and the source is
-replaced by the kernel (order divided, label index multiplied).  Every
-application is logged so a page turn is auditable; a log line is formatted
-only when the log is first read.
+on page r go (s, t) -> (s + r, t + r - 1); a rule multiplies a source label
+by a fixed monomial to name its target, the matched target is wiped out, and
+the source is replaced by the kernel (order divided, label index multiplied).
+Every application is logged so a page turn is auditable; a log line is
+formatted only when the log is first read.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import re
 from functools import lru_cache
 from math import lcm
 
-from morava.padic import INF, CyclicDecomp, cyclic_decomp, record
+from morava.padic import INF, CyclicDecomp, check_int, cyclic_decomp, record
 
-_NAME_RE = re.compile(r"^[a-z]+$")
+_NAME_RE = re.compile(r"[a-z]+")
 
 
 @lru_cache(maxsize=1024)  # label and rule cores: tens of them
@@ -28,7 +28,7 @@ def _checked_core(core: tuple) -> tuple:
     """
     seen = set()
     for name, e in core:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ValueError(f"bad class name {name!r}")
         if name == "u":
             raise ValueError("a core may not name u: the u-exponent is kept apart")
@@ -38,6 +38,15 @@ def _checked_core(core: tuple) -> tuple:
             raise ValueError("zero exponents must be dropped")
         seen.add(name)
     return tuple(sorted(core))  # names are distinct, so this sorts by name
+
+
+@lru_cache(maxsize=1024)  # (label core, rule factor) pairs: tens of them
+def _product(core: tuple, times: tuple) -> tuple:
+    """The checked core of the product of two checked cores: exponents add, and a zero drops out."""
+    exps = dict(core)
+    for name, e in times:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted((name, e) for name, e in exps.items() if e))
 
 
 @lru_cache(maxsize=1024)
@@ -60,6 +69,8 @@ class Monomial:
     def __post_init__(self):
         if type(self.index) is not int or self.index < 1:  # a test, not a call: every label passes here
             raise ValueError("index must be a positive integer")
+        if type(self.u) is not int:
+            raise ValueError(f"u must be an integer, got {self.u!r}")
         _set(self, "core", _checked_core(tuple(self.core)))
 
     @staticmethod
@@ -209,34 +220,30 @@ class Chart:
 
 @record
 class DifferentialRule:
-    """Rewrite rule for one family of differentials on a page.
+    """One family of differentials on a page: a target is its source label times a fixed monomial.
 
-    Applies to summands of index one whose label core (non-u part) equals
-    source_core and whose u-exponent is u_res mod u_mod; the target label
-    replaces the core and shifts the u-exponent by u_shift.  Both cores pass
-    the label core check and are sorted, here.
+    Applies to every label of index one whose u-exponent is u_res mod u_mod;
+    its target is the source label times the factors in times (no u; checked
+    and sorted once, here) and u^u_shift.
     """
 
     name: str
-    source_core: tuple
-    target_core: tuple
+    times: tuple
     u_shift: int
     u_mod: int = 1
     u_res: int = 0
 
     def __post_init__(self):
-        _set(self, "source_core", _checked_core(tuple(self.source_core)))
-        _set(self, "target_core", _checked_core(tuple(self.target_core)))
+        _set(self, "times", _checked_core(tuple(self.times)))
+        check_int("u_shift", self.u_shift, -INF)
+        check_int("u_mod", self.u_mod)
+        check_int("u_res", self.u_res, -INF)
 
     def matches(self, label: Monomial) -> bool:
-        return (
-            label.index == 1
-            and label.core == self.source_core
-            and label.u % self.u_mod == self.u_res % self.u_mod
-        )
+        return label.index == 1 and label.u % self.u_mod == self.u_res % self.u_mod
 
     def target_label(self, label: Monomial) -> Monomial:
-        return Monomial(1, self.target_core, label.u + self.u_shift)
+        return Monomial(1, _product(label.core, self.times), label.u + self.u_shift)
 
 
 def _miss_line(r: int, rule: DifferentialRule, label: Monomial, s: int, t: int) -> str:
@@ -268,14 +275,14 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     All matches are found against the incoming page and then applied at
     once.  A matched target is removed; the source keeps its kernel (order
     divided by the target's order, label index multiplied by it; removed if
-    nothing is left).  A free target, or a finite one whose order does not
-    divide the source's, is refused.  A source whose target cell has no
+    nothing is left).  A free target, a finite one whose order does not
+    divide the source's, and one that two sources hit are refused.  A source whose target cell has no
     matching label is logged and kept.  Each summand asks only the rules
-    with its label core and its u-exponent's residue, in their given order;
-    that list is built once per (core, residue mod the lcm of the u_mods) on
-    each page turn.
-    A target is the label of index 1 with the rule's target core and the
-    shifted u-exponent; no target label is built unless a miss is logged.
+    whose u congruence its u-exponent meets, in their given order; that list
+    is built once per residue mod the lcm of the u_mods on each page turn.
+    A target is the label of index 1 whose core is the source core times the
+    rule's factors and whose u-exponent is shifted; no target label is built
+    unless a miss is logged.
     """
     r = chart.page
     entries = chart.entries
@@ -285,18 +292,16 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     for (s, t), cell in entries.items() if rules else ():  # no rules: nothing to ask
         for summand in cell:
             label = summand.label
-            key = (label.core, label.u % mod)
-            candidates = asked.get(key)
+            res = label.u % mod
+            candidates = asked.get(res)
             if candidates is None:
-                candidates = asked[key] = [
-                    rule
-                    for rule in rules
-                    if rule.source_core == key[0] and key[1] % rule.u_mod == rule.u_res % rule.u_mod
+                candidates = asked[res] = [
+                    rule for rule in rules if res % rule.u_mod == rule.u_res % rule.u_mod
                 ]
             for rule in candidates:
                 if not rule.matches(label):
                     continue
-                core, u = rule.target_core, label.u + rule.u_shift
+                core, u = _product(label.core, rule.times), label.u + rule.u_shift
                 for match in entries.get((s + r, t + r - 1), ()):
                     if match.label.u == u and match.label.core == core and match.label.index == 1:
                         break
@@ -309,6 +314,10 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     if any(id(y) in sources for _, y, _ in hits):
         overlap = {(x.s, x.t, x.label) for x, _, _ in hits} & {(y.s, y.t, y.label) for _, y, _ in hits}
         raise ValueError(f"summand is both source and target on page {r}: {overlap}")
+    targets = [id(y) for _, y, _ in hits]
+    if len(set(targets)) < len(targets):
+        twice = {(y.s, y.t, y.label) for _, y, _ in hits if targets.count(id(y)) > 1}
+        raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
 
     out = chart.copy()
     out.page = r + 1

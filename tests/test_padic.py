@@ -16,6 +16,7 @@ from morava.padic import (
     _is_prime,
     _prime_factors,
     check_prime,
+    cyclic_decomp,
     identity_matrix,
     invert_matrix,
     mat_mul,
@@ -443,8 +444,9 @@ _ORDERS = st.one_of(
 @given(st.sampled_from([2, 3, 5]), st.lists(_ORDERS, max_size=5), st.sampled_from([False, True, 1]))
 def test_cyclic_decomp_matches_cleaning_loop(p, orders, caveat):
     expected = _decomp_outcome(lambda: _decomp_by_loop(p, orders, caveat))
-    for _ in range(2):  # the second construction reads the cache
-        got = _decomp_outcome(lambda: (lambda d: (d.orders, d.precision_caveat))(CyclicDecomp(p, orders, caveat)))
+    # the record itself, then the shared one twice: the second cyclic_decomp call reads its cache
+    for build in (CyclicDecomp, cyclic_decomp, cyclic_decomp):
+        got = _decomp_outcome(lambda: (lambda d: (d.orders, d.precision_caveat))(build(p, tuple(orders), caveat)))
         assert got == expected, (p, orders, caveat)
 
 

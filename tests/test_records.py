@@ -135,8 +135,7 @@ class Summand:
 @dataclass(frozen=True)
 class DifferentialRule:
     name: str
-    source_core: tuple
-    target_core: tuple
+    times: tuple
     u_shift: int
     u_mod: int = 1
     u_res: int = 0
@@ -258,7 +257,10 @@ CASES = {
         specseq.Monomial,
         Monomial,
         _monomial_args,
-        [(0, ()), (2.0, ()), (1, (("X1", 1),)), (1, (("u", 1),)), (1, (("eta", 0),)), (1, (("x", 1), ("x", 2)))],
+        [
+            (0, ()), (2.0, ()), (1, (("X1", 1),)), (1, (("u", 1),)), (1, (("eta", 0),)), (1, (("x", 1), ("x", 2))),
+            (1, (), 2.0), (1, (), True), (1, (("eta\n", 1),)),
+        ],
     ),
     "Summand": (
         specseq.Summand,
@@ -269,8 +271,11 @@ CASES = {
     "DifferentialRule": (
         specseq.DifferentialRule,
         DifferentialRule,
-        lambda r: ("d3", (("eta", 1),), (("eta", 4),), r.choice((-2, 2)), r.choice((1, 4)), r.randrange(4)),
-        [("d3", (("eta", 0),), (), 2), ("d3", (), (("u", 1),), 2)],
+        lambda r: (
+            "d3", r.choice(((), (("eta", 3),), (("zeta", 1), ("eta", -1)))), r.choice((-2, 2)), r.choice((1, 4)),
+            r.randrange(4),
+        ),
+        [("d3", (("eta", 0),), 2), ("d3", (("u", 1),), 2), ("d3", (), 2, 0), ("d3", (), 2.0), ("d3", (), 2, 4, True)],
     ),
     "StemGroup": (
         specseq.StemGroup,

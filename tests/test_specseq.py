@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morava import k1
-from morava.k1 import homotopy_table, ko_d3_rules, ko_e2_page, ko_table, sphere_d3_rules, sphere_e2_page
+from morava.k1 import homotopy_table, ko_e2_page, ko_table, sphere_e2_page
 from morava.padic import INF, CyclicDecomp, record
 from morava.specseq import (
     Chart,
@@ -52,10 +52,20 @@ def test_monomial_rejects_garbage():
             Monomial.parse(text)
     with pytest.raises(ValueError):
         Monomial.parse("Eta")
+    with pytest.raises(ValueError, match="bad class name"):  # passed a $-anchored match, and printed a newline
+        Monomial(1, (("eta\n", 1),))
     with pytest.raises(ValueError):
         Monomial(0, ())
     with pytest.raises(ValueError, match="may not name u"):
         Monomial(1, (("u", 2),))
+
+
+def test_label_u_is_an_int():
+    # a float or bool u once printed as "u^2.0" or "u"
+    for u in (2.0, True, False, "2", None, INF):
+        with pytest.raises(ValueError, match=f"u must be an integer, got {re.escape(repr(u))}"):
+            Monomial(1, (("x", 1),), u)
+    assert str(Monomial(1, (("x", 1),), 2)) == "x*u^2"
 
 
 def test_label_index_is_a_positive_int():
@@ -83,9 +93,11 @@ class _MonomialByLoop:
     def __post_init__(self):
         if type(self.index) is not int or self.index < 1:
             raise ValueError("index must be a positive integer")
+        if type(self.u) is not int:
+            raise ValueError(f"u must be an integer, got {self.u!r}")
         seen = set()
         for name, e in self.core:
-            if not re.match(r"^[a-z]+$", name):
+            if not re.fullmatch(r"[a-z]+", name):
                 raise ValueError(f"bad class name {name!r}")
             if name == "u":
                 raise ValueError("a core may not name u: the u-exponent is kept apart")
@@ -215,9 +227,8 @@ def test_chart_crop_and_json_and_render():
 
 
 def _toy_rule():
-    return DifferentialRule(
-        name="toy", source_core=(("x", 1),), target_core=(("y", 1),), u_shift=2
-    )
+    # x * u^k onto y * u^(k+2); it asks every label of index one, and a y finds no target
+    return DifferentialRule(name="toy", times=(("x", -1), ("y", 1)), u_shift=2)
 
 
 def test_differential_partial_kill_keeps_kernel():
@@ -279,14 +290,7 @@ def test_differential_unmatched_source_is_logged_and_kept():
 
 
 def test_differential_u_congruence_gates_matching():
-    rule = DifferentialRule(
-        name="gated",
-        source_core=(("x", 1),),
-        target_core=(("y", 1),),
-        u_shift=2,
-        u_mod=4,
-        u_res=2,
-    )
+    rule = DifferentialRule(name="gated", times=(("x", -1), ("y", 1)), u_shift=2, u_mod=4, u_res=2)
     chart = Chart(3)
     chart.add(Summand(2, Monomial.parse("x*u^4"), 0, 0))
     chart.add(Summand(2, Monomial.parse("y*u^6"), 3, 2))
@@ -301,9 +305,7 @@ def test_differential_u_congruence_gates_matching():
 def test_differential_source_and_target_overlap_is_an_error():
     rules = [
         _toy_rule(),
-        DifferentialRule(
-            name="chain", source_core=(("y", 1),), target_core=(("z", 1),), u_shift=2
-        ),
+        DifferentialRule(name="chain", times=(("y", -1), ("z", 1)), u_shift=2),
     ]
     chart = Chart(3)
     chart.add(Summand(2, Monomial.parse("x"), 0, 0))
@@ -313,12 +315,23 @@ def test_differential_source_and_target_overlap_is_an_error():
         apply_differentials(chart, rules)
 
 
+def test_two_sources_onto_one_target_are_refused():
+    # the second hit once found the target gone and died on a KeyError
+    rules = [_toy_rule(), DifferentialRule("w", (("w", -1), ("y", 1)), u_shift=2)]
+    chart = Chart(3)
+    chart.add(Summand(2, Monomial.parse("x"), 0, 0))
+    chart.add(Summand(2, Monomial.parse("w"), 0, 0))
+    chart.add(Summand(2, Monomial.parse("y*u^2"), 3, 2))
+    for apply in (apply_differentials, _apply_differentials_by_scan):
+        with pytest.raises(ValueError, match=r"target of two sources on page 3: \{\(3, 2, Monomial\(index=1"):
+            apply(chart.copy(), rules)
+
+
 def test_rules_refuse_cores_that_name_u():
-    # a source core naming u never matched (label cores leave u out), and a target core
-    # naming u raised "repeated class name 'u'" only once the rule fired
-    for source, target in (((("x", 1), ("u", 2)), (("y", 1),)), ((("x", 1),), (("u", 1), ("y", 1)))):
+    # a factor of u would belong in u_shift
+    for times in ((("x", 1), ("u", 2)), (("u", 1), ("y", 1)), (("u", 1),)):
         with pytest.raises(ValueError, match="a core may not name u"):
-            DifferentialRule("with u", source, target, u_shift=2)
+            DifferentialRule("with u", times, u_shift=2)
 
 
 @pytest.mark.parametrize(
@@ -327,22 +340,41 @@ def test_rules_refuse_cores_that_name_u():
         ((("eta", 0),), "zero exponents must be dropped"),
         ((("eta", 1), ("eta", 2)), "repeated class name 'eta'"),
         ((("Eta", 1),), "bad class name 'Eta'"),
+        ((("eta\n", 1),), "bad class name 'eta\\\\n'"),
     ],
 )
 def test_rule_cores_pass_the_label_check(core, error):
-    # each of these source cores was once accepted, and the rule could never match a label
     with pytest.raises(ValueError, match=error):
-        DifferentialRule("bad source", core, (("y", 1),), u_shift=2)
-    with pytest.raises(ValueError, match=error):
-        DifferentialRule("bad target", (("y", 1),), core, u_shift=2)
+        DifferentialRule("bad times", core, u_shift=2)
 
 
 def test_rule_cores_are_sorted_in_place():
-    rule = DifferentialRule("sorted", (("zeta", 1), ("eta", 2)), [("y", 1), ("x", 3)], u_shift=2)
-    assert rule.source_core == (("eta", 2), ("zeta", 1))
-    assert rule.target_core == (("x", 3), ("y", 1))
-    assert rule.matches(Monomial.parse("eta^2*zeta*u^5"))
-    assert rule.target_label(Monomial.parse("eta^2*zeta*u^5")) == Monomial.parse("x^3*y*u^7")
+    rule = DifferentialRule("sorted", [("zeta", 1), ("eta", 2)], u_shift=2)
+    assert rule.times == (("eta", 2), ("zeta", 1))
+    assert rule.matches(Monomial.parse("x^3*y*u^5")) and not rule.matches(Monomial.parse("2*x"))
+    assert rule.target_label(Monomial.parse("x^3*y*u^5")) == Monomial.parse("eta^2*x^3*y*zeta*u^7")
+    # exponents add, and a factor whose exponent reaches zero drops out
+    assert rule.target_label(Monomial.parse("eta^-2*zeta")) == Monomial.parse("zeta^2*u^2")
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"u_mod": 0}, "u_mod must be >= 1, got 0"),
+        ({"u_mod": -4}, "u_mod must be >= 1, got -4"),
+        ({"u_mod": 4.0}, "u_mod must be an integer, got 4.0"),
+        ({"u_mod": True}, "u_mod must be an integer, got True"),
+        ({"u_res": 2.0}, "u_res must be an integer, got 2.0"),
+        ({"u_res": None}, "u_res must be an integer, got None"),
+        ({"u_shift": "2"}, "u_shift must be an integer, got '2'"),
+        ({"u_shift": 2.5}, "u_shift must be an integer, got 2.5"),
+    ],
+)
+def test_rule_integer_fields_are_checked(kwargs, error):
+    # u_mod = 0 once built, and the page turn died on a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        DifferentialRule("bad", (("y", 1),), **{"u_shift": 2, **kwargs})
+    assert DifferentialRule("ok", (("y", 1),), u_shift=-2, u_mod=4, u_res=-1).u_res == -1
 
 
 def test_empty_rules_only_turn_the_page():
@@ -417,7 +449,8 @@ def test_assemble_refuses_to_join_free_summands():
 def _apply_differentials_by_scan(chart, rules):
     """The page turn that asks every rule about every summand; the oracle.
 
-    apply_differentials looks rules up by label core instead.
+    apply_differentials looks rules up by u residue instead.  Only matches and
+    target_label are read, so it runs the tower rules of _CoreRule as well.
     """
     r = chart.page
     hits = []
@@ -446,6 +479,10 @@ def _apply_differentials_by_scan(chart, rules):
     overlap = sources & targets
     if overlap:
         raise ValueError(f"summand is both source and target on page {r}: {overlap}")
+    hit = [(y.s, y.t, y.label) for _, y, _ in hits]
+    twice = {key for key in hit if hit.count(key) > 1}
+    if twice:
+        raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
 
     out = chart.copy()
     out.page = r + 1
@@ -486,6 +523,71 @@ def _apply_differentials_by_scan(chart, rules):
     return out
 
 
+@record
+class _CoreRule:
+    """A differential rule as first written, for one fixed source core onto one fixed target core.
+
+    It applies to labels of index one whose core is source_core and whose
+    u-exponent is u_res mod u_mod; the target has target_core and the shifted
+    u-exponent.  Built from it, the per-tower d_3 rules are the oracle for the
+    one rule of the p = 2 tables.
+    """
+
+    name: str
+    source_core: tuple
+    target_core: tuple
+    u_shift: int
+    u_mod: int = 1
+    u_res: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "source_core", Monomial(1, self.source_core).core)
+        object.__setattr__(self, "target_core", Monomial(1, self.target_core).core)
+
+    def matches(self, label):
+        return (
+            label.index == 1
+            and label.core == self.source_core
+            and label.u % self.u_mod == self.u_res % self.u_mod
+        )
+
+    def target_label(self, label):
+        return Monomial(1, self.target_core, label.u + self.u_shift)
+
+
+def _eta_towers(s_max, zeta=False):
+    """d_3 on the towers eta^a (times zeta when asked), 0 <= a <= s_max, one rule per tower."""
+    times = (("zeta", 1),) if zeta else ()
+    rules = []
+    for a in range(s_max + 1):
+        name = f"zeta*eta^{a}" if zeta else f"eta^{a}" if a else "u"
+        source = ((("eta", a),) if a else ()) + times
+        target = (("eta", a + 3),) + times
+        rules.append(_CoreRule(f"{name} tower", source, target, u_shift=2, u_mod=4, u_res=2))
+    return rules
+
+
+def _sphere_towers(s_max):
+    """The sphere's d_3 as 2 * (s_max + 1) tower rules: KO's towers and the zeta * eta towers."""
+    return _eta_towers(s_max) + _eta_towers(s_max, zeta=True)
+
+
+def sphere_d3_rules(s_max):
+    """The d_3 page the p = 2 sphere table passes, for every chart height: k1's one rule."""
+    return [k1._D3]
+
+
+ko_d3_rules = sphere_d3_rules  # the KO table passes the same page
+
+
+_BRACKET = re.compile(r"^(d_\d+) \[[^\]]*\]")
+
+
+def _masked(lines):
+    """Log lines with each rule name in brackets blanked."""
+    return [_BRACKET.sub(r"\1 []", line) for line in lines]
+
+
 def _turn(apply, chart, rules):
     """(outcome, page or error, input log) of one page turn on a copy of chart."""
     chart = chart.copy()
@@ -502,6 +604,16 @@ def _assert_same_turn(chart, rules):
     return new
 
 
+def _assert_same_as_towers(chart, towers):
+    """The one d_3 rule turns the page as the scan over the tower rules does, but for the brackets."""
+    new = _turn(apply_differentials, chart, sphere_d3_rules(14))
+    old = _turn(_apply_differentials_by_scan, chart, towers)
+    new[1]["log"], old[1]["log"] = _masked(new[1]["log"]), _masked(old[1]["log"])
+    assert new[0] == old[0] == "ok"
+    assert (new[1], _masked(new[2])) == (old[1], _masked(old[2]))
+    return new
+
+
 def test_page_turn_matches_scan_on_sphere_and_ko_windows():
     rng = random.Random(8)
     for _ in range(4):
@@ -509,9 +621,11 @@ def test_page_turn_matches_scan_on_sphere_and_ko_windows():
         page = apply_differentials(sphere_e2_page(2, 14, lo, lo + 300), [])
         kind, out, _ = _assert_same_turn(page, sphere_d3_rules(14))
         assert kind == "ok" and any("kills" in line for line in out["log"])
+        _assert_same_as_towers(page, _sphere_towers(14))
         page = apply_differentials(ko_e2_page(14, lo, lo + 300), [])
         kind, out, _ = _assert_same_turn(page, ko_d3_rules(14))
         assert kind == "ok" and any("kills" in line for line in out["log"])
+        _assert_same_as_towers(page, _eta_towers(14))
 
 
 _NAMES = ("x", "y", "z")
@@ -522,13 +636,12 @@ def _random_core(rng):
 
 
 def _random_page(rng):
-    """A small page and rule list built so that rules share cores, labels carry
+    """A small page and rule list built so that rules share u residues, labels carry
     indices > 1, some targets are missing and some targets are also sources."""
     cores = [_random_core(rng) for _ in range(3)]
     rules = [
         DifferentialRule(
-            f"r{i}", rng.choice(cores), rng.choice(cores), rng.randrange(-2, 3),
-            u_mod=rng.choice((1, 2, 4)), u_res=rng.randrange(4),
+            f"r{i}", rng.choice(cores), rng.randrange(-2, 3), u_mod=rng.choice((1, 2, 4)), u_res=rng.randrange(4)
         )
         for i in range(rng.randrange(1, 7))
     ]
@@ -560,24 +673,33 @@ def test_drawn_charts_reach_every_case():
     for seed in range(300):
         chart, rules = _random_page(random.Random(seed))
         kind, out, log = _assert_same_turn(chart, rules)
-        by_core = {}
-        for rule in rules:
-            by_core.setdefault(rule.source_core, []).append(rule)
+        r = chart.page
         for x in chart.summands():
-            bucket = by_core.get(x.label.core, [])
-            if x.label.index > 1 and bucket:
+            index_one = Monomial(1, x.label.core, x.label.u)
+            asked = [rule for rule in rules if rule.matches(index_one)]
+            if x.label.index > 1 and asked:
                 seen.add("index > 1")
-            if len({(r.u_mod, r.u_res % r.u_mod) for r in bucket}) > 1 and any(
-                r.matches(x.label) for r in bucket[1:]
-            ):
-                seen.add("shared core")
+            if x.label.index > 1 or len(asked) < 2:
+                continue
+            seen.add("shared residue")
+            found = [
+                any(y.label == rule.target_label(x.label) for y in chart.cell(x.s + r, x.t + r - 1))
+                for rule in asked
+            ]
+            if not found[0] and any(found[1:]):
+                seen.add("missing target, then a hit")
         if any("left in place" in line for line in log):
             seen.add("missing target")
         if kind == "ok" and any("kills" in line for line in out["log"]):
             seen.add("hit")
         if kind == "error" and "both source and target" in out:
             seen.add("overlap")
-    assert seen == {"index > 1", "shared core", "missing target", "hit", "overlap"}
+        if kind == "error" and "two sources" in out:
+            seen.add("two sources")
+    assert seen == {
+        "index > 1", "shared residue", "missing target", "missing target, then a hit", "hit", "overlap",
+        "two sources",
+    }
 
 
 def test_page_turn_asks_at_most_one_rule_per_summand(monkeypatch):
@@ -663,11 +785,11 @@ def test_assemble_matches_summand_scan_on_sphere_and_ko_windows():
             assert _assembled(assemble_stems, final, 2, stems, extensions) == expected
 
 
-def _eager_log(build, rules, stems):
-    """The log of a k1 table's chart from the eager scan oracle followed by crop."""
+def _eager_chart(build, rules, stems):
+    """A k1 table's final chart from the eager scan oracle followed by crop."""
     page = build(stems[0] - k1._T_MARGIN, stems[-1] + k1._S_BUILD + k1._T_MARGIN)
     final = _apply_differentials_by_scan(_apply_differentials_by_scan(page, []), rules)
-    return final.crop(k1._S_KEEP, stems[0] - 1, stems[-1] + k1._S_KEEP + 1).log
+    return final.crop(k1._S_KEEP, stems[0] - 1, stems[-1] + k1._S_KEEP + 1)
 
 
 def test_table_logs_are_formatted_only_when_read(monkeypatch):
@@ -686,5 +808,29 @@ def test_table_logs_are_formatted_only_when_read(monkeypatch):
         log = table.chart.log
         assert any(" kills " in line for line in log)
         assert log[-1] == f"crop: s <= {k1._S_KEEP}, -201 <= t <= 211"
-        assert log == _eager_log(build, rules, stems)
+        assert log == _eager_chart(build, rules, stems).log
         assert table.chart.log is log  # formatted once
+
+
+def _chart_json(chart):
+    out = chart.to_json()
+    out["log"] = _masked(out["log"])
+    return out
+
+
+def test_one_rule_tables_match_the_tower_rules():
+    # the sphere's towers once included KO's u tower, which never fires there: its only class
+    # with no eta or zeta is 1, at u^0; so both lists give the one rule's chart
+    stems = range(-600, 601)
+    sphere = lambda lo, hi: sphere_e2_page(2, k1._S_BUILD, lo, hi)
+    ko = lambda lo, hi: ko_e2_page(k1._S_BUILD, lo, hi)
+    towers = _sphere_towers(k1._S_BUILD)
+    assert len(towers) == 30 and towers[0].name == "u tower"
+    for table, build, rules in (
+        (homotopy_table(2, stems), sphere, towers),
+        (homotopy_table(2, stems), sphere, towers[1:]),
+        (ko_table(stems), ko, _eta_towers(k1._S_BUILD)),
+    ):
+        expected = _chart_json(_eager_chart(build, rules, stems))
+        assert sum(" kills " in line for line in expected["log"]) > 1000
+        assert _chart_json(table.chart) == expected
