@@ -78,9 +78,8 @@ def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
-# d_3 at p = 2, on the sphere and KO alike: a class whose u-exponent is 2 mod 4 hits its
-# product with eta^3 u^2.  On the sphere the bottom zeta class feeds in with index one, and
-# its kernel keeps the label with a doubled index.
+# the one d_3 at p = 2, for the sphere and KO alike; the sphere's bottom zeta class feeds in
+# with index one, and its kernel keeps the label with a doubled index
 _D3 = DifferentialRule("eta^3*u^2", (("eta", 3),), u_shift=2, u_mod=4, u_res=2)
 
 

@@ -276,10 +276,11 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     once.  A matched target is removed; the source keeps its kernel (order
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A free target, a finite one whose order does not
-    divide the source's, and one that two sources hit are refused.  A source whose target cell has no
-    matching label is logged and kept.  Each summand asks only the rules
-    whose u congruence its u-exponent meets, in their given order; that list
-    is built once per residue mod the lcm of the u_mods on each page turn.
+    divide the source's, and one that two sources hit are refused.  A source
+    whose target cell has no matching label is logged and kept.  Each summand
+    asks only the rules whose u congruence its u-exponent meets, in their
+    given order; that list is built once per residue mod the lcm of the
+    u_mods on each page turn.
     A target is the label of index 1 whose core is the source core times the
     rule's factors and whose u-exponent is shifted; no target label is built
     unless a miss is logged.

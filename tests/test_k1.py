@@ -418,8 +418,7 @@ def test_table_type_round_trip():
     assert table.to_json()["notes"]
 
 
-# SHA-1 of "\n".join(chart.log) over stems -300..300, recorded before the log was made lazy,
-# when each eta tower had its own d_3 rule
+# SHA-1 of "\n".join(chart.log) over stems -300..300, recorded before the log was made lazy
 _LOG_DIGESTS = {
     "sphere": "18ad73dc80b9cfe0a9e4ec599611c4f6e97c45d5",
     "ko": "15a91fe024f2d1cb97426892ce967c67d5bf65c4",

@@ -446,8 +446,8 @@ def test_cyclic_decomp_matches_cleaning_loop(p, orders, caveat):
     expected = _decomp_outcome(lambda: _decomp_by_loop(p, orders, caveat))
     # the record itself, then the shared one twice: the second cyclic_decomp call reads its cache
     for build in (CyclicDecomp, cyclic_decomp, cyclic_decomp):
-        got = _decomp_outcome(lambda: (lambda d: (d.orders, d.precision_caveat))(build(p, tuple(orders), caveat)))
-        assert got == expected, (p, orders, caveat)
+        fields = lambda: (lambda d: (d.orders, d.precision_caveat))(build(p, tuple(orders), caveat))
+        assert _decomp_outcome(fields) == expected, (p, orders, caveat)
 
 
 def test_cyclic_decomp_json():

@@ -272,10 +272,13 @@ CASES = {
         specseq.DifferentialRule,
         DifferentialRule,
         lambda r: (
-            "d3", r.choice(((), (("eta", 3),), (("zeta", 1), ("eta", -1)))), r.choice((-2, 2)), r.choice((1, 4)),
-            r.randrange(4),
+            "d3", r.choice(((), (("eta", 3),), (("zeta", 1), ("eta", -1)))),
+            r.choice((-2, 2)), r.choice((1, 4)), r.randrange(4),
         ),
-        [("d3", (("eta", 0),), 2), ("d3", (("u", 1),), 2), ("d3", (), 2, 0), ("d3", (), 2.0), ("d3", (), 2, 4, True)],
+        [
+            ("d3", (("eta", 0),), 2), ("d3", (("u", 1),), 2),
+            ("d3", (), 2, 0), ("d3", (), 2.0), ("d3", (), 2, 4, True),
+        ],
     ),
     "StemGroup": (
         specseq.StemGroup,
