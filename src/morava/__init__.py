@@ -33,7 +33,10 @@ _EXPORTS = {
         "Chart", "DifferentialRule", "Monomial", "Summand", "apply_differentials",
         "assemble_stems", "collapse_check",
     ),
-    "k1": ("HomotopyTable", "homotopy_table", "ko_table", "psi_valuation_report", "sphere_e2_page"),
+    "k1": (
+        "HomotopyTable", "fiber_groups", "homotopy_table", "ko_table", "psi_valuation_report",
+        "sphere_e2_page",
+    ),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -192,6 +192,14 @@ def _lambda_valuation(p: int, m: int) -> int:
     return nu_p(m, p) + (2 if p == 2 else 1)
 
 
+def psi_minus_one(p: int, order, t: int) -> tuple:
+    """(ker, coker) of psi - 1 on one cyclic summand of the given order (1 zero, INF free) in degree t."""
+    # psi - 1 is 0 on a finite summand and on Z_p at t = 0; on Z_p at t != 0 it is (p+1)^(t/2) - 1
+    if order != INF or not t:
+        return order, order
+    return 1, p ** _lambda_valuation(p, abs(t // 2))
+
+
 def g1_cell(p: int, s: int, t: int) -> tuple:
     """(order, provenance, row) of H^s(G_1, E_t) for s >= 0: order 1 is zero, INF free.
 
@@ -207,12 +215,12 @@ def g1_cell(p: int, s: int, t: int) -> tuple:
             return 1, "odd internal degree", None
     elif t % (2 * p - 2):
         return 1, "torsion character is nontrivial", None
-    # psi - 1 is 0 on the finite layers and on Z_p = H^0(C_m) at t = 0; on Z_p at t != 0 it is
-    # injective with cokernel Z_p/((p+1)^(t/2) - 1)
-    ker_part = cm_order(p, s, t) if s or not t else 1
+    ker_part = cm_order(p, s, t)
     coker_part = cm_order(p, s - 1, t) if s else 1
-    if coker_part == INF and t:
-        coker_part = p ** _lambda_valuation(p, abs(t // 2))
+    if s == 0:  # psi - 1 moves H^0(C_m) only: the kernel side of row 0, the cokernel side of row 1
+        ker_part = psi_minus_one(p, ker_part, t)[0]
+    elif s == 1:
+        coker_part = psi_minus_one(p, coker_part, t)[1]
     if ker_part != 1 and coker_part != 1:
         raise PrecisionError("both sides of the exact sequence are nonzero")
     if ker_part == coker_part == 1:

@@ -3,20 +3,23 @@
 The descent chart for the height-one stabilizer acting on the completed
 K-theory line has two rows for odd primes and collapses immediately; at
 p = 2 the central order-two subgroup contributes eta towers and a d_3
-page turn with a hidden extension in stems 3 mod 8.  The KO-flavored
-chart (the order-two subgroup alone) is built by the same engine.
+page turn.  The KO-flavored chart (the order-two subgroup alone) is built
+by the same engine.  Each stem is checked against the psi fiber sequence
+(Bott's table for KO), which also derives the hidden extension in stems 3 mod 8.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
+from math import gcd, prod
 
-from morava.padic import INF, check_int, check_prime, nu_p, record
-from morava.homalg import _lambda_valuation, cm_order, g1_cell
+from morava.padic import INF, check_int, check_prime, cyclic_decomp, nu_p, record
+from morava.homalg import _lambda_valuation, cm_order, g1_cell, psi_minus_one
 from morava.specseq import (
     Chart,
     DifferentialRule,
     Monomial,
+    StemGroup,
     Summand,
     apply_differentials,
     assemble_stems,
@@ -122,15 +125,9 @@ class HomotopyTable:
         return "\n".join(lines)
 
 
-def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
-    """Run one chart to its final page and read off the requested stems.
-
-    build(t_lo, t_hi) gives the E_2 page over a window wide enough for every
-    differential that reaches the stems; pages holds the rules of d_2, d_3,
-    ... in turn.  No differential is applied after the last page with rules,
-    so the chart must collapse from there on.
-    """
-    if isinstance(stems, range):  # sorted without listing it: a huge one would fill memory
+def _stem_list(stems):
+    """The requested stems, sorted: a range without listing it (a huge one would fill memory)."""
+    if isinstance(stems, range):
         stems = stems if stems.step > 0 else stems[::-1]
     else:  # a range holds ints only; any other list is checked
         stems = list(stems)
@@ -139,6 +136,49 @@ def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
         stems.sort()
     if not stems:
         raise ValueError("no stems requested")
+    return stems
+
+
+# Bott's pi_n KO_2 by n mod 8 as orders, 1 for zero: the KO table's groups, and X in fiber_groups at p = 2
+_BOTT = (INF, 2, 2, 1, INF, 1, 1, 1)
+
+
+def fiber_groups(p: int, stems) -> dict:
+    """{stem: (group, cyclic)} of the K(1)-local sphere on the requested stems whose group is nonzero.
+
+    Reads no chart: the sphere is the fiber of psi - 1 on X = KO_2 at p = 2 and on X = KU_p^(h mu_(p-1))
+    at odd p (Z_p in degrees 0 mod 2(p-1)), so stem t sits in coker(psi - 1 on pi_(t+1) X) -> pi_t ->
+    ker(psi - 1 on pi_t X).  The group is cyclic when one side is zero, else the sum of the sides.
+    """
+    check_prime(p)
+    stems = _stem_list(stems)
+    period = 8 if p == 2 else 2 * p - 2
+    x = _BOTT if p == 2 else (INF,) + (1,) * (period - 1)
+    # (group, cyclic) from the orders of the two sides, built once per pair
+    group = cache(lambda k, c: (cyclic_decomp(p, tuple(o for o in (k, c) if o != 1)), (k == 1) != (c == 1)))
+    # one slice per residue class: a range's classes recur every step entries, a list's stems are taken singly
+    step = period // gcd(stems.step, period) if isinstance(stems, range) else len(stems)
+    runs = [(stems[j] % period, stems[j::step]) for j in range(min(step, len(stems)))]
+    out = {}
+    for r, run in runs:  # a class's kernel side off degree 0, and its cokernel side's summand
+        ker, side = psi_minus_one(p, x[r], r or period)[0], x[(r + 1) % period]
+        if ker != 1 or side != 1:
+            out.update([(t, group(ker, psi_minus_one(p, side, t + 1)[1])) for t in run])
+    if 0 in stems:
+        out[0] = group(psi_minus_one(p, x[0], 0)[0], psi_minus_one(p, x[1], 1)[1])
+    return out
+
+
+def _table(p: int, stems, build, pages, expected, notes) -> HomotopyTable:
+    """Run one chart to its final page and read off the requested stems.
+
+    build(t_lo, t_hi) gives the E_2 page over a window wide enough for every
+    differential that reaches the stems; pages holds the rules of d_2, d_3,
+    ... in turn.  No differential is applied after the last page with rules,
+    so the chart must collapse from there on.  Each stem's direct sum must have the rank and
+    order of its group in expected(stems), as fiber_groups gives, and joins it where it is cyclic.
+    """
+    stems = _stem_list(stems)
     chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)
     r_from = chart.page
     for rules in pages:
@@ -148,26 +188,35 @@ def _table(p: int, stems, build, pages, extensions, notes) -> HomotopyTable:
     chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
     if not collapse_check(chart, r_from):
         raise ArithmeticError(f"chart does not collapse at page {r_from}")
-    return HomotopyTable(p, assemble_stems(chart, p, stems, extensions), chart, notes)
+    groups, want, zero = assemble_stems(chart, p, stems), expected(stems), (cyclic_decomp(p), False)
+    size = lambda d: (d.orders.count(INF), prod(o for o in d.orders if o != INF))
+    for i in groups.keys() & {t - s for s, t in chart.entries}.union(want):
+        (group, cyclic), g = want.get(i, zero), groups[i]
+        if g.decomp is not group and size(g.decomp) != size(group):
+            raise ArithmeticError(f"stem {i} assembles to {g.decomp}, but its group is {group}")
+        if cyclic and len(g.labels) > 1:
+            groups[i] = StemGroup(i, group, g.labels, joined=True)
+    return HomotopyTable(p, groups, chart, notes)
 
 
 def ko_table(stems) -> HomotopyTable:
-    """Run the real K-theory chart through d_3 and read off the stems."""
+    """Run the real K-theory chart through d_3 and read off the stems, checked against Bott's table."""
     notes = ("d_3 doubles the u tower in stems 4 mod 8",)
-    return _table(2, stems, partial(ko_e2_page, _S_BUILD), ([], [_D3]), None, notes)
+    bott = lambda stems: {t: (cyclic_decomp(2, (_BOTT[t % 8],)), True) for t in stems if _BOTT[t % 8] > 1}
+    return _table(2, stems, partial(ko_e2_page, _S_BUILD), ([], [_D3]), bott, notes)
 
 
 def homotopy_table(p: int, stems) -> HomotopyTable:
-    """Homotopy of the height-one local sphere on the requested stems."""
+    """Homotopy of the height-one local sphere on the requested stems, checked against fiber_groups."""
     if p != 2:
         notes = ("two rows only, so every differential vanishes and the chart collapses",)
-        return _table(p, stems, partial(sphere_e2_page, p, 1), ([],), None, notes)
+        return _table(p, stems, partial(sphere_e2_page, p, 1), ([],), partial(fiber_groups, p), notes)
     notes = (
         "d_3 adds three etas and two powers of u where the u-exponent is 2 mod 4",
         "stems 3 mod 8 carry a hidden extension joining the two summands",
     )
-    extensions = {"modulus": 8, "join": {3}}
-    return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), ([], [_D3]), extensions, notes)
+    expected = partial(fiber_groups, 2)
+    return _table(2, stems, partial(sphere_e2_page, 2, _S_BUILD), ([], [_D3]), expected, notes)
 
 
 @record

@@ -357,14 +357,8 @@ class StemGroup:
     joined: bool = False
 
 
-def assemble_stems(chart: Chart, p: int, stems, extensions=None) -> dict:
-    """Collapse a final page to homotopy groups, one per requested stem.
-
-    extensions, when given, is {"modulus": m, "join": {residues}}: stems in
-    those residue classes assemble as one cyclic group of the product order
-    (the hidden extension), everything else as a direct sum.  Joining a free
-    summand is refused.
-    """
+def assemble_stems(chart: Chart, p: int, stems) -> dict:
+    """Collapse a final page to homotopy groups, one per requested stem: the direct sum of its summands."""
     by_stem = {}
     entries = chart.entries
     for key in sorted(entries):
@@ -377,14 +371,5 @@ def assemble_stems(chart: Chart, p: int, stems, extensions=None) -> dict:
             out[i] = StemGroup(i, zero, ())
             continue
         orders = tuple([x.order for x in cell])
-        labels = tuple([str(x.label) for x in cell])
-        if extensions is not None and len(cell) > 1 and i % extensions["modulus"] in extensions["join"]:
-            if INF in orders:
-                raise ValueError(f"cannot join a free summand in stem {i}")
-            prod = 1
-            for o in orders:
-                prod *= o
-            out[i] = StemGroup(i, cyclic_decomp(p, (prod,)), labels, joined=True)
-        else:
-            out[i] = StemGroup(i, cyclic_decomp(p, orders), labels)
+        out[i] = StemGroup(i, cyclic_decomp(p, orders), tuple([str(x.label) for x in cell]))
     return out

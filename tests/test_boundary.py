@@ -20,7 +20,14 @@ from morava.grlie import (
     predicted_span,
 )
 from morava.homalg import ZpModuleWithOperator, cyclic_cohomology, g1_cohomology_E1
-from morava.k1 import homotopy_table, ko_e2_page, ko_table, psi_valuation_report, sphere_e2_page
+from morava.k1 import (
+    fiber_groups,
+    homotopy_table,
+    ko_e2_page,
+    ko_table,
+    psi_valuation_report,
+    sphere_e2_page,
+)
 from morava.order import from_json, order_one, s_gen
 from morava.padic import INF, PadicParams, check_int, check_prime
 from morava.stabilizer import StabElem, element_order
@@ -76,6 +83,8 @@ BOUNDARY = [
     ("psi_valuation_report t_max", lambda v: psi_valuation_report(3, v), "t_max", 1),
     ("homotopy_table stem", lambda v: homotopy_table(3, [0, v]), "stem", -INF),
     ("ko_table stem", lambda v: ko_table([v, 4]), "stem", -INF),
+    ("fiber_groups p", lambda v: fiber_groups(v, [0]), "p", -INF),
+    ("fiber_groups stem", lambda v: fiber_groups(3, [0, v]), "stem", -INF),
     ("sphere_e2_page s_max", lambda v: sphere_e2_page(3, v, 0, 8), "s_max", -INF),
     ("sphere_e2_page t_lo", lambda v: sphere_e2_page(3, 2, v, 8), "t_lo", -INF),
     ("ko_e2_page t_hi", lambda v: ko_e2_page(2, 0, v), "t_hi", -INF),
@@ -126,6 +135,12 @@ def test_former_holes_raise(call):
     # H^1 = Z/8 at t = 4.0, a truncated M
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("p", [1, 4, 6, 9])
+def test_fiber_groups_refuse_non_primes(p):
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        fiber_groups(p, range(-8, 9))
 
 
 # a leaf's argv without the flag under test; every `_positive_int` flag lies in one of them

@@ -3,8 +3,8 @@ import random
 import re
 import time
 from fractions import Fraction
-from functools import cache
-from math import comb
+from functools import cache, partial
+from math import comb, prod
 
 import pytest
 
@@ -13,10 +13,11 @@ import morava.k1
 import morava.specseq
 from morava.homalg import g1_cohomology_E1
 from morava.padic import INF, CyclicDecomp, nu_p
-from morava.specseq import Chart, Monomial, Summand
+from morava.specseq import Chart, DifferentialRule, Monomial, Summand
 from morava.k1 import (
     HomotopyTable,
     _even_cells,
+    fiber_groups,
     homotopy_table,
     ko_e2_page,
     ko_table,
@@ -187,6 +188,8 @@ def test_tables_refuse_empty_stems():
         for p in (2, 3):
             with pytest.raises(ValueError, match="no stems"):
                 homotopy_table(p, stems)
+            with pytest.raises(ValueError, match="no stems"):
+                fiber_groups(p, stems)
         with pytest.raises(ValueError, match="no stems"):
             ko_table(stems)
 
@@ -479,3 +482,100 @@ def test_image_of_j_matches_bernoulli_denominators(p):
         denominator = (_bernoulli(158)[2 * k] / (4 * k)).denominator
         order = p ** nu_p(denominator, p)
         assert table.group(4 * k - 1).decomp.orders == ((order,) if order > 1 else ()), (p, k)
+
+
+def _hand_chart(*summands):
+    """A _table build step that returns a fixed page-4 chart, whatever the window."""
+
+    def build(t_lo, t_hi):
+        chart = Chart(4)
+        for order, label, s, t in summands:
+            chart.add(Summand(order, Monomial.parse(label), s, t))
+        return chart
+
+    return build
+
+
+def test_table_joins_a_cyclic_stem_of_several_summands():
+    # the sequence makes stem 3 cyclic of order 8; the chart's Z/4 + Z/2 there is joined, and the
+    # unrequested stem 0 is neither checked nor read
+    build = _hand_chart((4, "zeta*u^-2", 1, 4), (2, "eta^3", 3, 6), (INF, "1", 0, 0))
+    table = morava.k1._table(2, [3], build, (), partial(fiber_groups, 2), ())
+    assert str(table.group(3).decomp) == "Z/8"
+    assert table.group(3).joined
+    assert set(table.group(3).labels) == {"zeta*u^-2", "eta^3"}
+    assert list(table.groups) == [3]
+
+
+def test_table_refuses_a_free_summand_in_a_cyclic_stem():
+    # stem 3 mod 8 is cyclic of finite order, so Z_2 + Z/2 there is refused, not joined
+    build = _hand_chart((INF, "1", 0, 3), (2, "eta^3", 3, 6))
+    with pytest.raises(ArithmeticError, match="stem 3 assembles to Z_2 \\+ Z/2, but its group is Z/8"):
+        morava.k1._table(2, [3], build, (), partial(fiber_groups, 2), ())
+    # a stem the chart leaves empty must be empty in the sequence too
+    with pytest.raises(ArithmeticError, match="stem 7 assembles to 0, but its group is Z/16"):
+        morava.k1._table(2, [7], _hand_chart(), (), partial(fiber_groups, 2), ())
+
+
+def test_d3_on_the_wrong_residue_is_refused(monkeypatch):
+    # at the parent of the fiber check these tables built without error
+    wrong = DifferentialRule("eta^3*u^2", (("eta", 3),), u_shift=2, u_mod=4, u_res=0)
+    monkeypatch.setattr(morava.k1, "_D3", wrong)
+    with pytest.raises(ArithmeticError, match="assembles to"):
+        homotopy_table(2, range(-40, 41))
+    with pytest.raises(ArithmeticError, match="assembles to"):
+        ko_table(range(-40, 41))
+
+
+def _rank_and_order(decomp):
+    free = decomp.orders.count(INF)
+    return free, prod(decomp.orders[free:])
+
+
+def test_fiber_groups_match_the_tables():
+    stems = range(-600, 601)
+    for p in (2, 3, 5, 7):
+        table, fiber = homotopy_table(p, stems), fiber_groups(p, stems)
+        assert not any(group.is_zero for group, _ in fiber.values())  # zero groups are left out
+        zero = (CyclicDecomp(p), False)
+        for i in stems:
+            group, cyclic = fiber.get(i, zero)
+            assert _rank_and_order(table.group(i).decomp) == _rank_and_order(group), (p, i)
+            assert table.group(i).joined == (cyclic and len(table.group(i).labels) > 1), (p, i)
+            if cyclic:
+                assert len(group.orders) == 1, (p, i)
+        if p != 2:
+            assert not any(g.joined for g in table.groups.values())
+            continue
+        # the declared policy the sequence replaced: join stems 3 mod 8 of several summands
+        policy = {i for i in stems if i % 8 == 3 and len(table.group(i).labels) > 1}
+        assert {i for i in stems if table.group(i).joined} == policy and len(policy) == 150
+        # both sides are nonzero at stem 0 and in stems 1 mod 8, so the chart's direct sum stays
+        for i in [0, *range(-599, 601, 8)]:
+            assert not fiber[i][1] and not table.group(i).joined, i
+            assert len(table.group(i).labels) == 2, i
+
+
+def test_fiber_groups_read_any_range_and_list():
+    for p in (2, 3, 5):
+        full = fiber_groups(p, range(-100, 101))
+        for step in (1, 2, 3, 4, 5, 7, 8, 12, -1, -3, -8):
+            stems = range(-100, 101, step) if step > 0 else range(100, -101, step)
+            assert fiber_groups(p, stems) == {i: full[i] for i in stems if i in full}, (p, step)
+            assert fiber_groups(p, list(stems)) == fiber_groups(p, stems), (p, step)
+        assert fiber_groups(p, [0]) == {0: full[0]}
+        assert fiber_groups(p, [1, 2]) == {i: full[i] for i in (1, 2) if i in full}
+
+
+def test_fiber_groups_read_no_chart(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chart was built")
+
+    for name in ("sphere_e2_page", "ko_e2_page", "g1_cell", "apply_differentials", "assemble_stems"):
+        monkeypatch.setattr(morava.k1, name, refuse)
+    expected = {-1: "Z_2", 0: "Z_2 + Z/2", 1: "Z/2 + Z/2", 2: "Z/2", 3: "Z/8", 7: "Z/16", 8: "Z/2"}
+    fiber = fiber_groups(2, range(-2, 9))
+    assert {i: str(g) for i, (g, _) in fiber.items()} == expected
+    assert [i for i, (_, cyclic) in sorted(fiber.items()) if not cyclic] == [0, 1]
+    three = fiber_groups(3, range(-1, 12))
+    assert {i: str(g) for i, (g, _) in three.items()} == {-1: "Z_3", 0: "Z_3", 3: "Z/3", 7: "Z/3", 11: "Z/9"}

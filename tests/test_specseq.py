@@ -428,27 +428,16 @@ def test_collapse_check_matches_quadratic_scan():
     assert outcomes == {True, False}
 
 
-def test_assemble_direct_sum_and_join():
+def test_assemble_direct_sum():
     chart = Chart(10)
     chart.add(Summand(4, Monomial.parse("zeta*u^-2"), 1, 4))
     chart.add(Summand(2, Monomial.parse("eta^3"), 3, 6))
     chart.add(Summand(INF, Monomial.parse("1"), 0, 0))
     plain = assemble_stems(chart, 2, [0, 3, 5])
     assert str(plain[3].decomp) == "Z/4 + Z/2"
+    assert not plain[3].joined
     assert str(plain[0].decomp) == "Z_2"
     assert plain[5].decomp.is_zero
-    joined = assemble_stems(chart, 2, [3], extensions={"modulus": 8, "join": {3}})
-    assert str(joined[3].decomp) == "Z/8"
-    assert joined[3].joined
-    assert set(joined[3].labels) == {"zeta*u^-2", "eta^3"}
-
-
-def test_assemble_refuses_to_join_free_summands():
-    chart = Chart(10)
-    chart.add(Summand(INF, Monomial.parse("1"), 0, 3))
-    chart.add(Summand(2, Monomial.parse("eta^3"), 3, 6))
-    with pytest.raises(ValueError, match="cannot join"):
-        assemble_stems(chart, 2, [3], extensions={"modulus": 8, "join": {3}})
 
 
 def _apply_differentials_by_scan(chart, rules):
@@ -725,7 +714,7 @@ def test_page_turn_asks_at_most_one_rule_per_summand(monkeypatch):
         assert sum(calls) >= 0.95 * len(calls), (sum(calls), len(calls))
 
 
-def _assemble_stems_by_summands(chart, p, stems, extensions=None):
+def _assemble_stems_by_summands(chart, p, stems):
     """assemble_stems as first written, through Chart.summands(): the oracle."""
     by_stem = {}
     for x in chart.summands():
@@ -735,20 +724,7 @@ def _assemble_stems_by_summands(chart, p, stems, extensions=None):
         cell = by_stem.get(i, [])
         orders = [x.order for x in cell]
         labels = tuple(str(x.label) for x in cell)
-        join = (
-            extensions is not None
-            and len(cell) > 1
-            and i % extensions["modulus"] in extensions["join"]
-        )
-        if join:
-            if INF in orders:
-                raise ValueError(f"cannot join a free summand in stem {i}")
-            prod = 1
-            for o in orders:
-                prod *= o
-            out[i] = StemGroup(i, CyclicDecomp(p, [prod]), labels, joined=True)
-        else:
-            out[i] = StemGroup(i, CyclicDecomp(p, orders), labels)
+        out[i] = StemGroup(i, CyclicDecomp(p, orders), labels)
     return out
 
 
@@ -770,25 +746,24 @@ def test_assemble_matches_summand_scan_on_drawn_charts(rng):
     except ValueError:
         pass
     stems = sorted(rng.sample(range(-8, 10), rng.randrange(1, 10)))
-    extensions = rng.choice((None, {"modulus": 2, "join": {1}}, {"modulus": 3, "join": {0, 2}}))
     for page in pages:
-        expected = _assembled(_assemble_stems_by_summands, page, 2, stems, extensions)
-        assert _assembled(assemble_stems, page, 2, stems, extensions) == expected
+        expected = _assembled(_assemble_stems_by_summands, page, 2, stems)
+        assert _assembled(assemble_stems, page, 2, stems) == expected
 
 
 def test_assemble_matches_summand_scan_on_sphere_and_ko_windows():
     rng = random.Random(13)
     for _ in range(3):
         lo = rng.randrange(-3000, 1000)
-        for page, rules, extensions in (
-            (sphere_e2_page(2, 14, lo - 4, lo + 218), sphere_d3_rules(14), {"modulus": 8, "join": {3}}),
-            (ko_e2_page(14, lo - 4, lo + 218), ko_d3_rules(14), None),
+        for page, rules in (
+            (sphere_e2_page(2, 14, lo - 4, lo + 218), sphere_d3_rules(14)),
+            (ko_e2_page(14, lo - 4, lo + 218), ko_d3_rules(14)),
         ):
             final = apply_differentials(apply_differentials(page, []), rules).crop(10, lo - 1, lo + 211)
             stems = range(lo, lo + 200)
-            expected = _assembled(_assemble_stems_by_summands, final, 2, stems, extensions)
+            expected = _assembled(_assemble_stems_by_summands, final, 2, stems)
             assert expected[0] == "ok"
-            assert _assembled(assemble_stems, final, 2, stems, extensions) == expected
+            assert _assembled(assemble_stems, final, 2, stems) == expected
 
 
 def _eager_chart(build, rules, stems):
