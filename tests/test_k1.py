@@ -512,9 +512,11 @@ def test_table_refuses_a_free_summand_in_a_cyclic_stem():
     build = _hand_chart((INF, "1", 0, 3), (2, "eta^3", 3, 6))
     with pytest.raises(ArithmeticError, match="stem 3 assembles to Z_2 \\+ Z/2, but its group is Z/8"):
         morava.k1._table(2, [3], build, (), partial(fiber_groups, 2), ())
-    # a stem the chart leaves empty must be empty in the sequence too
+    # an empty stem of the chart must be zero in the sequence, and a filled one nonzero
     with pytest.raises(ArithmeticError, match="stem 7 assembles to 0, but its group is Z/16"):
         morava.k1._table(2, [7], _hand_chart(), (), partial(fiber_groups, 2), ())
+    with pytest.raises(ArithmeticError, match="stem 4 assembles to Z/2, but its group is 0"):
+        morava.k1._table(2, [4], _hand_chart((2, "eta^4*u^2", 4, 8)), (), partial(fiber_groups, 2), ())
 
 
 def test_d3_on_the_wrong_residue_is_refused(monkeypatch):
