@@ -201,14 +201,14 @@ def psi_minus_one(p: int, order, t: int) -> tuple:
 
 
 def g1_cell(p: int, s: int, t: int) -> tuple:
-    """(order, provenance, row) of H^s(G_1, E_t) for s >= 0: order 1 is zero, INF free.
+    """(order, reason, row) of H^s(G_1, E_t) for s >= 0: order 1 is zero, INF free.
 
     G_1 = C_m x Z_p, and the quotient by C_m is pro-cyclic on psi = p + 1,
     giving for each s a short exact sequence coker(psi - 1 on H^(s-1)(C_m))
     -> H^s(G_1) -> ker(psi - 1 on H^s(C_m)).  psi acts by (p+1)^(t/2) on
     H^0(C_m) and trivially on the torsion layers, and only one side is ever
-    nonzero.  row is the degree of the C_m class the cell comes from: s on
-    the kernel side, s - 1 on the cokernel side, None for a zero cell.
+    nonzero.  reason is a constant, "ker" or "coker" for the side or why the cell
+    is zero; row is the degree of the C_m class the cell comes from (None if zero).
     """
     if p == 2:
         if t % 2:
@@ -223,12 +223,11 @@ def g1_cell(p: int, s: int, t: int) -> tuple:
         coker_part = psi_minus_one(p, coker_part, t)[1]
     if ker_part != 1 and coker_part != 1:
         raise PrecisionError("both sides of the exact sequence are nonzero")
-    if ker_part == coker_part == 1:
-        return 1, "zero on both sides", None
-    cm = "C_2" if p == 2 else f"C_{p - 1}"
     if ker_part != 1:
-        return ker_part, f"ker(psi - 1) on H^{s}({cm})", s
-    return coker_part, f"coker(psi - 1) on H^{s - 1}({cm})", s - 1
+        return ker_part, "ker", s
+    if coker_part != 1:
+        return coker_part, "coker", s - 1
+    return 1, "zero on both sides", None
 
 
 def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
@@ -237,5 +236,7 @@ def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
     check_int("degree s", s, 0)
     if type(t) is not int:  # a test, not a call: every E_1 cell passes here
         check_int("degree t", t, -INF)
-    order, provenance, _ = g1_cell(p, s, t)
-    return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), provenance)
+    order, reason, row = g1_cell(p, s, t)
+    if row is not None:
+        reason = f"{reason}(psi - 1) on H^{row}(C_{2 if p == 2 else p - 1})"
+    return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), reason)

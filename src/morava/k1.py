@@ -35,10 +35,10 @@ _VALUATION_BITS = 1 << 16  # bound on the bits of the last power psi_valuation_r
 _CHART_CELLS = 1 << 17  # most cells one chart window may hold
 
 
-def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
-    """The cells (s, t) with 0 <= s <= s_max and even t in [t_lo, t_hi].
+def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2) -> list:
+    """The cells (s, t) with 0 <= s <= s_max and t in [t_lo, t_hi] a multiple of the even step.
 
-    Refuses an empty window, and one of more than _CHART_CELLS cells before building any.
+    Refuses an empty window, and one of more than _CHART_CELLS cells of even t before building any.
     """
     for name, bound in (("s_max", s_max), ("t_lo", t_lo), ("t_hi", t_hi)):
         check_int(name, bound, -INF)
@@ -46,19 +46,21 @@ def _even_cells(s_max: int, t_lo: int, t_hi: int) -> list:
     if s_max < 0 or t_lo > t_hi:
         raise ValueError(f"empty chart window: {window}")
     first = t_lo + t_lo % 2
-    evens = max(0, (t_hi - first) // 2 + 1)
+    evens = max(0, (t_hi - first) // 2 + 1)  # the bound counts every even t, whatever the step
     if (s_max + 1) * evens > _CHART_CELLS:
         raise ValueError(f"chart window {window} passes the {_CHART_CELLS}-cell bound")
-    return [(s, t) for s in range(s_max + 1 if evens else 0) for t in range(first, t_hi + 1, 2)]
+    ts = range(t_lo + -t_lo % step, t_hi + 1, step)
+    return [(s, t) for s in range(s_max + 1 if evens else 0) for t in ts]
 
 
 def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     """Descent chart of the sphere over the given window, page 2.
 
     A cell from H^row(C_m) holds eta^row, times zeta when it comes from the
-    cokernel side (row = s - 1), times u^(row - t/2).
+    cokernel side (row = s - 1), times u^(row - t/2).  At odd p only t = 0 mod 2(p - 1) is visited.
     """
-    cells = _even_cells(s_max, t_lo, t_hi)
+    # the window is checked before p, so a p that is no int above 2 takes step 2 and fails check_prime
+    cells = _even_cells(s_max, t_lo, t_hi, 2 * p - 2 if type(p) is int and p > 2 else 2)
     check_prime(p)
     chart = Chart(2)
     for s, t in cells:
@@ -195,7 +197,7 @@ def _table(p: int, stems, build, pages, expected, notes) -> HomotopyTable:
         if g.decomp is not group and size(g.decomp) != size(group):
             raise ArithmeticError(f"stem {i} assembles to {g.decomp}, but its group is {group}")
         if cyclic and len(g.labels) > 1:
-            groups[i] = StemGroup(i, group, g.labels, joined=True)
+            groups[i] = StemGroup(group, g.labels, joined=True)
     return HomotopyTable(p, groups, chart, notes)
 
 

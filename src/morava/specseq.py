@@ -277,17 +277,17 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A free target, a finite one whose order does not
     divide the source's, and one that two sources hit are refused.  A source
-    whose target cell has no matching label is logged and kept.  Each summand
-    asks only the rules whose u congruence its u-exponent meets, in their
-    given order; that list is built once per residue mod the lcm of the
-    u_mods on each page turn.
+    whose target cell has no matching label is logged on the new page and
+    kept.  Each summand asks only the rules whose u congruence its u-exponent
+    meets, in their given order; that list is built once per residue mod the
+    lcm of the u_mods on each page turn.
     A target is the label of index 1 whose core is the source core times the
     rule's factors and whose u-exponent is shifted; no target label is built
     unless a miss is logged.
     """
     r = chart.page
     entries = chart.entries
-    hits = []
+    hits, misses = [], []
     mod = lcm(*(rule.u_mod for rule in rules))
     asked = {}
     for (s, t), cell in entries.items() if rules else ():  # no rules: nothing to ask
@@ -307,7 +307,7 @@ def apply_differentials(chart: Chart, rules) -> Chart:
                     if match.label.u == u and match.label.core == core and match.label.index == 1:
                         break
                 else:
-                    chart._events.append((_miss_line, (r, rule, label, s, t)))
+                    misses.append((_miss_line, (r, rule, label, s, t)))
                     continue
                 hits.append((summand, match, rule))
                 break
@@ -322,6 +322,7 @@ def apply_differentials(chart: Chart, rules) -> Chart:
 
     out = chart.copy()
     out.page = r + 1
+    out._events += misses
     for source, target, rule in hits:
         if target.order == INF or (source.order != INF and source.order % target.order):
             raise ValueError(f"inconsistent differential: {source.describe()} onto {target.describe()}")
@@ -349,27 +350,22 @@ def collapse_check(chart: Chart, r_from: int) -> bool:
 
 @record
 class StemGroup:
-    """The assembled abelian group in one stem."""
+    """The assembled abelian group in one stem; the stem is its key in the table."""
 
-    stem: int
     decomp: CyclicDecomp
     labels: tuple
     joined: bool = False
 
 
 def assemble_stems(chart: Chart, p: int, stems) -> dict:
-    """Collapse a final page to homotopy groups, one per requested stem: the direct sum of its summands."""
+    """Collapse a final page to homotopy groups: each requested stem's direct sum, one zero group shared."""
     by_stem = {}
     entries = chart.entries
     for key in sorted(entries):
         by_stem.setdefault(key[1] - key[0], []).extend(entries[key])
-    out = {}
-    zero = cyclic_decomp(p)
-    for i in stems:
-        cell = by_stem.get(i)
-        if cell is None:
-            out[i] = StemGroup(i, zero, ())
-            continue
-        orders = tuple([x.order for x in cell])
-        out[i] = StemGroup(i, cyclic_decomp(p, orders), tuple([str(x.label) for x in cell]))
+    out = dict.fromkeys(stems, StemGroup(cyclic_decomp(p), ()))
+    for i, cell in by_stem.items():
+        if i in out:
+            orders = tuple([x.order for x in cell])
+            out[i] = StemGroup(cyclic_decomp(p, orders), tuple([str(x.label) for x in cell]))
     return out

@@ -210,6 +210,32 @@ def test_even_cells_match_filtered_window():
             for t_hi in range(t_lo, t_lo + 7):
                 want = [(s, t) for s in range(s_max + 1) for t in range(t_lo, t_hi + 1) if t % 2 == 0]
                 assert _even_cells(s_max, t_lo, t_hi) == want, (s_max, t_lo, t_hi)
+    for step in (4, 8, 10, 20):
+        for t_lo in range(-23, 24):
+            for t_hi in (t_lo, t_lo + 9, t_lo + 41):
+                want = [(s, t) for s, t in _even_cells(2, t_lo, t_hi) if t % step == 0]
+                assert _even_cells(2, t_lo, t_hi, step) == want, (step, t_lo, t_hi)
+
+
+def test_odd_p_pages_visit_only_t_divisible_by_2p_minus_2(monkeypatch):
+    rng = random.Random(22)
+    for p in (3, 5, 7, 11):
+        step = 2 * p - 2
+        for _ in range(6):
+            t_lo = -step * rng.randrange(0, 40) - rng.randrange(1, step)  # not a multiple of the step
+            t_hi = rng.randrange(1, 600)
+            off_step = [(s, t) for s, t in _even_cells(3, t_lo, t_hi) if t % step]
+            assert off_step, (p, t_lo, t_hi)
+            for s, t in off_step:
+                assert morava.homalg.g1_cell(p, s, t) == (1, "torsion character is nontrivial", None), (p, s, t)
+            want = _page_outcome(_sphere_e2_page_by_records, p, 3, t_lo, t_hi)
+            visited = []
+            real = morava.k1.g1_cell
+            monkeypatch.setattr(morava.k1, "g1_cell", lambda p, s, t: visited.append(t) or real(p, s, t))
+            assert _page_outcome(sphere_e2_page, p, 3, t_lo, t_hi) == want, (p, t_lo, t_hi)
+            monkeypatch.undo()
+            assert visited and all(t % step == 0 for t in visited), p
+            assert len(visited) == 4 * sum(1 for t in range(t_lo, t_hi + 1) if t % step == 0)
 
 
 def _sphere_e2_page_by_records(p, s_max, t_lo, t_hi):
@@ -235,7 +261,8 @@ def _page_outcome(build, *window):
 def test_e2_pages_match_records():
     rng = random.Random(10)
     windows = [(p, 14, -8, 16) for p in (2, 3, 5, 7)]
-    windows += [(4, 3, -8, 16), (6, 2, 0, 0), (4, -1, 0, 4), (9, 2, 5, 1), (2, 0, 7, 7)]
+    windows += [(4, 3, -8, 16), (6, 2, 0, 0), (4, -1, 0, 4), (9, 2, 5, 1), (2, 0, 7, 7), (1, 2, -4, 4)]
+    windows += [(9, -1, 0, 4), (15, 3, 8, 2), (-5, -2, 0, 0), (True, 0, 3, 2), (2.5, -1, 0, 0)]
     for p in (2, 3, 5, 7):
         for s_max in (1, 5, 14):
             lo = rng.randrange(-900, 0)
@@ -244,6 +271,8 @@ def test_e2_pages_match_records():
         page = _page_outcome(sphere_e2_page, *window)
         assert page == _page_outcome(_sphere_e2_page_by_records, *window), window
     assert _page_outcome(sphere_e2_page, 4, 3, -8, 16) == "p must be prime, got 4"
+    for p in (4, 9, 15, -5, True, 2.5):  # the window is checked before p, whatever step p would give
+        assert _page_outcome(sphere_e2_page, p, -1, 0, 4).startswith("empty chart window"), p
 
 
 def test_chart_windows_past_the_cell_bound_are_refused_fast():

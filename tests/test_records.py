@@ -144,7 +144,6 @@ class DifferentialRule:
 
 @dataclass(frozen=True)
 class StemGroup:
-    stem: int
     decomp: padic.CyclicDecomp
     labels: tuple
     joined: bool = False
@@ -283,7 +282,7 @@ CASES = {
     "StemGroup": (
         specseq.StemGroup,
         StemGroup,
-        lambda r: (r.randint(-9, 9), _decomp(r), ("eta", "u"), r.random() < 0.5),
+        lambda r: (_decomp(r), ("eta", "u"), r.random() < 0.5),
         [],
     ),
     "HomotopyTable": (
