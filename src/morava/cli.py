@@ -10,10 +10,10 @@ w (the Teichmuller unit) and S (the twisting uniformizer):
 
 Parentheses and unary minus nest at most 100 deep.
 
-Every command takes --p, --n and --prec (Witt digits) and prints plain
-text, or a JSON document under --json.  Exit code 0 is success, 1 is a
-domain error (bad element, lost precision) or a closed stdout, 2 is a
-usage error.
+Each command takes those of --p, --n and --prec (Witt digits) that it reads
+and prints plain text, or a JSON document under --json.  Exit code 0 is
+success, 1 is a domain error (bad element, lost precision) or a closed
+stdout, 2 is a usage error.
 """
 
 from __future__ import annotations
@@ -383,9 +383,20 @@ def _cmd_k1(args):
 _DASHED_VALUE = re.compile(r"^-.+$")
 
 
-def _leaf(sub, common, name, *positionals) -> argparse.ArgumentParser:
-    parser = sub.add_parser(name, parents=[common])
+# the options commands share, in help order; a leaf takes those its handler reads
+_SHARED = {
+    "--p": {"type": int, "default": 3, "help": "the prime (default 3)"},
+    "--n": {"type": _positive_int, "default": 2, "help": "the height (default 2)"},
+    "--prec": {"type": _positive_int, "default": 16, "help": "Witt digits of precision (default 16)"},
+}
+
+
+def _leaf(sub, name, *positionals, shared) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name)
     parser._negative_number_matcher = _DASHED_VALUE
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED[flag])
+    parser.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
     for dest in positionals:
         parser.add_argument(dest)
     return parser
@@ -424,7 +435,7 @@ def _grlie_leaves(leaf):
     span = leaf("span")
     span.add_argument("--k", **level)
     span.add_argument("--l", **level)
-    check = leaf("check")
+    check = leaf("check", shared=("--p", "--n", "--prec"))
     check.add_argument("--k", **level)
     what = check.add_mutually_exclusive_group(required=True)
     what.add_argument("--l", type=_positive_int)
@@ -439,7 +450,7 @@ def _homalg_leaves(leaf):
     cyclic.add_argument("--matrix", required=True)
     cyclic.add_argument("--order", type=int, required=True)
     cyclic.add_argument("--s", type=int, required=True)
-    g1 = leaf("g1")
+    g1 = leaf("g1", shared=("--p",))
     g1.add_argument("--s", type=int, required=True)
     g1.add_argument("--t", type=int, required=True)
 
@@ -452,18 +463,19 @@ def _k1_leaves(leaf):
     leaf("homotopy").add_argument(
         "--stems", type=_parse_stems, required=True, help="a..b or a comma list"
     )
-    leaf("ko").add_argument("--stems", type=_parse_stems, required=True)
+    leaf("ko", shared=()).add_argument("--stems", type=_parse_stems, required=True)
     leaf("valuations").add_argument("--tmax", type=_positive_int, default=200)
 
 
-# group -> (help, the function that adds its leaf parsers, its handler)
+# group -> (help, its leaves' shared options unless a leaf names its own, the function that adds
+# its leaf parsers, its handler)
 _GROUPS = {
-    "witt": ("truncated Witt vector arithmetic", _witt_leaves, _cmd_witt),
-    "order": ("arithmetic in the twisted order", _order_leaves, _cmd_order),
-    "stab": ("unit group operations", _stab_leaves, _cmd_stab),
-    "grlie": ("graded Lie formulas and H_1", _grlie_leaves, _cmd_grlie),
-    "homalg": ("operator (co)homology", _homalg_leaves, _cmd_homalg),
-    "k1": ("height-one charts and homotopy", _k1_leaves, _cmd_k1),
+    "witt": ("truncated Witt vector arithmetic", ("--p", "--n", "--prec"), _witt_leaves, _cmd_witt),
+    "order": ("arithmetic in the twisted order", ("--p", "--n", "--prec"), _order_leaves, _cmd_order),
+    "stab": ("unit group operations", ("--p", "--n", "--prec"), _stab_leaves, _cmd_stab),
+    "grlie": ("graded Lie formulas and H_1", ("--p", "--n"), _grlie_leaves, _cmd_grlie),
+    "homalg": ("operator (co)homology", ("--p", "--prec"), _homalg_leaves, _cmd_homalg),
+    "k1": ("height-one charts and homotopy", ("--p",), _k1_leaves, _cmd_k1),
 }
 
 
@@ -473,24 +485,14 @@ def _build_parser(group=None) -> argparse.ArgumentParser:
     An argv that starts with a group name is parsed by that group's leaves
     only; top-level help and errors need the group parsers, not their leaves.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=3, help="the prime (default 3)")
-    common.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
-    common.add_argument(
-        "--prec", type=_positive_int, default=16, help="Witt digits of precision (default 16)"
-    )
-    common.add_argument(
-        "--json", action="store_true", dest="as_json", help="print a JSON document"
-    )
-
     top = argparse.ArgumentParser(
         prog="morava", description="exact arithmetic in small stabilizer groups"
     )
     groups = top.add_subparsers(dest="group", required=True)
-    for name, (help_text, add_leaves, _) in _GROUPS.items():
+    for name, (help_text, shared, add_leaves, _) in _GROUPS.items():
         leaves = groups.add_parser(name, help=help_text).add_subparsers(dest="cmd", required=True)
         if group == name or group not in _GROUPS:
-            add_leaves(partial(_leaf, leaves, common))
+            add_leaves(partial(_leaf, leaves, shared=shared))
     return top
 
 
@@ -501,7 +503,7 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        lines, payload = _GROUPS[args.group][2](args)
+        lines, payload = _GROUPS[args.group][3](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

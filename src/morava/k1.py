@@ -35,8 +35,8 @@ _VALUATION_BITS = 1 << 16  # bound on the bits of the last power psi_valuation_r
 _CHART_CELLS = 1 << 17  # most cells one chart window may hold
 
 
-def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2) -> list:
-    """The cells (s, t) with 0 <= s <= s_max and t in [t_lo, t_hi] a multiple of the even step.
+def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2, shift: int = 0) -> list:
+    """The cells (s, t) with 0 <= s <= s_max, t in [t_lo, t_hi] and t = shift * s mod the even step.
 
     Refuses an empty window, and one of more than _CHART_CELLS cells of even t before building any.
     """
@@ -49,22 +49,19 @@ def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2) -> list:
     evens = max(0, (t_hi - first) // 2 + 1)  # the bound counts every even t, whatever the step
     if (s_max + 1) * evens > _CHART_CELLS:
         raise ValueError(f"chart window {window} passes the {_CHART_CELLS}-cell bound")
-    ts = range(t_lo + -t_lo % step, t_hi + 1, step)
-    return [(s, t) for s in range(s_max + 1 if evens else 0) for t in ts]
+    rows = range(s_max + 1 if evens else 0)
+    return [(s, t) for s in rows for t in range(t_lo + (shift * s - t_lo) % step, t_hi + 1, step)]
 
 
-def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
-    """Descent chart of the sphere over the given window, page 2.
+def _e2_page(cells, cell) -> Chart:
+    """The page 2 chart on the cells, where cell(s, t) = (order, reason, row) as g1_cell gives.
 
     A cell from H^row(C_m) holds eta^row, times zeta when it comes from the
-    cokernel side (row = s - 1), times u^(row - t/2).  At odd p only t = 0 mod 2(p - 1) is visited.
+    cokernel side (row = s - 1), times u^(row - t/2).
     """
-    # the window is checked before p, so a p that is no int above 2 takes step 2 and fails check_prime
-    cells = _even_cells(s_max, t_lo, t_hi, 2 * p - 2 if type(p) is int and p > 2 else 2)
-    check_prime(p)
     chart = Chart(2)
     for s, t in cells:
-        order, _, row = g1_cell(p, s, t)
+        order, _, row = cell(s, t)
         if order != 1:
             core = (("eta", row),) if row else ()
             if row != s:
@@ -73,14 +70,17 @@ def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
     return chart
 
 
+def sphere_e2_page(p: int, s_max: int, t_lo: int, t_hi: int) -> Chart:
+    """Descent chart of the sphere over the given window, page 2; at odd p only t = 0 mod 2(p - 1) is visited."""
+    # the window is checked before p, so a p that is no int above 2 takes step 2 and fails check_prime
+    cells = _even_cells(s_max, t_lo, t_hi, 2 * p - 2 if type(p) is int and p > 2 else 2)
+    check_prime(p)
+    return _e2_page(cells, partial(g1_cell, p))
+
+
 def ko_e2_page(s_max: int, t_lo: int, t_hi: int) -> Chart:
-    """Fixed points of the order-two subgroup alone: the real K-theory chart."""
-    chart = Chart(2)
-    for s, t in _even_cells(s_max, t_lo, t_hi):
-        order = cm_order(2, s, t)
-        if order != 1:
-            chart.add(Summand(order, Monomial(1, (("eta", s),) if s else (), s - t // 2), s, t))
-    return chart
+    """The real K-theory chart, fixed points of the order-two subgroup alone: cm_order(2, s, t) at t = 2s mod 4."""
+    return _e2_page(_even_cells(s_max, t_lo, t_hi, 4, 2), lambda s, t: (cm_order(2, s, t), "ker", s))
 
 
 # the one d_3 at p = 2, for the sphere and KO alike; the sphere's bottom zeta class feeds in

@@ -85,11 +85,14 @@ def filtration_level(x: StabElem) -> SValuation:
 
 
 def gr_project(x: StabElem) -> GrElem:
+    """The level k of x - 1 and its leading S-digit, the residue of a_(k mod n) / p^(k div n)."""
     diff = x.elem - order_one(x.ring)
     v = diff.s_valuation()
     if v.at_precision_cap:
         raise ValueError("element is trivial at this precision; no graded image")
-    return GrElem(v.numerator, diff.s_digits(v.numerator + 1)[v.numerator])
+    j, i = divmod(v.numerator, x.ring.n)
+    ppow = x.ring.params.p ** j
+    return GrElem(v.numerator, x.ring.fq.element(tuple(c // ppow for c in diff.parts[i].coords)))
 
 
 def default_order_bound(ring: WittRing) -> int:

@@ -155,7 +155,7 @@ LEAF_ARGV = {
     ("grlie", "abelianize"): ["grlie", "abelianize", "--levels", "1"],
     ("k1", "valuations"): ["k1", "valuations"],
 }
-COMMON = {"--n", "--prec"}  # on every leaf; run on `order val` alone
+COMMON = {"--n", "--prec"}  # shared by the leaves that read them; run on `order val` alone
 
 
 def _positive_flags() -> dict:

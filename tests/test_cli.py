@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,37 @@ from morava.cli import ParseError, parse_element, run_command
 from morava.order import from_coeff_rows, from_int
 from morava.stabilizer import order3_element
 from morava.witt import make_ring
+
+
+PNM, PN, PPREC, P = ("--p", "--n", "--prec"), ("--p", "--n"), ("--p", "--prec"), ("--p",)
+# the shared options each leaf takes besides --json, in help order: those its handler reads
+SHARED = {
+    ("witt", "trace"): PNM,
+    ("witt", "frobenius"): PNM,
+    ("witt", "teich"): PNM,
+    ("order", "mul"): PNM,
+    ("order", "inv"): PNM,
+    ("order", "val"): PNM,
+    ("order", "digits"): PNM,
+    ("stab", "order"): PNM,
+    ("stab", "comm"): PNM,
+    ("stab", "level"): PNM,
+    ("stab", "norm"): PNM,
+    ("stab", "split"): PNM,
+    ("stab", "inK"): PNM,
+    ("grlie", "bracket"): PN,
+    ("grlie", "power"): PN,
+    ("grlie", "span"): PN,
+    ("grlie", "check"): PNM,
+    ("grlie", "abelianize"): PN,
+    ("homalg", "iwasawa"): PPREC,
+    ("homalg", "cyclic"): PPREC,
+    ("homalg", "g1"): P,
+    ("k1", "e2"): P,
+    ("k1", "homotopy"): P,
+    ("k1", "ko"): (),
+    ("k1", "valuations"): P,
+}
 
 
 def test_parse_order_three_generator():
@@ -220,10 +252,7 @@ def test_grlie_level_zero_is_a_usage_error(capsys, argv):
         ["order", "digits", "1", "--count", "-1"],
         ["order", "digits", "1", "--count", "0"],
         ["grlie", "abelianize", "--levels", "-3"],
-        # the common --n and --prec, and k1 valuations --tmax: once ignored (exit 0) or refused
-        # by the library (exit 1)
-        ["k1", "homotopy", "--p", "2", "--stems", "3", "--n", "0"],
-        ["homalg", "g1", "--p", "3", "--s", "1", "--t", "4", "--prec", "0"],
+        # --n and --prec, and k1 valuations --tmax: once refused by the library (exit 1)
         ["order", "val", "S", "--n", "0"],
         ["order", "val", "S", "--prec", "0"],
         ["order", "val", "S", "--n", "-2"],
@@ -236,6 +265,48 @@ def test_nonpositive_trials_and_count_are_usage_errors(capsys, argv):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected a positive integer" in captured.err
+
+
+# a complete argv of each leaf that takes fewer than all three shared options
+RUNS_WITHOUT = {
+    ("grlie", "bracket"): ["--k", "1", "--l", "1", "1", "1"],
+    ("grlie", "power"): ["--k", "1", "1"],
+    ("grlie", "span"): ["--k", "1", "--l", "1"],
+    ("grlie", "abelianize"): ["--levels", "2"],
+    ("homalg", "iwasawa"): ["--matrix", "[[81]]"],
+    ("homalg", "cyclic"): ["--matrix", "[[1]]", "--order", "2", "--s", "1"],
+    ("homalg", "g1"): ["--s", "1", "--t", "4"],
+    ("k1", "e2"): [],
+    ("k1", "homotopy"): ["--stems", "3"],
+    ("k1", "ko"): ["--stems", "0..3"],
+    ("k1", "valuations"): [],
+}
+# the (command, option) pairs once parsed and then ignored: each leaf lacks the ones it never read
+REMOVED = [(*key, flag) for key, shared in SHARED.items() for flag in PNM if flag not in shared]
+
+
+def test_shared_option_counts():
+    assert len(SHARED) == 25 and sum(map(len, SHARED.values())) == 58 and len(REMOVED) == 17
+    assert {key for key, shared in SHARED.items() if shared != PNM} == set(RUNS_WITHOUT)
+
+
+@pytest.mark.parametrize("group, leaf", SHARED, ids=[" ".join(key) for key in SHARED])
+def test_each_leaf_lists_exactly_its_shared_options(capsys, group, leaf):
+    assert run_command([group, leaf, "--help"]) == 0
+    listed = re.findall(r"^  (--p|--n|--prec|--json) ", capsys.readouterr().out, re.M)
+    assert listed == [*SHARED[(group, leaf)], "--json"]
+
+
+@pytest.mark.parametrize("group, leaf, flag", REMOVED, ids=[" ".join(pair) for pair in REMOVED])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, group, leaf, flag):
+    argv = [group, leaf, *RUNS_WITHOUT[(group, leaf)]]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    # a value the option once took, and one it refused (k1 homotopy --n 0, homalg g1 --prec 0)
+    for value in ("5", "0"):
+        assert run_command([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -387,21 +458,22 @@ def test_grlie_check_and_abelianize(capsys):
 def _eager_parser() -> argparse.ArgumentParser:
     """The parser as built before it built one group's leaves: every group, every leaf."""
 
-    def _leaf(sub, name, common):
-        parser = sub.add_parser(name, parents=[common])
+    def _leaf(sub, group, name):
+        parser = sub.add_parser(name)
         parser._negative_number_matcher = cli._DASHED_VALUE
+        shared = SHARED[(group, name)]
+        if "--p" in shared:
+            parser.add_argument("--p", type=int, default=3, help="the prime (default 3)")
+        if "--n" in shared:
+            parser.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
+        if "--prec" in shared:
+            parser.add_argument(
+                "--prec", type=_positive_int, default=16, help="Witt digits of precision (default 16)"
+            )
+        parser.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
         return parser
 
     _positive_int, _parse_stems = cli._positive_int, cli._parse_stems
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=3, help="the prime (default 3)")
-    common.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
-    common.add_argument(
-        "--prec", type=_positive_int, default=16, help="Witt digits of precision (default 16)"
-    )
-    common.add_argument(
-        "--json", action="store_true", dest="as_json", help="print a JSON document"
-    )
 
     top = argparse.ArgumentParser(
         prog="morava", description="exact arithmetic in small stabilizer groups"
@@ -410,105 +482,97 @@ def _eager_parser() -> argparse.ArgumentParser:
 
     witt = groups.add_parser("witt", help="truncated Witt vector arithmetic")
     wsub = witt.add_subparsers(dest="cmd", required=True)
-    wtrace = _leaf(wsub, "trace", common)
+    wtrace = _leaf(wsub, "witt", "trace")
     wtrace.add_argument("expr")
-    wfrob = _leaf(wsub, "frobenius", common)
+    wfrob = _leaf(wsub, "witt", "frobenius")
     wfrob.add_argument("expr")
-    wteich = _leaf(wsub, "teich", common)
+    wteich = _leaf(wsub, "witt", "teich")
     wteich.add_argument("residue", type=int)
 
     order = groups.add_parser("order", help="arithmetic in the twisted order")
     osub = order.add_subparsers(dest="cmd", required=True)
-    omul = _leaf(osub, "mul", common)
+    omul = _leaf(osub, "order", "mul")
     omul.add_argument("expr")
     omul.add_argument("other")
-    oinv = _leaf(osub, "inv", common)
+    oinv = _leaf(osub, "order", "inv")
     oinv.add_argument("expr")
-    oval = _leaf(osub, "val", common)
+    oval = _leaf(osub, "order", "val")
     oval.add_argument("expr")
-    odig = _leaf(osub, "digits", common)
+    odig = _leaf(osub, "order", "digits")
     odig.add_argument("expr")
     odig.add_argument("--count", type=_positive_int, default=None)
 
     stab = groups.add_parser("stab", help="unit group operations")
     ssub = stab.add_subparsers(dest="cmd", required=True)
-    sorder = _leaf(ssub, "order", common)
+    sorder = _leaf(ssub, "stab", "order")
     sorder.add_argument("expr")
     sorder.add_argument("--bound", type=_positive_int, default=None)
-    scomm = _leaf(ssub, "comm", common)
+    scomm = _leaf(ssub, "stab", "comm")
     scomm.add_argument("expr")
     scomm.add_argument("other")
-    slevel = _leaf(ssub, "level", common)
+    slevel = _leaf(ssub, "stab", "level")
     slevel.add_argument("expr")
-    snorm = _leaf(ssub, "norm", common)
+    snorm = _leaf(ssub, "stab", "norm")
     snorm.add_argument("expr")
-    ssplit = _leaf(ssub, "split", common)
+    ssplit = _leaf(ssub, "stab", "split")
     ssplit.add_argument("expr")
-    sink = _leaf(ssub, "inK", common)
+    sink = _leaf(ssub, "stab", "inK")
     sink.add_argument("expr")
 
     grlie = groups.add_parser("grlie", help="graded Lie formulas and H_1")
     gsub = grlie.add_subparsers(dest="cmd", required=True)
-    gbr = _leaf(gsub, "bracket", common)
+    gbr = _leaf(gsub, "grlie", "bracket")
     gbr.add_argument("--k", type=_positive_int, required=True)
     gbr.add_argument("--l", type=_positive_int, required=True)
     gbr.add_argument("a", type=int)
     gbr.add_argument("b", type=int)
-    gpw = _leaf(gsub, "power", common)
+    gpw = _leaf(gsub, "grlie", "power")
     gpw.add_argument("--k", type=_positive_int, required=True)
     gpw.add_argument("a", type=int)
-    gsp = _leaf(gsub, "span", common)
+    gsp = _leaf(gsub, "grlie", "span")
     gsp.add_argument("--k", type=_positive_int, required=True)
     gsp.add_argument("--l", type=_positive_int, required=True)
-    gch = _leaf(gsub, "check", common)
+    gch = _leaf(gsub, "grlie", "check")
     gch.add_argument("--k", type=_positive_int, required=True)
     gch_what = gch.add_mutually_exclusive_group(required=True)
     gch_what.add_argument("--l", type=_positive_int)
     gch_what.add_argument("--power", action="store_true")
     gch.add_argument("--trials", type=_positive_int, default=50)
-    gab = _leaf(gsub, "abelianize", common)
+    gab = _leaf(gsub, "grlie", "abelianize")
     gab.add_argument("--levels", type=_positive_int, required=True)
 
     homalg = groups.add_parser("homalg", help="operator (co)homology")
     hsub = homalg.add_subparsers(dest="cmd", required=True)
-    hiw = _leaf(hsub, "iwasawa", common)
+    hiw = _leaf(hsub, "homalg", "iwasawa")
     hiw.add_argument("--matrix", required=True, help="operator as a JSON matrix")
-    hcy = _leaf(hsub, "cyclic", common)
+    hcy = _leaf(hsub, "homalg", "cyclic")
     hcy.add_argument("--matrix", required=True)
     hcy.add_argument("--order", type=int, required=True)
     hcy.add_argument("--s", type=int, required=True)
-    hg1 = _leaf(hsub, "g1", common)
+    hg1 = _leaf(hsub, "homalg", "g1")
     hg1.add_argument("--s", type=int, required=True)
     hg1.add_argument("--t", type=int, required=True)
 
     k1 = groups.add_parser("k1", help="height-one charts and homotopy")
     ksub = k1.add_subparsers(dest="cmd", required=True)
-    ke2 = _leaf(ksub, "e2", common)
+    ke2 = _leaf(ksub, "k1", "e2")
     ke2.add_argument("--smax", type=int, default=6)
     ke2.add_argument("--tmin", type=int, default=-8)
     ke2.add_argument("--tmax", type=int, default=16)
-    kho = _leaf(ksub, "homotopy", common)
+    kho = _leaf(ksub, "k1", "homotopy")
     kho.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
-    kko = _leaf(ksub, "ko", common)
+    kko = _leaf(ksub, "k1", "ko")
     kko.add_argument("--stems", type=_parse_stems, required=True)
-    kva = _leaf(ksub, "valuations", common)
+    kva = _leaf(ksub, "k1", "valuations")
     kva.add_argument("--tmax", type=_positive_int, default=200)
 
     return top
 
 
-LEAVES = {
-    "witt": ["trace", "frobenius", "teich"],
-    "order": ["mul", "inv", "val", "digits"],
-    "stab": ["order", "comm", "level", "norm", "split", "inK"],
-    "grlie": ["bracket", "power", "span", "check", "abelianize"],
-    "homalg": ["iwasawa", "cyclic", "g1"],
-    "k1": ["e2", "homotopy", "ko", "valuations"],
-}
 ORACLE_ARGVS = [
     ["--help"],
-    *([group, "--help"] for group in LEAVES),
-    *([group, leaf, "--help"] for group, leaves in LEAVES.items() for leaf in leaves),
+    *([group, "--help"] for group in dict.fromkeys(group for group, _ in SHARED)),
+    *([group, leaf, "--help"] for group, leaf in SHARED),
     [],
     ["nosuch"],
     ["order"],
@@ -555,7 +619,7 @@ def _outcome(run, argv):
 def test_parser_matches_eager_oracle(monkeypatch, argv):
     # run_command's parser, which builds one group's leaves, against one with every leaf
     monkeypatch.setenv("COLUMNS", "80")
-    stubbed = {name: (*entry[:2], _stop) for name, entry in cli._GROUPS.items()}
+    stubbed = {name: (*entry[:3], _stop) for name, entry in cli._GROUPS.items()}
     monkeypatch.setattr(cli, "_GROUPS", stubbed)
     eager = _outcome(lambda argv: vars(_eager_parser().parse_args(argv)), argv)
     assert _outcome(run_command, argv) == eager

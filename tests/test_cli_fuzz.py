@@ -2,8 +2,9 @@
 
 Every command must end in exit 0 (an answer), 1 (a domain error) or 2 (a
 usage error): never a traceback and never a hang.  The draws keep p, n and
-the precision small and mix in zero and negative counts, malformed element
-expressions, matrices and stem lists.  Each call runs under a SIGALRM guard.
+the precision small, each where the command takes it, and mix in zero and
+negative counts, malformed element expressions, matrices and stem lists.
+Each call runs under a SIGALRM guard.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morava.cli import run_command
+from test_cli import SHARED
 
 # valid values repeat, so that most draws reach the arithmetic
 PRIMES = st.sampled_from(["3", "2", "5"] * 4 + ["1", "4", "0", "-3"])
@@ -69,7 +71,8 @@ COMMANDS = {
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = [*command, *(draw(arg) for arg in COMMANDS[command])]
-    argv += ["--p", draw(PRIMES), "--n", draw(HEIGHTS), "--prec", draw(PRECS)]
+    for flag in SHARED[command]:  # only the shared options the command takes, so draws reach it
+        argv += [flag, draw({"--p": PRIMES, "--n": HEIGHTS, "--prec": PRECS}[flag])]
     return argv + ["--json"] if draw(st.booleans()) else argv
 
 

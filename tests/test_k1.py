@@ -215,6 +215,9 @@ def test_even_cells_match_filtered_window():
             for t_hi in (t_lo, t_lo + 9, t_lo + 41):
                 want = [(s, t) for s, t in _even_cells(2, t_lo, t_hi) if t % step == 0]
                 assert _even_cells(2, t_lo, t_hi, step) == want, (step, t_lo, t_hi)
+    for t_lo in range(-9, 10):  # the KO page's cells: t = 2s mod 4
+        want = [(s, t) for s, t in _even_cells(3, t_lo, t_lo + 13) if (t - 2 * s) % 4 == 0]
+        assert _even_cells(3, t_lo, t_lo + 13, 4, 2) == want, t_lo
 
 
 def test_odd_p_pages_visit_only_t_divisible_by_2p_minus_2(monkeypatch):
@@ -273,6 +276,23 @@ def test_e2_pages_match_records():
     assert _page_outcome(sphere_e2_page, 4, 3, -8, 16) == "p must be prime, got 4"
     for p in (4, 9, 15, -5, True, 2.5):  # the window is checked before p, whatever step p would give
         assert _page_outcome(sphere_e2_page, p, -1, 0, 4).startswith("empty chart window"), p
+
+
+def test_ko_page_visits_only_t_equal_to_2s_mod_4(monkeypatch):
+    for s in range(16):
+        for t in range(-40, 41, 2):
+            if (t - 2 * s) % 4:
+                assert morava.homalg.cm_order(2, s, t) == 1, (s, t)
+    rng = random.Random(23)
+    windows = [(14, -8, 16), (2, -3, -3), (0, 1, 0), (-1, 0, 4), (3, 5, 7), (6, 10, 0), (0, -2, -2)]
+    windows += [(s_max, rng.randrange(-900, 0), rng.randrange(1, 900)) for s_max in (0, 1, 5, 14)]
+    for window in windows:
+        assert _page_outcome(ko_e2_page, *window) == _page_outcome(_ko_e2_page_by_with_exp, *window), window
+    visited = []
+    real = morava.k1.cm_order
+    monkeypatch.setattr(morava.k1, "cm_order", lambda p, s, t: visited.append((s, t)) or real(p, s, t))
+    ko_e2_page(5, -9, 30)
+    assert visited == [(s, t) for s, t in _even_cells(5, -9, 30) if (t - 2 * s) % 4 == 0]
 
 
 def test_chart_windows_past_the_cell_bound_are_refused_fast():

@@ -64,10 +64,11 @@ def test_import_loads_no_layer(module):
         (["grlie", "span", "--k", "1", "--l", "1"], CHART_LAYERS),
         (["stab", "order", "1+S", "--p", "5"], READERS),
         (["order", "inv", "1+S", "--p", "5"], READERS),
+        (["grlie", "check", "--k", "1", "--l", "2", "--trials", "5"], READERS),
     ],
     ids=[
         "k1 ko", "k1 homotopy", "homalg g1", "order val", "witt trace", "stab level", "grlie span",
-        "stab order", "order inv",
+        "stab order", "order inv", "grlie check",
     ],
 )
 def test_command_loads_only_its_layers(argv, unloaded):

@@ -15,6 +15,7 @@ from morava.order import (
     s_gen,
 )
 from morava.stabilizer import (
+    GrElem,
     StabElem,
     _det,
     commutator,
@@ -192,6 +193,23 @@ def test_gr_project_trivial():
     ring = make_ring(3, 2, 8)
     with pytest.raises(ValueError, match="trivial"):
         gr_project(identity(ring))
+
+
+@pytest.mark.parametrize("p, n, M", [(2, 1, 12), (3, 2, 8), (2, 2, 8), (5, 2, 4), (2, 3, 6), (3, 3, 4), (7, 4, 3)])
+def test_gr_project_reads_the_digit_s_digits_gives(p, n, M):
+    # the leading digit read directly, against s_digits(v + 1)[v] as gr_project first read it
+    ring = make_ring(p, n, M)
+    rng = random.Random(p * 100 + n * 10 + M)
+    one, s = order_one(ring), s_gen(ring)
+    for _ in range(60):
+        x = _random_unit(ring, rng)
+        k = rng.randrange(n * M)
+        for y in (x, StabElem(one + (x.elem - one) * s**k)):  # any unit, then one deeper
+            diff = y.elem - one
+            if diff.is_zero:
+                continue
+            v = diff.s_valuation().numerator
+            assert gr_project(y) == GrElem(v, diff.s_digits(v + 1)[v]), (p, n, M, y)
 
 
 def test_reduced_norm_frozen():
