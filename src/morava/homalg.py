@@ -150,13 +150,13 @@ def cyclic_cohomology(module: ZpModuleWithOperator, m: int, s: int) -> Cohomolog
     check_int("group order", m)
     params = module.params
     mod = params.modulus
-    if module.power(m) != identity_matrix(module.rank):
+    gm1 = _sub(module.matrix, identity_matrix(module.rank), mod)
+    N = _norm(module.matrix, m, mod)
+    if any(map(any, mat_mul(gm1, N, mod))):  # (g - 1) N = g^m - 1
         raise ValueError(f"not a valid action: operator order does not divide {m}")
     check_int("degree s", s, 0)
-    gm1 = _sub(module.matrix, identity_matrix(module.rank), mod)
     if s == 0:
         return _invariants(smith_normal_form(gm1, params), params.p)
-    N = _norm(module.matrix, m, mod)
     if s % 2:
         orders = _subquotient_orders(N, gm1, params)
         prov = "ker(norm) / im(g - 1)"

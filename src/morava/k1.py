@@ -66,7 +66,7 @@ def _e2_page(cells, cell) -> Chart:
             core = (("eta", row),) if row else ()
             if row != s:
                 core += (("zeta", 1),)
-            chart.add(Summand(order, Monomial(1, core, row - t // 2), s, t))
+            chart.add(s, t, Summand(order, Monomial(1, core, row - t // 2)))
     return chart
 
 
@@ -131,11 +131,11 @@ def _stem_list(stems):
     """The requested stems, sorted: a range without listing it (a huge one would fill memory)."""
     if isinstance(stems, range):
         stems = stems if stems.step > 0 else stems[::-1]
-    else:  # a range holds ints only; any other list is checked
+    else:  # a range holds ints only; any other list is checked, and a repeated stem is kept once
         stems = list(stems)
         for t in stems:
             check_int("stem", t, -INF)
-        stems.sort()
+        stems = sorted(set(stems))
     if not stems:
         raise ValueError("no stems requested")
     return stems
@@ -154,6 +154,8 @@ def fiber_groups(p: int, stems) -> dict:
     """
     check_prime(p)
     stems = _stem_list(stems)
+    if len(stems[: _CHART_CELLS + 1]) > _CHART_CELLS:  # a slice: len() overflows on a huge range
+        raise ValueError(f"more than {_CHART_CELLS} stems requested")
     period = 8 if p == 2 else 2 * p - 2
     x = _BOTT if p == 2 else (INF,) + (1,) * (period - 1)
     # (group, cyclic) from the orders of the two sides, built once per pair

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import lcm
 
 from morava.padic import INF, CyclicDecomp, check_int, cyclic_decomp, record
 
@@ -115,20 +114,14 @@ class Monomial:
 
 @record
 class Summand:
-    """One cyclic summand: order (a prime power or INF) with its label."""
+    """One cyclic summand: order (a prime power or INF) and label; its chart cell's key is its position."""
 
     order: object
     label: Monomial
-    s: int
-    t: int
 
     def __post_init__(self):
         if self.order != INF and (not isinstance(self.order, int) or self.order < 2):
             raise ValueError(f"order must be INF or an integer >= 2, got {self.order}")
-
-    @property
-    def stem(self) -> int:
-        return self.t - self.s
 
     def describe(self) -> str:
         o = "Z_p" if self.order == INF else f"Z/{self.order}"
@@ -155,8 +148,8 @@ class Chart:
             self._events = []
         return self._lines
 
-    def add(self, summand: Summand) -> None:
-        key = (summand.s, summand.t)
+    def add(self, s: int, t: int, summand: Summand) -> None:
+        key = (s, t)
         cell = self.entries.get(key)
         if cell is None:
             self.entries[key] = (summand,)
@@ -164,10 +157,6 @@ class Chart:
         if any(x.label == summand.label for x in cell):
             raise ValueError(f"duplicate label {summand.label} at {key}")
         self.entries[key] = cell + (summand,)
-
-    def summands(self):
-        for key in sorted(self.entries):
-            yield from self.entries[key]
 
     def cell(self, s: int, t: int) -> tuple:
         return self.entries.get((s, t), ())
@@ -182,8 +171,8 @@ class Chart:
     def crop(self, s_max: int, t_min: int, t_max: int) -> "Chart":
         """Keep the cells with s <= s_max and t_min <= t <= t_max; used to cut boundary noise."""
         out = Chart(self.page)
-        out.entries = {
-            (s, t): cell for (s, t), cell in self.entries.items() if s <= s_max and t_min <= t <= t_max
+        out.entries = {  # each kept cell keeps its key object: no tuple is built per cell
+            key: cell for key, cell in self.entries.items() if key[0] <= s_max and t_min <= key[1] <= t_max
         }
         out._lines = list(self._lines)
         out._events = self._events + [("crop: s <= {}, {} <= t <= {}".format, (s_max, t_min, t_max))]
@@ -246,17 +235,19 @@ class DifferentialRule:
         return Monomial(1, _product(label.core, self.times), label.u + self.u_shift)
 
 
-def _miss_line(r: int, rule: DifferentialRule, label: Monomial, s: int, t: int) -> str:
+def _miss_line(r: int, rule: DifferentialRule, label: Monomial, key: tuple) -> str:
+    s, t = key
     return (
         f"d_{r} [{rule.name}] {label} at (s={s},t={t}):"
         f" no target {rule.target_label(label)} at {(s + r, t + r - 1)}; left in place"
     )
 
 
-def _kill_line(r: int, rule: DifferentialRule, source: Summand, target: Summand) -> str:
+def _kill_line(r: int, rule: DifferentialRule, source: Summand, key: tuple, target: Summand) -> str:
+    s, t = key
     return (
-        f"d_{r} [{rule.name}] {source.describe()} at (s={source.s},t={source.t})"
-        f" kills {target.describe()} at (s={target.s},t={target.t})"
+        f"d_{r} [{rule.name}] {source.describe()} at (s={s},t={t})"
+        f" kills {target.describe()} at (s={s + r},t={t + r - 1})"
     )
 
 
@@ -273,14 +264,15 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     """Turn the page: apply each rule's d_r with r = chart.page.
 
     All matches are found against the incoming page and then applied at
-    once.  A matched target is removed; the source keeps its kernel (order
+    once.  Each summand asks the rules in their given order, and the first
+    whose target it finds fires.  A matched target, at the source's key plus
+    (r, r - 1), is removed; the source keeps its kernel at its key (order
     divided by the target's order, label index multiplied by it; removed if
     nothing is left).  A free target, a finite one whose order does not
-    divide the source's, and one that two sources hit are refused.  A source
-    whose target cell has no matching label is logged on the new page and
-    kept.  Each summand asks only the rules whose u congruence its u-exponent
-    meets, in their given order; that list is built once per residue mod the
-    lcm of the u_mods on each page turn.
+    divide the source's, a summand that is both a source and a target and
+    one that two sources hit are refused; summands are told apart by (s, t,
+    label), since labels are distinct within a cell.  A source whose target
+    cell has no matching label is logged on the new page and kept.
     A target is the label of index 1 whose core is the source core times the
     rule's factors and whose u-exponent is shifted; no target label is built
     unless a miss is logged.
@@ -288,18 +280,11 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     r = chart.page
     entries = chart.entries
     hits, misses = [], []
-    mod = lcm(*(rule.u_mod for rule in rules))
-    asked = {}
-    for (s, t), cell in entries.items() if rules else ():  # no rules: nothing to ask
+    for key, cell in entries.items() if rules else ():  # no rules: nothing to ask
+        s, t = key
         for summand in cell:
             label = summand.label
-            res = label.u % mod
-            candidates = asked.get(res)
-            if candidates is None:
-                candidates = asked[res] = [
-                    rule for rule in rules if res % rule.u_mod == rule.u_res % rule.u_mod
-                ]
-            for rule in candidates:
+            for rule in rules:
                 if not rule.matches(label):
                     continue
                 core, u = _product(label.core, rule.times), label.u + rule.u_shift
@@ -307,30 +292,30 @@ def apply_differentials(chart: Chart, rules) -> Chart:
                     if match.label.u == u and match.label.core == core and match.label.index == 1:
                         break
                 else:
-                    misses.append((_miss_line, (r, rule, label, s, t)))
+                    misses.append((_miss_line, (r, rule, label, key)))
                     continue
-                hits.append((summand, match, rule))
+                hits.append((r, rule, summand, key, match))  # the arguments of its log line
                 break
-    sources = {id(x) for x, _, _ in hits}
-    if any(id(y) in sources for _, y, _ in hits):
-        overlap = {(x.s, x.t, x.label) for x, _, _ in hits} & {(y.s, y.t, y.label) for _, y, _ in hits}
+    sources = {(*key, x.label) for _, _, x, key, _ in hits}
+    targets = [(key[0] + r, key[1] + r - 1, y.label) for _, _, _, key, y in hits]
+    overlap = sources.intersection(targets)
+    if overlap:
         raise ValueError(f"summand is both source and target on page {r}: {overlap}")
-    targets = [id(y) for _, y, _ in hits]
     if len(set(targets)) < len(targets):
-        twice = {(y.s, y.t, y.label) for _, y, _ in hits if targets.count(id(y)) > 1}
+        twice = {y for y in targets if targets.count(y) > 1}
         raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
 
     out = chart.copy()
     out.page = r + 1
     out._events += misses
-    for source, target, rule in hits:
+    for hit in hits:
+        _, rule, source, key, target = hit
         if target.order == INF or (source.order != INF and source.order % target.order):
             raise ValueError(f"inconsistent differential: {source.describe()} onto {target.describe()}")
         q = INF if source.order == INF else source.order // target.order
-        kernel = (Summand(q, source.label.scaled(target.order), source.s, source.t),) if q > 1 else ()
-        _swap(out.entries, (target.s, target.t), target, ())
-        _swap(out.entries, (source.s, source.t), source, kernel)
-        out._events.append((_kill_line, (r, rule, source, target)))
+        _swap(out.entries, (key[0] + r, key[1] + r - 1), target, ())
+        _swap(out.entries, key, source, (Summand(q, source.label.scaled(target.order)),) if q > 1 else ())
+        out._events.append((_kill_line, hit))
     return out
 
 

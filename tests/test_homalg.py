@@ -153,6 +153,40 @@ def test_cyclic_rejects_wrong_order():
         cyclic_cohomology(_op(3, 8, [[4]]), 2, 1)
 
 
+def test_cyclic_checks_the_action_on_the_norm(monkeypatch):
+    # (g - 1) N = g^m - 1, so the norm the resolution builds also checks g^m = 1: no power of g is taken
+    real = ZpModuleWithOperator.power
+    monkeypatch.setattr(ZpModuleWithOperator, "power", lambda *args: pytest.fail("power was called"))
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(400):
+        p, M = rng.choice(((2, 6), (3, 4), (5, 3)))
+        mod, m = p**M, rng.randint(1, 8)
+        g = _block_operator(mod, m, *rng.choice(((1, 0), (0, 1), (1, 1))), 0)
+        if rng.random() < 0.5:  # a nudge that may or may not keep g^m = 1
+            g[0][0] = (g[0][0] + rng.choice((1, p ** (M - 1), mod - p))) % mod
+        module = _op(p, M, g)
+        valid = real(module, m) == identity_matrix(module.rank)
+        s = rng.randrange(4)
+        try:
+            got = cyclic_cohomology(module, m, s)
+        except ValueError as exc:
+            assert not valid and str(exc) == f"not a valid action: operator order does not divide {m}"
+        else:
+            assert valid and got.s == s
+        outcomes.add((valid, m == 1))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # m is checked first, then the action, then s
+    bad = _op(3, 8, [[4]])
+    with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
+        cyclic_cohomology(bad, 0, -1)
+    with pytest.raises(ValueError, match="not a valid action"):
+        cyclic_cohomology(bad, 1, -1)
+    with pytest.raises(ValueError, match="degree s must be >= 0, got -1"):
+        cyclic_cohomology(_op(3, 8, [[1]]), 1, -1)
+    assert str(cyclic_cohomology(_op(3, 4, [[1]]), 1, 0)) == "H^0 = Z_3 [free part certified at precision only]"
+
+
 def test_cyclic_rejects_trivial_group_order():
     with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
         cyclic_cohomology(_op(3, 8, [[1]]), 0, 1)

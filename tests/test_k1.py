@@ -74,18 +74,18 @@ def _ko_e2_page_by_with_exp(s_max, t_lo, t_hi):
         if (t - 2 * s) % 4:
             continue
         if s == 0:
-            chart.add(Summand(INF, Monomial(1, (), -t // 2), 0, t))
+            chart.add(0, t, Summand(INF, Monomial(1, (), -t // 2)))
         else:
             label = _with_u(Monomial(1, (("eta", s),)), (2 * s - t) // 2)
-            chart.add(Summand(2, label, s, t))
+            chart.add(s, t, Summand(2, label))
     return chart
 
 
 def test_labels_match_with_exp_construction():
     for p in (2, 3, 5, 7):
         page = sphere_e2_page(p, 14, -1004, 1018)
-        for cell in page.summands():
-            assert cell.label == _sphere_label_by_with_exp(p, cell.s, cell.t), (p, cell.s, cell.t)
+        for (s, t), cell in page.entries.items():
+            assert [x.label for x in cell] == [_sphere_label_by_with_exp(p, s, t)], (p, s, t)
     assert ko_e2_page(14, -1004, 1018).to_json() == _ko_e2_page_by_with_exp(14, -1004, 1018).to_json()
 
 
@@ -250,7 +250,7 @@ def _sphere_e2_page_by_records(p, s_max, t_lo, t_hi):
             continue
         if len(orders) != 1:
             raise ValueError(f"chart cells must be cyclic, got {orders} at {(s, t)}")
-        chart.add(Summand(orders[0], _sphere_label_by_with_exp(p, s, t), s, t))
+        chart.add(s, t, Summand(orders[0], _sphere_label_by_with_exp(p, s, t)))
     return chart
 
 
@@ -341,7 +341,7 @@ def test_label_cores_are_checked_once_per_core():
     homotopy_table(2, range(0, 2000))
     misses = check.cache_info().misses
     page = sphere_e2_page(2, 14, -4, 2017)
-    cores = {x.label.core for x in page.summands()}
+    cores = {x.label.core for cell in page.entries.values() for x in cell}
     cores.add(morava.k1._D3.times)
     assert 0 < misses <= len(cores) <= 40, (misses, len(cores))
 
@@ -539,7 +539,7 @@ def _hand_chart(*summands):
     def build(t_lo, t_hi):
         chart = Chart(4)
         for order, label, s, t in summands:
-            chart.add(Summand(order, Monomial.parse(label), s, t))
+            chart.add(s, t, Summand(order, Monomial.parse(label)))
         return chart
 
     return build
@@ -616,6 +616,20 @@ def test_fiber_groups_read_any_range_and_list():
             assert fiber_groups(p, list(stems)) == fiber_groups(p, stems), (p, step)
         assert fiber_groups(p, [0]) == {0: full[0]}
         assert fiber_groups(p, [1, 2]) == {i: full[i] for i in (1, 2) if i in full}
+
+
+def test_fiber_groups_refuse_more_stems_than_a_chart_has_cells(monkeypatch):
+    # linear in the stems, so an unbounded request would run for minutes and fill memory
+    bound = morava.k1._CHART_CELLS
+    assert len(fiber_groups(3, range(bound))) == bound // 4 + 1  # the stems 3 mod 4, and 0
+    # repeats count once, so a table on a long list of one stem passes its window and this bound
+    assert fiber_groups(3, [7] * (bound + 1)) == fiber_groups(3, [7])
+    assert homotopy_table(3, [7] * (bound + 1)).to_json() == homotopy_table(3, [7]).to_json()
+    monkeypatch.setattr(morava.k1, "psi_minus_one", lambda *args: pytest.fail("a stem was read"))
+    for stems in (range(bound + 1), list(range(-bound, 1)), range(10**10), range(-(10**20), 10**20)):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=f"^more than {bound} stems requested$"):
+                fiber_groups(p, stems)
 
 
 def test_fiber_groups_read_no_chart(monkeypatch):

@@ -127,8 +127,6 @@ class Monomial:
 class Summand:
     order: object
     label: specseq.Monomial
-    s: int
-    t: int
     __post_init__ = specseq.Summand.__post_init__
 
 
@@ -264,8 +262,8 @@ CASES = {
     "Summand": (
         specseq.Summand,
         Summand,
-        lambda r: (r.choice((INF, 2, 4, 9)), _monomial(r), r.randrange(4), r.randrange(8)),
-        [(1, specseq.Monomial(), 0, 0), ("Z/2", specseq.Monomial(), 0, 0)],
+        lambda r: (r.choice((INF, 2, 4, 9)), _monomial(r)),
+        [(1, specseq.Monomial()), ("Z/2", specseq.Monomial())],
     ),
     "DifferentialRule": (
         specseq.DifferentialRule,
