@@ -41,9 +41,9 @@ def _tokenize(src: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII: isdigit also takes superscript and non-Latin digits
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("int", int(src[i:j]), i))
             i = j

@@ -114,8 +114,6 @@ def _subquotient_orders(kernel_of, image_of, params: PadicParams) -> list:
             raise PrecisionError("image generator does not land in the kernel")
         c = mat_vec(V_inv, b, mod)
         relations.append([c[i] for i in idx])
-    if not relations:
-        return [INF] * len(idx)
     R = [[rel[i] for rel in relations] for i in range(len(idx))]
     return list(smith_normal_form(R, params).cokernel_orders())
 

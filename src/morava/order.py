@@ -12,7 +12,7 @@ from functools import cache, total_ordering
 from operator import lshift, mul
 
 from morava.padic import INF, check_int, nu_p, record
-from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, make_ring, teichmuller
+from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, _kernel, make_ring, teichmuller
 
 
 @total_ordering
@@ -71,18 +71,14 @@ class OrderElem(CoordElem):
     def __mul__(self, other):
         self._check(other)
         ring, n = self.ring, self.ring.n
-        rows, low, slot0, fold, shifts, mask = _packing(ring)
-        x, y, mod = self.coords, other.coords, ring.params.modulus
+        rows, shifts, reduce = _packing(ring)
         acc = 0
         for i, row in enumerate(rows):
-            a = x[n * i : n * i + n]
+            a = self.coords[n * i : n * i + n]
             if any(a):
                 # (a S^i) y = a sigma^i(y) S^i; the first n shifts pack a
-                acc += sum(map(lshift, a, shifts)) * sum(map(mul, y, row))
-        red = acc & low
-        for s, pw in fold:
-            red += ((acc >> s) & slot0) * pw
-        return OrderElem(ring, tuple(((red >> s) & mask) % mod for s in shifts))
+                acc += sum(map(lshift, a, shifts)) * sum(map(mul, other.coords, row))
+        return OrderElem(ring, reduce(acc))
 
     @property
     def is_unit(self) -> bool:
@@ -148,34 +144,22 @@ class OrderElem(CoordElem):
 
 @cache
 def _packing(ring: WittRing) -> tuple:
-    """(rows, low, slot0, fold, shifts, mask): Kronecker tables for products over `ring`.
+    """(rows, shifts, reduce): the witt._kernel packing with one block per power of S.
 
-    A Witt element packs as sum_j c_j 2^(B j), an order element as n blocks of
-    2n - 1 B-bit slots, one per power of S.  rows[i][n k + l] is sigma^i(w^l) S^k
-    moved past S^i: in block i + k, or times p in block i + k - n.  Each `fold`
-    pair (shift, packed w^d) moves slot d >= n of every block (`slot0` masks
-    slot 0) onto slots 0 .. n-1 (`low`); coordinate c sits at slot shifts[c].
-    For coordinates in [0, p^M) a slot stays below p n^4 p^(4M): B never carries.
+    rows[i][n k + l] is sigma^i(w^l) S^k moved past S^i, in block i + k or times p
+    in block i + k - n.  B bounds a slot, p n^4 p^(4M) for coordinates in [0, p^M).
     """
-    n, p = ring.n, ring.params.p
-    bits = 4 * ring.params.modulus.bit_length() + (p * n**4).bit_length()
-    width = 2 * n - 1
-
-    def pack(vec):
-        return sum(c << (bits * j) for j, c in enumerate(vec))
-
+    n, p, mod = ring.n, ring.params.p, ring.params.modulus
+    bits = 4 * mod.bit_length() + (p * n**4).bit_length()
+    shifts, reduce = _kernel(ring._omega_pows, n, mod, n, bits)
     rows = []
     for i, sig in enumerate(ring._sigma_pows):
-        cols = [pack(col) for col in zip(*sig)]
+        cols = [sum(map(lshift, col, shifts)) for col in zip(*sig)]
         rows.append(tuple(
-            (col if i + k < n else p * col) << (bits * width * ((i + k) % n))
+            (col if i + k < n else p * col) << shifts[n * ((i + k) % n)]
             for k in range(n) for col in cols
         ))
-    shifts = tuple(bits * (width * m + j) for m in range(n) for j in range(n))
-    slot0 = sum(((1 << bits) - 1) << (bits * width * m) for m in range(n))
-    low = pack([slot0] * n)
-    fold = tuple((bits * d, pack(ring._omega_pows[d])) for d in range(n, width))
-    return tuple(rows), low, slot0, fold, shifts, (1 << bits) - 1
+    return tuple(rows), shifts, reduce
 
 
 # constructors ---------------------------------------------------------------

@@ -16,7 +16,7 @@ identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import lshift, mul
 
 from morava.padic import (
     INF,
@@ -74,34 +74,49 @@ def _poly_repr(coeffs, name: str) -> str:
 # products on a power basis: F_p[x]/(f) for the field, Z[x]/(f, p^M) for the ring
 
 
+def _times_x(v: tuple, top: tuple, mod: int) -> tuple:
+    """y v on the power basis, given y^n = top: the companion shift."""
+    carry = v[-1]
+    return tuple((s + carry * t) % mod for s, t in zip((0,) + v[:-1], top))
+
+
 def _power_table(top: tuple, n: int, mod: int) -> list:
-    """Vectors for y^d, d = 0 .. 2n-2, given y^n = top in the power basis."""
-    pows = [tuple(1 if i == d else 0 for i in range(n)) for d in range(n)]
-    pows.append(tuple(c % mod for c in top))
-    for _ in range(n - 2):
-        prev = pows[-1]
-        shifted = [0] + list(prev[: n - 1])
-        carry = prev[n - 1]
-        if carry:
-            shifted = [(s + carry * t) % mod for s, t in zip(shifted, top)]
-        pows.append(tuple(v % mod for v in shifted))
+    """Vectors for y^d, d = 0 .. max(n, 2n-2), given y^n = top in the power basis."""
+    pows = [(1,) + (0,) * (n - 1)]
+    for _ in range(max(n, 2 * n - 2)):
+        pows.append(_times_x(pows[-1], top, mod))
     return pows
 
 
-def _vec_mul(a, b, pows, n, mod):
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    out = list(prod[:n])
-    for d in range(n, 2 * n - 1):
-        c = prod[d] % mod
-        if c:
-            red = pows[d]
-            for i in range(n):
-                out[i] += c * red[i]
-    return tuple(v % mod for v in out)
+def _kernel(pows, n: int, mod: int, blocks: int = 1, bits: int | None = None):
+    """(shifts, reduce): the Kronecker packing behind every product on a power basis.
+
+    A packed integer holds `blocks` blocks of 2n - 1 B-bit slots, slot d of a
+    block holding a y^d coefficient; coordinate c sits at bit shifts[c].
+    reduce(acc) folds each slot d >= n back with the packed y^d = pows[d], then
+    reads every slot mod `mod`.  Coordinates must lie in [0, mod): the default
+    B bounds a slot of one product, n^2 mod^3, so no slot carries.
+    """
+    bits = bits or 3 * mod.bit_length() + (n * n).bit_length()
+    width, mask = 2 * n - 1, (1 << bits) - 1
+    shifts = tuple(bits * (width * m + j) for m in range(blocks) for j in range(n))
+    slot0 = sum(mask << (bits * width * m) for m in range(blocks))
+    low = sum(slot0 << s for s in shifts[:n])
+    fold = tuple((bits * d, sum(map(lshift, pows[d], shifts))) for d in range(n, width))
+
+    def reduce(acc: int) -> tuple:
+        red = acc & low
+        for s, pw in fold:
+            red += ((acc >> s) & slot0) * pw
+        return tuple(((red >> s) & mask) % mod for s in shifts)
+
+    return shifts, reduce
+
+
+def _product(pows, n: int, mod: int):
+    """The product a, b -> a b of reduced coordinate tuples, one integer product each."""
+    shifts, reduce = _kernel(pows, n, mod)
+    return lambda a, b: reduce(sum(map(lshift, a, shifts)) * sum(map(lshift, b, shifts)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +136,11 @@ class Fq:
         self.poly = poly
         self.q = q = p ** n
         # building the tables is the check on poly: x must have order exactly q - 1
-        pows = _power_table(tuple(-c for c in poly[:n]), n, p)
-        x = pows[1]
+        top = tuple(-c for c in poly[:n])
+        one = (1,) + (0,) * (n - 1)
         exp = [0] * (q - 1)
         log = [None] * q
-        cur = pows[0]
+        cur = one
         for k in range(q - 1):
             idx = self._encode(cur)
             if idx == 0 or log[idx] is not None:
@@ -133,12 +148,12 @@ class Fq:
                 break
             exp[k] = idx
             log[idx] = k
-            cur = _vec_mul(x, cur, pows, n, p)  # x first: _vec_mul skips its zero coefficients
-        if cur != pows[0]:
+            cur = _times_x(cur, top, p)
+        if cur != one:
             raise ValueError(f"{poly} is not irreducible and primitive mod {p}")
         self.exp = exp
         self.log = log
-        self.gen_idx = self._encode(x)
+        self.gen_idx = self._encode(_times_x(one, top, p))
 
     def _encode(self, coeffs) -> int:
         idx = 0
@@ -333,6 +348,7 @@ class WittRing:
         for _ in range(n - 1):
             sig.append(mat_mul([list(r) for r in frobenius_matrix], sig[-1], params.modulus))
         self._sigma_pows = [tuple(tuple(r) for r in m) for m in sig]
+        self._mul = _product(omega_pows, n, params.modulus)
         self._teich_cache = {}
 
     # constructors ----------------------------------------------------------
@@ -434,16 +450,16 @@ class CoordElem:
 
 
 class WittElem(CoordElem):
-    """An element of the truncated Witt ring, coordinates on the w-power basis."""
+    """An element of the truncated Witt ring, coordinates on the w-power basis.
+
+    Coordinates are kept reduced, in [0, p^M); the packed product's slot width relies on it.
+    """
 
     __slots__ = ()
 
     def __mul__(self, other):
         self._check(other)
-        r = self.ring
-        return WittElem(
-            r, _vec_mul(self.coords, other.coords, r._omega_pows, r.n, r.params.modulus)
-        )
+        return WittElem(self.ring, self.ring._mul(self.coords, other.coords))
 
     @property
     def is_unit(self) -> bool:
@@ -532,9 +548,10 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
 
     # arithmetic in the x-power basis of Z[x]/(f, p^M)
     f_pows = _power_table(tuple(-c for c in poly[:n]), n, mod)
+    f_mul = _product(f_pows, n, mod)
     z = f_pows[1]
     for _ in range(M + 2):
-        nxt = binary_power(z, fq.q, lambda a, b: _vec_mul(a, b, f_pows, n, mod))
+        nxt = binary_power(z, fq.q, f_mul)
         if nxt == z:
             break
         z = nxt
@@ -544,7 +561,7 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     # change of basis to powers of the Teichmuller generator
     cols = [f_pows[0]]
     for _ in range(n):
-        cols.append(_vec_mul(cols[-1], z, f_pows, n, mod))
+        cols.append(f_mul(cols[-1], z))
     omega_n = cols.pop()  # z^n in the x-basis
     B_inv = invert_matrix([list(row) for row in zip(*cols)], params)
     c = mat_vec(B_inv, list(omega_n), mod)  # w^n = sum c_j w^j
@@ -552,10 +569,11 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     omega_pows = _power_table(tuple(c), n, mod)
 
     # Frobenius matrix: columns are coordinates of (w^p)^j
-    wp = binary_power(omega_pows[1], p, lambda a, b: _vec_mul(a, b, omega_pows, n, mod))
+    w_mul = _product(omega_pows, n, mod)
+    wp = binary_power(omega_pows[1], p, w_mul)
     cols = [omega_pows[0]]
     for _ in range(n - 1):
-        cols.append(_vec_mul(cols[-1], wp, omega_pows, n, mod))
+        cols.append(w_mul(cols[-1], wp))
 
     if tuple(cc % p for cc in defining_poly) != fq.poly:
         raise PrecisionError("basis change drifted mod p")

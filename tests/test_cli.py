@@ -76,6 +76,13 @@ def test_parse_errors_carry_positions():
         parse_element("1/w", ring)
     with pytest.raises(ParseError, match="S is not allowed"):
         parse_element("1+S", ring, allow_s=False)
+    # digits are ASCII: a superscript two or an Arabic-Indic three is no number
+    with pytest.raises(ParseError, match="unexpected character '\u00b2' at position 1"):
+        parse_element("S\u00b2", ring)
+    with pytest.raises(ParseError, match="unexpected character '\u0663' at position 0"):
+        parse_element("\u0663", ring)
+    with pytest.raises(ParseError, match="unexpected character '\u0663' at position 1"):
+        parse_element("w\u0663", ring)
 
 
 def test_format_parse_round_trip():
@@ -453,6 +460,15 @@ def test_grlie_check_and_abelianize(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "H_1 = Z_3 + Z/3 + Z/3" in out
+
+
+def test_grlie_check_power(capsys):
+    argv = ["grlie", "check", "--p", "3", "--n", "2", "--k", "1", "--power", "--trials", "5"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == "ok: 5 trials, 0 mismatches, 3 degenerate\n"
+    assert run_command(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"ok": True, "trials": 5, "mismatches": 0, "degenerate": 3}
 
 
 def _eager_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,8 @@ from morava.order import (
     s_gen,
 )
 from morava.padic import binary_power
-from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, _vec_mul, make_ring, teichmuller
+from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, make_ring, teichmuller
+from test_witt import _vec_mul
 
 
 def _random_order_elem(ring, rng):

@@ -29,7 +29,8 @@ from morava.stabilizer import (
     s1_split,
     torus_embed,
 )
-from morava.witt import DEFAULT_POLYS, make_ring
+from morava.witt import DEFAULT_POLYS, WittElem, make_ring
+from test_witt import _vec_mul
 
 
 def _random_unit(ring, rng):
@@ -233,6 +234,26 @@ def test_reduced_norm_multiplicative():
             nx, ny = reduced_norm(x.elem), reduced_norm(y.elem)
             assert reduced_norm((x * y).elem).value == (nx * ny).value
             assert reduced_norm(x.elem.galois_sigma()).value == nx.value
+
+
+def test_reduced_norms_match_schoolbook_products(monkeypatch):
+    """Norms at the benchmark's norm fields, with Witt products packed and then schoolbook."""
+    rng = random.Random(71)
+    cases = []
+    for (p, n, M) in [(2, 5, 8), (2, 6, 8), (2, 7, 8), (3, 4, 8), (3, 5, 8), (5, 4, 8), (7, 3, 8)]:
+        ring = make_ring(p, n, M)
+        mod = ring.params.modulus
+        xs = [_random_unit(ring, rng).elem for _ in range(2)]
+        xs.append(from_coeff_rows(ring, [[mod - 1] * n] * n))
+        cases += [(x, reduced_norm(x).value) for x in xs]
+
+    def schoolbook(self, other):
+        r = self.ring
+        return WittElem(r, _vec_mul(self.coords, other.coords, r._omega_pows, r.n, r.params.modulus))
+
+    monkeypatch.setattr(WittElem, "__mul__", schoolbook)
+    for x, norm in cases:
+        assert reduced_norm(x).value == norm, repr(x)
 
 
 def test_reduced_norm_two_by_two_formula():

@@ -9,11 +9,37 @@ from morava.padic import _prime_factors, binary_power, nu_p
 from morava.witt import (
     DEFAULT_POLYS,
     PrecisionError,
-    _vec_mul,
+    _power_table,
+    _product,
     fq_field,
     make_ring,
     teichmuller,
 )
+
+
+def _vec_mul(a, b, pows, n, mod):
+    """The schoolbook product on a power basis, as ring construction once took it: the oracle."""
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    out = list(prod[:n])
+    for d in range(n, 2 * n - 1):
+        c = prod[d] % mod
+        if c:
+            red = pows[d]
+            for i in range(n):
+                out[i] += c * red[i]
+    return tuple(v % mod for v in out)
+
+
+def _schoolbook_table(top, n, mod):
+    """y^0 .. y^max(n, 2n-2) given y^n = top, each power y times the last through _vec_mul."""
+    pows = [tuple(int(i == d) for i in range(n)) for d in range(n)] + [tuple(c % mod for c in top)]
+    while len(pows) < 2 * n - 1:
+        pows.append(_vec_mul(pows[1], pows[-1], pows, n, mod))
+    return pows
 
 
 def _pol_mul_mod(a, b, f, p):
@@ -413,9 +439,50 @@ def test_power_basis_powers_match_loop():
     rng = random.Random(62)
     for (p, n) in sorted(DEFAULT_POLYS):
         ring = make_ring(p, n, 3)
-        mod, pows = ring.params.modulus, ring._omega_pows
-        mul = lambda a, b: _vec_mul(a, b, pows, n, mod)
+        mod, pows, mul = ring.params.modulus, ring._omega_pows, ring._mul
         for a in [pows[1], *(tuple(rng.randrange(mod) for _ in range(n)) for _ in range(3))]:
             for e in _exponents(p, n, rng):
                 want = _vec_pow_from_identity(a, e, pows, n, mod)
                 assert binary_power(a, e, mul) == want, (p, n, a, e)
+
+
+def test_packed_product_matches_schoolbook():
+    """Every default ring at M = 1, 8, 16, on its w-power and x-power tables; the zero
+    vector and all coordinates p^M - 1, the widest slots, among the factors."""
+    rng = random.Random(63)
+    for (p, n), poly in sorted(DEFAULT_POLYS.items()):
+        for M in (1, 8, 16):
+            ring = make_ring(p, n, M)
+            mod = ring.params.modulus
+            vecs = [(0,) * n, (mod - 1,) * n]
+            vecs += [tuple(rng.randrange(mod) for _ in range(n)) for _ in range(5)]
+            x_top = tuple(-c for c in poly[:n])
+            assert _power_table(x_top, n, mod) == _schoolbook_table(x_top, n, mod)
+            assert ring._omega_pows == _schoolbook_table(ring._omega_pows[n], n, mod)
+            for pows, mul in [
+                (ring._omega_pows, ring._mul),
+                (_schoolbook_table(x_top, n, mod), _product(_power_table(x_top, n, mod), n, mod)),
+            ]:
+                for a in vecs:
+                    for b in vecs:
+                        assert mul(a, b) == _vec_mul(a, b, pows, n, mod), (p, n, M, a, b)
+            for a in vecs:
+                x = ring.from_coords(a)
+                assert (x * x).coords == _vec_mul(a, a, ring._omega_pows, n, mod), (p, n, M, a)
+
+
+def test_fq_tables_match_schoolbook_walk():
+    for (p, n), poly in sorted(DEFAULT_POLYS.items()):
+        field = fq_field(p, n)
+        pows = _schoolbook_table(tuple(-c for c in poly[:n]), n, p)
+        x = pows[1]
+        encode = lambda v: sum(c * p**i for i, c in enumerate(v))
+        exp, cur = [], pows[0]
+        for _ in range(field.q - 1):
+            exp.append(encode(cur))
+            cur = _vec_mul(x, cur, pows, n, p)
+        assert cur == pows[0], (p, n)
+        log = [None] * field.q
+        for k, idx in enumerate(exp):
+            log[idx] = k
+        assert (field.exp, field.log, field.gen_idx) == (exp, log, encode(x)), (p, n)
