@@ -10,10 +10,10 @@ together by the induced P operators.
 
 from __future__ import annotations
 
-from morava.order import from_witt, order_one, s_gen
+from morava.order import from_digits, order_one
 from morava.padic import INF, CyclicDecomp, Echelon, check_int, record
 from morava.stabilizer import GrElem, StabElem, commutator, gr_project
-from morava.witt import Fq, FqElem, fq_field, make_ring, teichmuller
+from morava.witt import Fq, FqElem, fq_field, make_ring
 
 _BRUTE_FORCE_LIMIT = 1 << 16
 
@@ -117,8 +117,8 @@ def gr_power(x: GrElem) -> GrElem:
 
 
 def _one_plus_digit(ring, digit: FqElem, k: int) -> StabElem:
-    """The unit 1 + teich(digit) S^k."""
-    return StabElem(order_one(ring) + from_witt(ring, teichmuller(ring, digit)) * s_gen(ring) ** k)
+    """The unit 1 + teich(digit) S^k, from its S-adic digits."""
+    return StabElem(from_digits(ring, [ring.fq.one] + [ring.fq.zero] * (k - 1) + [digit]))
 
 
 @record

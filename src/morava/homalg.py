@@ -110,8 +110,6 @@ def _subquotient_orders(kernel_of, image_of, params: PadicParams) -> list:
     relations = []
     for j in range(len(image_of[0])):
         b = [image_of[i][j] % mod for i in range(len(image_of))]
-        if any(v % mod for v in mat_vec([list(r) for r in kernel_of], b, mod)):
-            raise PrecisionError("image generator does not land in the kernel")
         c = mat_vec(V_inv, b, mod)
         relations.append([c[i] for i in idx])
     R = [[rel[i] for rel in relations] for i in range(len(idx))]

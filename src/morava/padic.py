@@ -214,8 +214,6 @@ def nth_root_one_unit(x: PadicInt, n: int) -> PadicInt:
         if v % p != 1:
             raise ValueError("n-th root requires x = 1 mod p for odd p")
         group_order = p ** (M - 1)
-    if group_order == 1:
-        return PadicInt(x.params, v)
     e = pow(n, -1, group_order)
     return PadicInt(x.params, pow(v, e, x.params.modulus))
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from morava.order import OrderElem, SValuation, from_int, from_witt, order_one, s_gen
+from morava.order import OrderElem, SValuation, from_digits, order_one
 from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record, unit_inverse
-from morava.witt import FqElem, PrecisionError, WittRing, teichmuller
+from morava.witt import FqElem, PrecisionError, WittRing
 
 
 class StabElem:
@@ -133,7 +133,7 @@ def torus_embed(ring: WittRing, x: FqElem) -> StabElem:
     """Teichmuller lift of a nonzero residue, embedded along the maximal torus."""
     if x.is_zero:
         raise ValueError("zero has no Teichmuller unit")
-    return StabElem(from_witt(ring, teichmuller(ring, x)))
+    return StabElem(from_digits(ring, [x]))
 
 
 def order3_element(ring: WittRing) -> StabElem:
@@ -141,9 +141,7 @@ def order3_element(ring: WittRing) -> StabElem:
     p, n = ring.params.p, ring.n
     if (p, n) != (3, 2):
         raise ValueError("defined for p = 3, n = 2 only")
-    c = (-unit_inverse(PadicInt(ring.params, 2))).value
-    a = (order_one(ring) + from_witt(ring, ring.omega) * s_gen(ring)).scale(c)
-    return StabElem(a)
+    return StabElem(from_digits(ring, [ring.fq.one, ring.fq.gen]).scale(pow(-2, -1, ring.params.modulus)))
 
 
 def reduced_norm(x: OrderElem) -> PadicInt:
@@ -220,8 +218,5 @@ def in_K(x: StabElem) -> bool:
         raise ValueError("defined for p = 3, n = 2 only")
     if reduced_norm(x.elem).value != 1:
         raise ValueError("not in the norm-one subgroup")
-    diff = x.elem - order_one(ring)
-    if diff.is_zero:
-        return True
-    d1 = diff.s_digits(2)[1]
+    d1 = (x.elem - order_one(ring)).s_digits(2)[1]
     return d1.coeffs[1] == 0

@@ -58,6 +58,8 @@ DEFAULT_POLYS = {
     (7, 3): (4, 0, 6, 1),
     (7, 4): (3, 4, 5, 0, 1),
 }
+_FIELD_LIMIT = 1 << 17  # most elements an Fq table holds: F_2^17 builds in 0.6 s (2-CPU Xeon)
+_PRECISION_LIMIT = 1024  # most Witt digits make_ring builds: (7, 4) takes 3.6 s there
 
 
 def _poly_repr(coeffs, name: str) -> str:
@@ -153,7 +155,7 @@ class Fq:
             raise ValueError(f"{poly} is not irreducible and primitive mod {p}")
         self.exp = exp
         self.log = log
-        self.gen_idx = self._encode(_times_x(one, top, p))
+        self.gen_idx = exp[1 % (q - 1)]  # x^1, which is 1 when q = 2
 
     def _encode(self, coeffs) -> int:
         idx = 0
@@ -189,7 +191,7 @@ class Fq:
     def pow_idx(self, i: int, e: int) -> int:
         if i == 0:
             if e == 0:
-                return self._encode([1] + [0] * (self.n - 1))
+                return 1  # the index of 1
             if e < 0:
                 raise ZeroDivisionError("inverse of zero in F_q")
             return 0
@@ -227,7 +229,7 @@ class Fq:
 
     @property
     def one(self) -> "FqElem":
-        return FqElem(self, self._encode([1] + [0] * (self.n - 1)))
+        return FqElem(self, 1)
 
     @property
     def gen(self) -> "FqElem":
@@ -310,7 +312,8 @@ def fq_field(p: int, n: int, poly=None) -> Fq:
 def _normalize_poly(p: int, n: int, poly) -> tuple:
     """The one input check on (p, n, poly): p prime, n >= 1, poly the default or monic of degree n.
 
-    Whether poly is irreducible and primitive mod p is decided by building its Fq.
+    Whether poly is irreducible and primitive mod p is decided by building its Fq,
+    which a supplied poly reaches only for p^n <= _FIELD_LIMIT.
     """
     check_prime(p)
     check_int("n", n)
@@ -320,6 +323,8 @@ def _normalize_poly(p: int, n: int, poly) -> tuple:
                 f"no default polynomial for (p, n) = ({p}, {n}); supply a primitive irreducible one"
             )
         return DEFAULT_POLYS[(p, n)]
+    if n >= _FIELD_LIMIT.bit_length() or p**n > _FIELD_LIMIT:  # p^n > 2^n, so n bounds it first
+        raise ValueError(f"F_{p}^{n} is above the bound of {_FIELD_LIMIT} field elements")
     poly = tuple(int(c) for c in poly)
     if len(poly) != n + 1 or poly[n] != 1:
         raise ValueError(f"need a monic degree-{n} polynomial, got {poly}")
@@ -532,11 +537,14 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
     """Build W(F_{p^n}) mod p^M.
 
     (p, n) must be in the default table, or `poly` a monic degree-n integer
-    polynomial whose reduction mod p is irreducible and primitive.  Rings
-    are cached on poly mod p, so equal rings are the identical object.
+    polynomial whose reduction mod p is irreducible and primitive, and M at
+    most _PRECISION_LIMIT.  Rings are cached on poly mod p, so equal rings
+    are the identical object.
     """
     poly = tuple(c % p for c in _normalize_poly(p, n, poly))
     check_int("precision M", M)  # before the cache, where M = True would find the ring of M = 1
+    if M > _PRECISION_LIMIT:
+        raise ValueError(f"precision M = {M} is above the bound of {_PRECISION_LIMIT} Witt digits")
     return _make_ring_cached(p, n, M, poly)
 
 
@@ -544,7 +552,7 @@ def make_ring(p: int, n: int, M: int, poly=None) -> WittRing:
 def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     params = PadicParams(p, M)
     mod = params.modulus
-    fq = fq_field(p, n, poly)
+    fq = _fq_field_cached(p, n, poly)  # make_ring has checked and reduced poly
 
     # arithmetic in the x-power basis of Z[x]/(f, p^M)
     f_pows = _power_table(tuple(-c for c in poly[:n]), n, mod)

@@ -220,6 +220,16 @@ def test_oversized_chart_windows_are_domain_errors(capsys):
         assert "Traceback" not in captured.err, argv
 
 
+def test_oversized_precision_is_a_domain_error(capsys):
+    for argv in (["order", "val", "S", "--prec", "200000"], ["stab", "order", "1+S", "--prec", "1025"]):
+        start = time.perf_counter()
+        assert run_command(argv) == 1, argv
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bound of 1024 Witt digits" in captured.err, argv
+        assert "Traceback" not in captured.err, argv
+
+
 @pytest.mark.parametrize(
     "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parentheses", "minus"]
 )

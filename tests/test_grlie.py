@@ -10,6 +10,7 @@ import pytest
 
 import morava
 from morava import grlie
+from morava.cli import run_command
 from morava.grlie import (
     AbelianizationReport,
     GrElem,
@@ -357,6 +358,26 @@ def test_power_matches_group():
     for (p, n, k) in [(3, 2, 1), (3, 2, 2), (2, 3, 1), (2, 3, 3), (2, 2, 2), (5, 2, 1)]:
         rep = check_power_vs_group(p, n, k, trials=20, seed=5)
         assert rep.ok, (p, n, k, rep)
+
+
+def test_group_checks_catch_a_wrong_formula(monkeypatch, capsys):
+    def off_by_one(formula):  # a wrong graded formula: 1 added to the digit
+        def wrong(*args):
+            out = formula(*args)
+            return GrElem(out.k, out.digit + out.digit.field.one)
+
+        return wrong
+
+    monkeypatch.setattr(grlie, "gr_bracket", off_by_one(gr_bracket))
+    monkeypatch.setattr(grlie, "gr_power", off_by_one(gr_power))
+    rep = check_bracket_vs_group(3, 2, 1, 2, trials=5)
+    assert (rep.trials, rep.mismatches, rep.degenerate, rep.ok) == (5, 5, 1, False)
+    rep = check_power_vs_group(3, 2, 1, trials=5)
+    assert (rep.trials, rep.mismatches, rep.degenerate, rep.ok) == (5, 5, 1, False)
+    # a failed check is a finding, not an error: the CLI prints FAILED and exits 0
+    argv = ["grlie", "check", "--p", "3", "--n", "2", "--k", "1", "--l", "2", "--trials", "5"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == "FAILED: 5 trials, 5 mismatches, 1 degenerate\n"
 
 
 def test_check_guards():

@@ -237,9 +237,12 @@ def test_inverse():
             found += 1
             y = x.inverse()
             assert x * y == one and y * x == one
+            assert x ** -3 == (x ** 3).inverse()
     ring = make_ring(3, 2, 8)
     with pytest.raises(ValueError, match="not a unit"):
         (s_gen(ring) + from_int(ring, 3)).inverse()
+    with pytest.raises(ValueError, match="not a unit"):
+        s_gen(ring) ** -3
 
 
 def _power_from_identity(x, e):

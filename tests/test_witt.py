@@ -334,8 +334,31 @@ def test_inverse():
         y = x.inverse()
         assert x * y == ring.one()
         assert y * x == ring.one()
+        assert x ** -3 == (x ** 3).inverse()
     with pytest.raises(ValueError, match="not a unit"):
         ring.from_int(3).inverse()
+    with pytest.raises(ValueError, match="not a unit"):
+        ring.from_int(3) ** -3
+
+
+def test_work_bounds_refuse_before_building(monkeypatch):
+    from morava import witt
+
+    monkeypatch.setattr(witt, "_fq_field_cached", lambda *a: pytest.fail("built a field"))
+    monkeypatch.setattr(witt, "_make_ring_cached", lambda *a: pytest.fail("built a ring"))
+    # 2^40 by the degree alone, and 3^11 = 177147 > 2^17 > 3^10 by the size
+    for p, n in ((2, 40), (3, 11)):
+        poly = (1,) * n + (1,)
+        with pytest.raises(ValueError, match=f"F_{p}\\^{n} is above the bound of 131072 field elements"):
+            fq_field(p, n, poly)
+        with pytest.raises(ValueError, match="131072 field elements"):
+            make_ring(p, n, 4, poly)
+    for M in (witt._PRECISION_LIMIT + 1, 200000):
+        with pytest.raises(ValueError, match=f"precision M = {M} is above the bound of 1024 Witt digits"):
+            make_ring(3, 2, M)
+    monkeypatch.undo()
+    # the edges build: M = 1024 here, and q = 2^17 in test_grlie.test_brute_force_guard
+    assert make_ring(2, 1, witt._PRECISION_LIMIT).params.M == 1024
 
 
 def test_valuation():
