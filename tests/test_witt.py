@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from morava import witt
 from morava.padic import _prime_factors, binary_power, nu_p
 from morava.witt import (
     DEFAULT_POLYS,
@@ -342,13 +343,11 @@ def test_inverse():
 
 
 def test_work_bounds_refuse_before_building(monkeypatch):
-    from morava import witt
-
     monkeypatch.setattr(witt, "_fq_field_cached", lambda *a: pytest.fail("built a field"))
     monkeypatch.setattr(witt, "_make_ring_cached", lambda *a: pytest.fail("built a ring"))
     # 2^40 by the degree alone, and 3^11 = 177147 > 2^17 > 3^10 by the size
     for p, n in ((2, 40), (3, 11)):
-        poly = (1,) * n + (1,)
+        poly = (1,) * (n + 1)
         with pytest.raises(ValueError, match=f"F_{p}\\^{n} is above the bound of 131072 field elements"):
             fq_field(p, n, poly)
         with pytest.raises(ValueError, match="131072 field elements"):
