@@ -200,16 +200,18 @@ def commutator_span(p, n, k, l, poly=None) -> GrSubspace:
     """F_p-span of all bracket digits between levels k/n and l/n.
 
     The bracket is F_p-bilinear, so the brackets of the n^2 pairs of F_p-basis
-    elements span the same space as the brackets of all q^2 pairs.
+    elements span the same space as the brackets of all q^2 pairs; the walk
+    over them stops once the span is all of F_q.
     """
     check_int("graded levels", k)
     check_int("graded levels", l)
     field = fq_field(p, n, poly)
-    basis = full_space(field).basis()
+    basis = [field.from_idx(p**i) for i in range(n)]  # the power basis 1, wb, ..., wb^(n-1)
     span = GrSubspace(field)
     for a in basis:
         for b in basis:
-            span.insert(gr_bracket(GrElem(k, a), GrElem(l, b)).digit)
+            if span.insert(gr_bracket(GrElem(k, a), GrElem(l, b)).digit) and span.dim == n:
+                return span
     return span
 
 
@@ -290,18 +292,19 @@ def _power_digit(field: Fq, k: int, a: FqElem) -> FqElem:
 def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationReport:
     """Assemble H_1 of the strict units from levels 1..L.
 
-    Builds D_k as the span of all bracket digits landing at level k and forms
-    the quotients Q_k.  For each edge k -> t of the power operator P it
-    checks P(x + e) - P(x) - P(e) in D_t for every x in F_q and every F_p-basis
-    vector e.  With P(0) = 0, adding basis vectors one at a time shows that P
-    then agrees mod D_t with the F_p-linear map given by P on the basis, so it
-    is additive; this is the only check that enumerates the field.  The rest
-    is linear algebra on bases: P(D_k) lies in D_t (well-defined), and the
-    rank of P(basis) modulo D_t classifies the induced map as zero or an
-    isomorphism.  Chains of isos then collapse: a chain that ends in a zero
-    map contributes cyclic factors of order p^length, a chain that runs past
-    L contributes free summands certified only at this precision.  H_1 tensored
-    with Z/p is one Z/p per summand, read off the chains.
+    Builds D_k as the span of all bracket digits landing at level k, taking
+    spans only until D_k is all of F_q, and forms the quotients Q_k.  For each
+    edge k -> t of the power operator P it checks P(x + e) - P(x) - P(e) in
+    D_t for every x in F_q and every F_p-basis vector e.  With P(0) = 0,
+    adding basis vectors one at a time shows that P then agrees mod D_t with
+    the F_p-linear map given by P on the basis, so it is additive; this is the
+    only check that enumerates the field.  The rest is linear algebra on
+    bases: P(D_k) lies in D_t (well-defined), and the rank of P(basis) modulo
+    D_t classifies the induced map as zero or an isomorphism.  Chains of isos
+    then collapse: a chain that ends in a zero map contributes cyclic factors
+    of order p^length, a chain that runs past L contributes free summands
+    certified only at this precision.  H_1 tensored with Z/p is one Z/p per
+    summand, read off the chains.
     """
     field = fq_field(p, n, poly)
     if field.q > _BRUTE_FORCE_LIMIT:
@@ -312,11 +315,14 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     for k in range(1, L + 1):
         acc = GrSubspace(field)
         for k1 in range(1, min(k // 2, n) + 1):  # brackets see levels only mod n
+            if acc.dim == n:  # a full D_k takes no more spans
+                break
             key = (k1 % n, (k - k1) % n)
             if key not in spans:
                 spans[key] = commutator_span(p, n, k1, k - k1, poly).basis()
             for b in spans[key]:
-                acc.insert(b)
+                if acc.insert(b) and acc.dim == n:
+                    break
         D[k] = acc
     qdim = {k: n - D[k].dim for k in range(1, L + 1)}
     nonzero = [k for k in range(1, L + 1) if qdim[k] > 0]

@@ -197,12 +197,14 @@ def from_coeff_rows(ring: WittRing, rows) -> OrderElem:
 
 def from_digits(ring: WittRing, digits) -> OrderElem:
     """Assemble sum teich(d_k) S^k from S-adic digits (F_q elements)."""
-    n, p = ring.n, ring.params.p
+    n, p, zero = ring.n, ring.params.p, ring.fq.zero
     coords = [0] * (n * n)
     for k, d in enumerate(digits):
         i, j = k % n, k // n
         if j >= ring.params.M:
             raise ValueError("digit count exceeds precision")
+        if d == zero:  # teich(0) = 0; a zero of another field still meets teichmuller's refusal
+            continue
         for m, c in enumerate(teichmuller(ring, d).coords):
             coords[n * i + m] += c * p ** j
     mod = ring.params.modulus

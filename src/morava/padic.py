@@ -253,9 +253,19 @@ def invert_matrix(A, params: PadicParams) -> list[list[int]]:
     return mat_mul(sf.V, sf.U, params.modulus)
 
 
-def _minus(u: dict, f: int, v: dict, p: int) -> dict:
-    """u - f * v over F_p, as a sparse vector with no zero entries."""
-    return {c: x for c in u.keys() | v.keys() if (x := (u.get(c, 0) - f * v.get(c, 0)) % p)}
+def _minus(out: dict, f: int, v: dict, p: int) -> dict:
+    """out - f * v over F_p, written into out and returned, with no zero entries.
+
+    out must be a dict the caller owns: Echelon passes only dicts it has just
+    built, never a stored row.  f is a unit mod p and v has no zero entries,
+    so an entry that cancels was already in out.
+    """
+    for c, x in v.items():
+        if y := (out.get(c, 0) - f * x) % p:
+            out[c] = y
+        else:
+            del out[c]
+    return out
 
 
 class Echelon:
@@ -263,8 +273,10 @@ class Echelon:
 
     rows maps each pivot column to its row: 1 at its pivot, 0 at every other
     pivot and before its own.  So a vector reduces in one pass, equal spans
-    have equal rows, and the rank is len(rows).  Rows are replaced, never
-    changed in place: a copy of the dict is a copy of the echelon.
+    have equal rows, and the rank is len(rows).  Work happens in dicts the
+    echelon owns: reduce builds a fresh dict and eliminates into it, and a
+    stored row that changes is replaced by a new dict, never mutated.  So a
+    copy of the dict rows is a copy of the echelon.
     """
 
     def __init__(self, p: int):
@@ -275,7 +287,7 @@ class Echelon:
         """vec minus its combination of rows: empty exactly when vec lies in the span."""
         out = {c: v % self.p for c, v in vec.items() if v % self.p}
         for col in [c for c in out if c in self.rows]:  # rows vanish at the other pivots
-            out = _minus(out, out[col], self.rows[col], self.p)
+            _minus(out, out[col], self.rows[col], self.p)
         return out
 
     def insert(self, vec: dict) -> bool:
@@ -288,7 +300,7 @@ class Echelon:
         vec = {c: v * inv % self.p for c, v in vec.items()}
         for col, row in self.rows.items():
             if piv in row:
-                self.rows[col] = _minus(row, row[piv], vec, self.p)
+                self.rows[col] = _minus(dict(row), row[piv], vec, self.p)
         self.rows[piv] = vec
         return True
 

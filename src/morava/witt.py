@@ -179,9 +179,9 @@ class Fq:
         return self._encode([(x + y) % self.p for x, y in zip(a, b)])
 
     def neg_idx(self, i: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or i == 0:
             return i
-        return self._encode([(-x) % self.p for x in self._decode(i)])
+        return self.exp[(self.log[i] + (self.q - 1) // 2) % (self.q - 1)]  # -1 = x^((q-1)/2)
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:

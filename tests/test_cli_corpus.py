@@ -7,13 +7,15 @@ or domain errors, the K(1) charts under --json (the sphere at p = 2
 and 5, KO, and an E_2 page), order mul, order inv, stab comm and stab
 order at heights n = 5..8 (p = 2 and 3), where a product has the most
 terms, `homalg g1` on both sides of the height-one exact sequence at
-p = 2, 3 and 5, and the E_2 pages at p = 3 and 5.  The last eleven are
+p = 2, 3 and 5, and the E_2 pages at p = 3 and 5.  Eleven more are
 the commands CI once pinned line by line: the sphere at p = 2 (stems 1,
 3 and 4), p = 3 (stem 11) and p = 5 (stems 6..8), KO at stem 4 and its
 p = 5 refusal, `order val S --prec 0`, `grlie span ... --prec 4`, an
-order-one `homalg cyclic`, and a height-7 `stab norm`.  CI replays every
-record through the installed `morava` script.  A refactor that changes
-any byte of this output changes behaviour and must say so.
+order-one `homalg cyclic`, and a height-7 `stab norm`.  The last two are
+`grlie abelianize --json` at (p, n, levels) = (2, 6, 12) and (7, 3, 4),
+whose generator digits depend on the echelon rows of every D_k.  CI
+replays every record through the installed `morava` script.  A refactor
+that changes any byte of this output changes behaviour and must say so.
 """
 
 import json

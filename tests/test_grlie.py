@@ -61,6 +61,17 @@ def brute_force_span(p, n, k, l):
     return span
 
 
+def _commutator_span_all_pairs(p, n, k, l):
+    """The n^2 basis-pair brackets, every one inserted, as commutator_span once ran: the oracle."""
+    field = fq_field(p, n)
+    basis = full_space(field).basis()
+    span = GrSubspace(field)
+    for a in basis:
+        for b in basis:
+            span.insert(gr_bracket(GrElem(k, a), GrElem(l, b)).digit)
+    return span
+
+
 class _GrSubspaceByList:
     """The dense RREF GrSubspace kept before padic.Echelon; the oracle."""
 
@@ -417,6 +428,75 @@ def test_span_matches_brute_force():
                 assert commutator_span(p, n, k, l) == brute_force_span(p, n, k, l), (p, n, k, l)
                 cases += 1
     assert cases == 133
+
+
+def test_span_matches_all_pairs_oracle():
+    fields = cases = 0
+    for (p, n) in sorted(DEFAULT_POLYS):
+        if p**n > 1 << 12:
+            continue
+        fields += 1
+        for k in range(1, n + 2):
+            for l in range(k, n + 2):
+                assert commutator_span(p, n, k, l) == _commutator_span_all_pairs(p, n, k, l), (p, n, k, l)
+                cases += 1
+    assert (fields, cases) == (21, 287)
+
+
+def _inserts(monkeypatch):
+    """Record (subspace, its dim) at every GrSubspace.insert, and every subspace copy() made."""
+    inserts, copies = [], []
+    real_insert, real_copy = GrSubspace.insert, GrSubspace.copy
+    monkeypatch.setattr(GrSubspace, "insert", lambda self, x: inserts.append((self, self.dim)) or real_insert(self, x))
+    monkeypatch.setattr(GrSubspace, "copy", lambda self: copies.append(real_copy(self)) or copies[-1])
+    return inserts, copies
+
+
+def test_spans_stop_at_full_rank(monkeypatch):
+    # no bracket is inserted into a span that is already F_q, neither in
+    # commutator_span nor in the D_k fill of abelianization_report
+    inserts, copies = _inserts(monkeypatch)
+    full = full_levels = 0
+    for (p, n) in SMALL_FIELDS:
+        for k in range(1, n + 2):
+            for l in range(k, n + 2):
+                inserts.clear()
+                span = commutator_span(p, n, k, l)
+                assert all(d < n for _, d in inserts), (p, n, k, l)
+                full += span.dim == n
+        inserts.clear()
+        rep = abelianization_report(p, n, 2 * n + 2)
+        full_levels += sum(d == 0 for d in rep.quotient_dims.values())
+        # copies are the image and generator probes, which run on to the whole basis
+        assert all(d < n for sp, d in inserts if not any(sp is c for c in copies)), (p, n)
+    assert full > 100 and full_levels > 20, (full, full_levels)
+    # a real D_k is full after its first span or never; seeded spans also fill it midway
+    rng = random.Random(20261019)
+    for (p, n) in [(2, 2), (3, 2), (2, 3), (5, 2)]:
+        for L in range(2, 3 * n + 2):
+            fake, made = _seeded_spans(rng), []
+            monkeypatch.setattr(grlie, "commutator_span", lambda *a: made.append(fake(*a)) or made[-1])
+            inserts.clear()
+            try:
+                abelianization_report(p, n, L)
+            except ValueError:  # seeded spans need not be P-stable; the fill came first
+                pass
+            others = made + copies
+            assert all(d < n for sp, d in inserts if not any(sp is o for o in others)), (p, n, L)
+
+
+def test_subspace_copy_is_independent():
+    rng = random.Random(20261019)
+    for (p, n) in SMALL_FIELDS:
+        field = fq_field(p, n)
+        sp = GrSubspace(field)
+        for _ in range(rng.randrange(n)):
+            sp.insert(field.from_idx(rng.randrange(field.q)))
+        before = sp.basis()
+        cp = sp.copy()
+        for _ in range(2 * n):
+            cp.insert(field.from_idx(rng.randrange(field.q)))
+        assert sp.basis() == before and sp.dim == len(before), (p, n)
 
 
 def test_predicted_span():

@@ -224,6 +224,52 @@ def test_digits_round_trip():
     assert order_one(make_ring(3, 2, 6)).s_digits(0) == []
 
 
+def _from_digits_every_digit(ring, digits):
+    """from_digits as it was, one Teichmuller lift per digit, zeros included: the oracle."""
+    n, p = ring.n, ring.params.p
+    coords = [0] * (n * n)
+    for k, d in enumerate(digits):
+        i, j = k % n, k // n
+        if j >= ring.params.M:
+            raise ValueError("digit count exceeds precision")
+        for m, c in enumerate(teichmuller(ring, d).coords):
+            coords[n * i + m] += c * p ** j
+    return OrderElem(ring, tuple(c % ring.params.modulus for c in coords))
+
+
+def test_from_digits_skips_zero_digits(monkeypatch):
+    import morava.order
+
+    rng = random.Random(20261019)
+    for (p, n, M) in [(2, 1, 5), (3, 2, 6), (2, 3, 4), (5, 2, 3), (7, 3, 2), (2, 4, 3)]:
+        ring = make_ring(p, n, M)
+        zero, elems = ring.fq.zero, list(ring.fq.elements())
+        for _ in range(25):
+            count = rng.randrange(n * M + 1)
+            share = rng.choice([0.0, 0.5, 0.9, 1.0])  # share of zero digits
+            digits = [zero if rng.random() < share else rng.choice(elems) for _ in range(count)]
+            assert from_digits(ring, digits) == _from_digits_every_digit(ring, digits), (p, n, M)
+        # the precision check still sees every digit index, zeros included
+        for digits in ([zero] * (n * M + 1), [ring.fq.one] + [zero] * (n * M)):
+            for build in (from_digits, _from_digits_every_digit):
+                with pytest.raises(ValueError, match="exceeds precision"):
+                    build(ring, digits)
+    # 1 + teich(a) S^k asks for two lifts, not k + 1
+    ring = make_ring(3, 2, 6)
+    lifts = []
+    real = morava.order.teichmuller
+    monkeypatch.setattr(morava.order, "teichmuller", lambda r, d: lifts.append(d) or real(r, d))
+    a = ring.fq.gen
+    for k in range(1, 2 * 6):
+        lifts.clear()
+        x = from_digits(ring, [ring.fq.one] + [ring.fq.zero] * (k - 1) + [a])
+        assert lifts == [ring.fq.one, a], k
+        assert x == order_one(ring) + from_witt(ring, teichmuller(ring, a)) * s_gen(ring) ** k, k
+    # a zero of another field is still refused
+    with pytest.raises(ValueError, match="different field"):
+        from_digits(ring, [make_ring(5, 2, 6).fq.zero])
+
+
 def test_inverse():
     rng = random.Random(41)
     for (p, n) in [(3, 2), (2, 3), (5, 1)]:

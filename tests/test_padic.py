@@ -393,6 +393,30 @@ def test_echelon_rows_are_canonical():
         assert first.rows == second.rows
 
 
+def test_echelon_never_changes_a_row_in_place():
+    # a shallow copy of rows, and every input vector, outlive later inserts unchanged
+    rng = random.Random(20261019)
+    changed = 0  # back-substitutions that replaced a row the alias still holds
+    for trial in range(200):
+        p = (2, 3, 5, 7)[trial % 4]
+        ncols = rng.randrange(1, 12)
+        rows = _random_sparse_rows(rng, p, rng.randrange(1, 14), ncols)
+        ech = Echelon(p)
+        cut = rng.randrange(len(rows) + 1)
+        for row in rows[:cut]:
+            ech.insert(row)
+        snapshot = {c: dict(r) for c, r in ech.rows.items()}
+        alias = dict(ech.rows)
+        inputs = [dict(row) for row in rows[cut:]]
+        for row in rows[cut:]:
+            ech.reduce(row)
+            ech.insert(row)
+        assert {c: dict(r) for c, r in alias.items()} == snapshot, (p, rows, cut)
+        assert rows[cut:] == inputs, (p, rows, cut)
+        changed += any(ech.rows[c] != r for c, r in snapshot.items())
+    assert changed > 20, changed
+
+
 def test_cyclic_decomp_normalization():
     d = CyclicDecomp(3, (3, INF, 9, 1), precision_caveat=True)
     assert d.orders == (INF, 9, 3)

@@ -508,3 +508,20 @@ def test_fq_tables_match_schoolbook_walk():
         for k, idx in enumerate(exp):
             log[idx] = k
         assert (field.exp, field.log, field.gen_idx) == (exp, log, encode(x)), (p, n)
+
+
+def _neg_idx_by_coeffs(field, i):
+    """-x by negating each F_p coefficient, as Fq.neg_idx once did: the oracle."""
+    return field._encode([(-c) % field.p for c in field._decode(i)])
+
+
+def test_neg_idx_matches_coefficient_negation():
+    # -1 = x^((q-1)/2) at odd p: one log-table step; at p = 2, -x = x
+    fields = 0
+    for (p, n) in sorted(DEFAULT_POLYS):
+        field = fq_field(p, n)
+        got = [field.neg_idx(i) for i in range(field.q)]
+        assert got == [_neg_idx_by_coeffs(field, i) for i in range(field.q)], (p, n)
+        assert all(field.add_idx(i, j) == 0 for i, j in enumerate(got)), (p, n)
+        fields += p > 2
+    assert fields == 13
