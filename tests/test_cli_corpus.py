@@ -13,7 +13,10 @@ the commands CI once pinned line by line: the sphere at p = 2 (stems 1,
 p = 5 refusal, `order val S --prec 0`, `grlie span ... --prec 4`, an
 order-one `homalg cyclic`, and a height-7 `stab norm`.  The last two are
 `grlie abelianize --json` at (p, n, levels) = (2, 6, 12) and (7, 3, 4),
-whose generator digits depend on the echelon rows of every D_k.  CI
+whose generator digits depend on the echelon rows of every D_k.  Three
+run the graded checks against the group: the brackets at (p, n, k, l) =
+(2, 4, 1, 3) with 20 trials and (5, 3, 2, 2) with 10 under --json, and
+the p-th power at (3, 2, 1) with 10 trials.  CI
 replays every record through the installed `morava` script.  A refactor
 that changes any byte of this output changes behaviour and must say so.
 """
