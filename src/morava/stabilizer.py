@@ -75,24 +75,25 @@ def identity(ring: WittRing) -> StabElem:
 
 def commutator(x: StabElem, y: StabElem) -> StabElem:
     """x y x^-1 y^-1, computed as (xy)(yx)^-1 with a single inversion."""
-    xy = x.elem * y.elem
-    yx = y.elem * x.elem
-    return StabElem(xy * yx.inverse())
+    return StabElem(x.elem * y.elem * (y.elem * x.elem).inverse())
 
 
 def filtration_level(x: StabElem) -> SValuation:
     return (x.elem - order_one(x.ring)).s_valuation()
 
 
-def gr_project(x: StabElem) -> GrElem:
-    """The level k of x - 1 and its leading S-digit, the residue of a_(k mod n) / p^(k div n)."""
-    diff = x.elem - order_one(x.ring)
-    v = diff.s_valuation()
+def leading_term(d: OrderElem) -> GrElem:
+    """The S-valuation k of d and its leading S-digit, the residue of a_(k mod n) / p^(k div n)."""
+    v = d.s_valuation()
     if v.at_precision_cap:
         raise ValueError("element is trivial at this precision; no graded image")
-    j, i = divmod(v.numerator, x.ring.n)
-    ppow = x.ring.params.p ** j
-    return GrElem(v.numerator, x.ring.fq.element(tuple(c // ppow for c in diff.parts[i].coords)))
+    j, i = divmod(v.numerator, d.ring.n)
+    ppow = d.ring.params.p ** j
+    return GrElem(v.numerator, d.ring.fq.element(tuple(c // ppow for c in d.parts[i].coords)))
+
+
+def gr_project(x: StabElem) -> GrElem:
+    return leading_term(x.elem - order_one(x.ring))
 
 
 def default_order_bound(ring: WittRing) -> int:

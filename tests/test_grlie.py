@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import morava
-from morava import grlie
+from morava import grlie, stabilizer
 from morava.cli import run_command
 from morava.grlie import (
     AbelianizationReport,
@@ -25,6 +25,7 @@ from morava.grlie import (
     predicted_span,
     trace_kernel,
 )
+from morava.order import OrderElem
 from morava.padic import INF, CyclicDecomp
 from morava.witt import DEFAULT_POLYS, Fq, PrecisionError, fq_field
 
@@ -389,6 +390,41 @@ def test_group_checks_catch_a_wrong_formula(monkeypatch, capsys):
     argv = ["grlie", "check", "--p", "3", "--n", "2", "--k", "1", "--l", "2", "--trials", "5"]
     assert run_command(argv) == 0
     assert capsys.readouterr().out == "FAILED: 5 trials, 5 mismatches, 1 degenerate\n"
+
+
+# (trials, mismatches, degenerate) at the (p, n) pairs of the unit-group benchmark, seed = the
+# pair's index, as each trial once computed [x, y] with an inversion and projected it
+_GROUP_CHECK_COUNTS = {
+    (2, 2, 1, 2): (20, 0, 5), (2, 2, 2, 3): (20, 0, 5), (2, 2, 1): (20, 0, 0),
+    (3, 2, 1, 2): (20, 0, 9), (3, 2, 2, 3): (20, 0, 4), (3, 2, 2): (20, 0, 0),
+    (5, 2, 1, 2): (20, 0, 3), (5, 2, 2, 3): (20, 0, 4), (5, 2, 3): (20, 0, 0),
+    (7, 2, 1, 2): (20, 0, 4), (7, 2, 2, 3): (20, 0, 2), (7, 2, 4): (20, 0, 0),
+    (2, 3, 1, 2): (20, 0, 4), (2, 3, 2, 3): (20, 0, 4), (2, 3, 1): (20, 0, 0),
+    (3, 3, 1, 2): (20, 0, 1), (3, 3, 2, 3): (20, 0, 2), (3, 3, 2): (20, 0, 0),
+    (5, 3, 1, 2): (20, 0, 1), (5, 3, 2, 3): (20, 0, 1), (5, 3, 3): (20, 0, 0),
+    (2, 4, 1, 2): (20, 0, 0), (2, 4, 2, 3): (20, 0, 1), (2, 4, 4): (20, 0, 3),
+}
+
+
+def test_group_checks_invert_nothing(monkeypatch, capsys):
+    # gr[x, y] is read off xy - yx and gr(x^p) off x^p - 1: no inverse, no group commutator
+    def refuse(*args):
+        raise AssertionError("a graded group check inverted")
+
+    monkeypatch.setattr(OrderElem, "inverse", refuse)
+    monkeypatch.setattr(stabilizer, "commutator", refuse)
+    assert not {"StabElem", "commutator", "gr_project"} & set(vars(grlie))
+    got = {}
+    for index, (p, n) in enumerate([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3), (2, 4)]):
+        for k, l in ((1, 2), (2, 3)):
+            rep = check_bracket_vs_group(p, n, k, l, trials=20, M=16, seed=index)
+            got[p, n, k, l] = (rep.trials, rep.mismatches, rep.degenerate)
+        rep = check_power_vs_group(p, n, 1 + index % 4, trials=20, M=16, seed=index)
+        got[p, n, 1 + index % 4] = (rep.trials, rep.mismatches, rep.degenerate)
+    assert got == _GROUP_CHECK_COUNTS
+    argv = ["grlie", "check", "--p", "3", "--n", "2", "--k", "1", "--l", "2", "--trials", "5"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == "ok: 5 trials, 0 mismatches, 0 degenerate\n"
 
 
 def test_check_guards():

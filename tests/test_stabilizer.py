@@ -9,6 +9,7 @@ import pytest
 from morava.order import (
     SValuation,
     from_coeff_rows,
+    from_digits,
     from_int,
     from_witt,
     order_one,
@@ -24,6 +25,7 @@ from morava.stabilizer import (
     gr_project,
     identity,
     in_K,
+    leading_term,
     order3_element,
     reduced_norm,
     s1_split,
@@ -211,6 +213,38 @@ def test_gr_project_reads_the_digit_s_digits_gives(p, n, M):
                 continue
             v = diff.s_valuation().numerator
             assert gr_project(y) == GrElem(v, diff.s_digits(v + 1)[v]), (p, n, M, y)
+
+
+def test_leading_term_of_xy_minus_yx_is_the_graded_commutator():
+    # [x, y] - 1 = (xy - yx)(yx)^-1 with (yx)^-1 = 1 mod S, so for x = 1 + teich(a) S^k and
+    # y = 1 + teich(b) S^l the two have one leading term and vanish together; commutator and
+    # gr_project, which invert, are the oracle, and s_digits checks the digit read off xy - yx
+    rng = random.Random(28)
+    cases = trivial = 0
+    for p, n in sorted(f for f in DEFAULT_POLYS if f[0] ** f[1] <= 256):
+        for M in (1, 2, 4, 16):
+            ring = make_ring(p, n, M)
+            one, fq = identity(ring), ring.fq
+            for k in range(1, n + 3):
+                for l in range(1, n + 3):
+                    if k + l >= n * M:
+                        continue
+                    for _ in range(3):
+                        a, b = fq.from_idx(rng.randrange(1, fq.q)), fq.from_idx(rng.randrange(1, fq.q))
+                        x = from_digits(ring, [fq.one] + [fq.zero] * (k - 1) + [a])
+                        y = from_digits(ring, [fq.one] + [fq.zero] * (l - 1) + [b])
+                        d, c = x * y - y * x, commutator(StabElem(x), StabElem(y))
+                        case = (p, n, M, k, l, a, b)
+                        cases += 1
+                        assert d.is_zero == (c == one), case
+                        if d.is_zero:
+                            trivial += 1
+                            continue
+                        got = leading_term(d)
+                        assert got == gr_project(c), case
+                        digits = d.s_digits(got.k + 1)
+                        assert not any(digits[:-1]) and digits[-1] == got.digit, case
+    assert (cases, trivial) == (4713, 496)
 
 
 def test_reduced_norm_frozen():
