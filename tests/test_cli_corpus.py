@@ -16,8 +16,10 @@ order-one `homalg cyclic`, and a height-7 `stab norm`.  The last two are
 whose generator digits depend on the echelon rows of every D_k.  Three
 run the graded checks against the group: the brackets at (p, n, k, l) =
 (2, 4, 1, 3) with 20 trials and (5, 3, 2, 2) with 10 under --json, and
-the p-th power at (3, 2, 1) with 10 trials.  CI
-replays every record through the installed `morava` script.  A refactor
+the p-th power at (3, 2, 1) with 10 trials.  Four evaluate the graded
+maps: `grlie bracket` at (p, n) = (3, 2), `grlie power` at (3, 2) and,
+under --json, at (2, 4), and a bracket whose residue index is out of
+range, which exits 1.  CI replays every record through the installed `morava` script.  A refactor
 that changes any byte of this output changes behaviour and must say so.
 """
 
