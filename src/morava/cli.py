@@ -333,12 +333,10 @@ def _cmd_grlie(args):
 
 
 def _homalg_module(args):
-    import json
-
     from morava.homalg import ZpModuleWithOperator
-    from morava.padic import PadicParams
+    from morava.padic import PadicParams, load_json
 
-    return ZpModuleWithOperator(PadicParams(args.p, args.prec), json.loads(args.matrix))
+    return ZpModuleWithOperator(PadicParams(args.p, args.prec), load_json(args.matrix))
 
 
 def _cmd_homalg(args):

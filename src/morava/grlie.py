@@ -281,13 +281,6 @@ def _phi(p: int, n: int, k: int) -> int:
     return min(p * k, k + n)
 
 
-def _power_digit(field: Fq, k: int, a: FqElem) -> FqElem:
-    """Digit of the induced P on level k, extended by P(0) = 0."""
-    if a.is_zero:
-        return field.zero
-    return gr_power(GrElem(k, a)).digit
-
-
 def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationReport:
     """Assemble H_1 of the strict units from levels 1..L.
 
@@ -336,13 +329,13 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
         if qdim.get(t, 0) == 0:
             edges[k] = ("zero", t)
             continue
-        images = [_power_digit(field, k, e) for e in basis]
+        images = [gr_power(GrElem(k, e)).digit for e in basis]
         for a in field.elements():
-            pa = _power_digit(field, k, a)
+            pa = gr_power(GrElem(k, a)).digit
             for e, pe in zip(basis, images):
-                if not D[t].contains(_power_digit(field, k, a + e) - pa - pe):
+                if not D[t].contains(gr_power(GrElem(k, a + e)).digit - pa - pe):
                     raise ValueError(f"power operator not additive at level {k}/{n}")
-        if not all(D[t].contains(_power_digit(field, k, d)) for d in D[k].basis()):
+        if not all(D[t].contains(gr_power(GrElem(k, d)).digit) for d in D[k].basis()):
             raise ValueError(f"power operator not well-defined at level {k}/{n}")
         image = D[t].copy()
         rank = sum(image.insert(x) for x in images)

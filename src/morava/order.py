@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache, total_ordering
 from operator import lshift, mul
 
-from morava.padic import INF, check_int, nu_p, record
+from morava.padic import INF, check_int, load_json, nu_p, record
 from morava.witt import CoordElem, PrecisionError, WittElem, WittRing, _kernel, make_ring, teichmuller
 
 
@@ -213,12 +213,14 @@ def from_digits(ring: WittRing, digits) -> OrderElem:
 
 def from_json(data) -> OrderElem:
     if isinstance(data, str):
-        import json  # here, not at the top: only this reader needs it
-
-        data = json.loads(data)
+        data = load_json(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"order element JSON must be an object, got {type(data).__name__}")
     missing = [key for key in ("p", "n", "M", "coeffs") if key not in data]
     if missing:
         raise ValueError(f"order element JSON lacks {', '.join(map(repr, missing))}")
+    if not isinstance(data["coeffs"], list) or not all(isinstance(row, list) for row in data["coeffs"]):
+        raise ValueError("order element JSON 'coeffs' must be a list of lists")
     ring = make_ring(data["p"], data["n"], data["M"])
     for c in (c for row in data["coeffs"] for c in row):
         check_int("coefficient", c, -INF)

@@ -94,6 +94,16 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def load_json(text: str):
+    """The one JSON reader on inputs: json.loads, with a document nested too deep a ValueError."""
+    import json  # here, not at the top: only the JSON inputs need it
+
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
+
+
 def binary_power(x, e: int, mul):
     """x^e for e >= 1 from the lowest set bit of e: floor(log2 e) + popcount(e) - 1 products."""
     while not e & 1:
@@ -140,7 +150,7 @@ def nu_p(x: int, p: int) -> int:
 
 @record
 class PadicInt:
-    """An element of Z/p^M, stored as its canonical representative in [0, p^M)."""
+    """A labelled element of Z/p^M, its representative in [0, p^M); arithmetic is on .value."""
 
     params: PadicParams
     value: int
@@ -148,49 +158,8 @@ class PadicInt:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.params.modulus)
 
-    def _check(self, other: "PadicInt"):
-        if self.params != other.params:
-            raise ValueError("incompatible precisions")
-
-    def __add__(self, other):
-        self._check(other)
-        return PadicInt(self.params, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PadicInt(self.params, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PadicInt(self.params, self.value * other.value)
-
-    def __neg__(self):
-        return PadicInt(self.params, -self.value)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return unit_inverse(self) ** (-e)
-        return PadicInt(self.params, pow(self.value, e, self.params.modulus))
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.params.p != 0
-
-    def valuation(self) -> int:
-        """min(nu_p(value), M); the zero residue is reported as M."""
-        if self.value == 0:
-            return self.params.M
-        return min(nu_p(self.value, self.params.p), self.params.M)
-
     def __repr__(self):
         return f"{self.value} (mod {self.params.p}^{self.params.M})"
-
-
-def unit_inverse(x: PadicInt) -> PadicInt:
-    """Inverse of a unit in Z/p^M."""
-    if not x.is_unit:
-        raise ValueError(f"not a unit mod {x.params.p}: {x.value}")
-    return PadicInt(x.params, pow(x.value, -1, x.params.modulus))
 
 
 def nth_root_one_unit(x: PadicInt, n: int) -> PadicInt:

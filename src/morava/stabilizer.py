@@ -10,12 +10,12 @@ from __future__ import annotations
 from math import lcm
 
 from morava.order import OrderElem, SValuation, from_digits, order_one
-from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record, unit_inverse
+from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record
 from morava.witt import FqElem, PrecisionError, WittRing
 
 
 class StabElem:
-    """A unit of the order; group operations only."""
+    """A unit of the order, checked once here; its arithmetic is that of .elem."""
 
     __slots__ = ("elem",)
 
@@ -25,22 +25,9 @@ class StabElem:
         self.elem = elem
 
     @property
-    def ring(self) -> WittRing:
-        return self.elem.ring
-
-    @property
     def is_strict(self) -> bool:
         """True when x = 1 mod S, i.e. the filtration level is positive."""
-        return self.elem.parts[0].residue() == self.ring.fq.one
-
-    def __mul__(self, other: "StabElem") -> "StabElem":
-        return StabElem(self.elem * other.elem)
-
-    def inverse(self) -> "StabElem":
-        return StabElem(self.elem.inverse())
-
-    def __pow__(self, e: int) -> "StabElem":
-        return StabElem(self.elem ** e)
+        return self.elem.parts[0].residue() == self.elem.ring.fq.one
 
     def __eq__(self, other):
         return isinstance(other, StabElem) and self.elem == other.elem
@@ -69,17 +56,13 @@ class GrElem:
         return f"gr[{self.level}]({self.digit!r})"
 
 
-def identity(ring: WittRing) -> StabElem:
-    return StabElem(order_one(ring))
-
-
 def commutator(x: StabElem, y: StabElem) -> StabElem:
     """x y x^-1 y^-1, computed as (xy)(yx)^-1 with a single inversion."""
     return StabElem(x.elem * y.elem * (y.elem * x.elem).inverse())
 
 
 def filtration_level(x: StabElem) -> SValuation:
-    return (x.elem - order_one(x.ring)).s_valuation()
+    return (x.elem - order_one(x.elem.ring)).s_valuation()
 
 
 def leading_term(d: OrderElem) -> GrElem:
@@ -93,7 +76,7 @@ def leading_term(d: OrderElem) -> GrElem:
 
 
 def gr_project(x: StabElem) -> GrElem:
-    return leading_term(x.elem - order_one(x.ring))
+    return leading_term(x.elem - order_one(x.elem.ring))
 
 
 def default_order_bound(ring: WittRing) -> int:
@@ -112,11 +95,12 @@ def element_order(x: StabElem, bound: int | None = None) -> int | None:
     strict unit of p-power order p^j, and x^(p^j) has order d dividing q - 1;
     the order of x is d p^j.
     """
+    x = x.elem
     if bound is None:
         bound = default_order_bound(x.ring)
     check_int("order bound", bound)
     p, q = x.ring.params.p, x.ring.q
-    one = identity(x.ring)
+    one = order_one(x.ring)
     y, ppow = x ** (q - 1), 1
     while y != one:
         ppow *= p
@@ -196,16 +180,17 @@ def s1_split(x: StabElem) -> tuple:
     Needs p not dividing n (take the central n-th root of the norm).
     Returns (x1, z) with z a PadicInt.
     """
-    ring = x.ring
-    p, n = ring.params.p, ring.n
+    x = x.elem
+    p, n = x.ring.params.p, x.ring.n
     if n % p == 0:
         raise ValueError("splitting undefined when p divides n")
-    norm = reduced_norm(x.elem)
+    norm = reduced_norm(x)
     z = nth_root_one_unit(norm, n)
-    x1 = StabElem(x.elem.scale(unit_inverse(z).value))
-    if reduced_norm(x1.elem).value != 1:
+    # z is a unit: n-th roots are taken in the unit group only
+    x1 = x.scale(pow(z.value, -1, z.params.modulus))
+    if reduced_norm(x1).value != 1:
         raise PrecisionError("norm-one factor failed to normalize")
-    return x1, z
+    return StabElem(x1), z
 
 
 def in_K(x: StabElem) -> bool:
@@ -214,10 +199,10 @@ def in_K(x: StabElem) -> bool:
     A norm-one unit lies in K when the level-1/2 digit of x - 1 is in the
     prime field F_3 inside F_9.
     """
-    ring = x.ring
-    if (ring.params.p, ring.n) != (3, 2):
+    x = x.elem
+    if (x.ring.params.p, x.ring.n) != (3, 2):
         raise ValueError("defined for p = 3, n = 2 only")
-    if reduced_norm(x.elem).value != 1:
+    if reduced_norm(x).value != 1:
         raise ValueError("not in the norm-one subgroup")
-    d1 = (x.elem - order_one(ring)).s_digits(2)[1]
+    d1 = (x - order_one(x.ring)).s_digits(2)[1]
     return d1.coeffs[1] == 0

@@ -28,7 +28,7 @@ EXPRS = st.sampled_from(
 )
 MATRICES = st.sampled_from(
     ["[[1]]", "[[81]]", "[[2, 1], [0, 1]]", "[[0, 1], [1, 0]]", "[[1, 2]]", "[]", "[[]]",
-     "5", "null", "[1,2]", "[[1.5]]", "[[true]]", '{"1": 1}', "not json"]
+     "5", "null", "[1,2]", "[[1.5]]", "[[true]]", '{"1": 1}', "not json", "[" * 5000 + "]" * 5000]
 )
 STEMS = st.sampled_from(["0..8", "-4..4", "3", "-2,0,2", "5..-5", "1,,2", "a..3", "", "0..2000000"])
 

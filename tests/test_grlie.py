@@ -635,7 +635,7 @@ def _abelianization_by_enumeration(p, n, L, poly=None):
     qdim = {k: n - D[k].dim for k in range(1, L + 1)}
     nonzero = [k for k in range(1, L + 1) if qdim[k] > 0]
 
-    power = lambda k, a: grlie._power_digit(field, k, a)
+    power = lambda k, a: grlie.gr_power(GrElem(k, a)).digit
     all_elems = list(field.elements())
     edges = {}
     for k in nonzero:
@@ -798,7 +798,7 @@ def _seeded_spans(rng):
 
 
 def _seeded_power_maps(p, n, L, kind, rng):
-    """A fake _power_digit: per level k, a seeded map F_q -> F_q with 0 -> 0.
+    """A fake gr_power: per level k, a seeded digit map F_q -> F_q with 0 -> 0.
 
     'linear' is F_p-linear; 'linear+D' adds a non-additive error inside D_t,
     t the target level of k; 'quadratic' adds c_i c_j v for coordinates
@@ -835,8 +835,8 @@ def _seeded_power_maps(p, n, L, kind, rng):
             table = [x if i == 0 else x + rng.choice(span) for i, x in enumerate(table)]
         tables[k] = [x.idx for x in table]
 
-    def fake(fld, k, a):
-        return fld.from_idx(tables[k][a.idx])
+    def fake(x):
+        return GrElem(grlie._phi(p, n, x.k), field.from_idx(tables[x.k][x.digit.idx]))
 
     return fake
 
@@ -855,7 +855,7 @@ def test_abelianization_mutated_power_maps(monkeypatch):
                     if trial % 2:
                         monkeypatch.setattr(grlie, "commutator_span", _seeded_spans(rng))
                     fake = _seeded_power_maps(p, n, L, kind, rng)
-                    monkeypatch.setattr(grlie, "_power_digit", fake)
+                    monkeypatch.setattr(grlie, "gr_power", fake)
                     try:
                         new = abelianization_report(p, n, L).to_json()
                     except ValueError:
@@ -876,10 +876,10 @@ def test_abelianization_mutated_power_maps(monkeypatch):
 def test_abelianization_power_calls_are_linear_in_q(monkeypatch):
     # one additivity pass over F_q x basis per checked edge, then only bases; H_1 (x) F_p is
     # read off the chains, with no power digit and no subspace copy after the chain walk
-    real_power, real_copy = grlie._power_digit, GrSubspace.copy
+    real_power, real_copy = grlie.gr_power, GrSubspace.copy
     for (p, n, L) in [(2, 6, 12), (3, 3, 4), (2, 4, 15), (3, 2, 9), (5, 2, 9), (3, 3, 12)]:
         calls, copies = [], []
-        monkeypatch.setattr(grlie, "_power_digit", lambda f, k, a: calls.append(k) or real_power(f, k, a))
+        monkeypatch.setattr(grlie, "gr_power", lambda x: calls.append(x.k) or real_power(x))
         monkeypatch.setattr(GrSubspace, "copy", lambda self: copies.append(self) or real_copy(self))
         rep = abelianization_report(p, n, L)
         monkeypatch.undo()
@@ -909,7 +909,7 @@ def _mod_p_rank_by_images(p, n, L, D):
         for j in nonzero:
             if grlie._phi(p, n, j) == k:
                 for e in basis:
-                    sub.insert(grlie._power_digit(field, j, e))
+                    sub.insert(grlie.gr_power(GrElem(j, e)).digit)
         rank += n - sub.dim
     return rank
 

@@ -470,6 +470,16 @@ def test_json_input_errors():
         from_json('{"p": 3, "n": 2, "M": 8}')
     with pytest.raises(ValueError, match="need 2 coefficient rows"):
         from_json({"p": 3, "n": 2, "M": 8, "coeffs": [[1, 0]]})
+    for doc in ("5", "[1, 2]", '"p n M coeffs"', "null", 7, [["p", "n", "M", "coeffs"]]):
+        with pytest.raises(ValueError, match="must be an object"):
+            from_json(doc)
+    for coeffs in (5, [1, 0], "ab", [[1, 0], 3], {"0": [1, 0]}):
+        with pytest.raises(ValueError, match="'coeffs' must be a list of lists"):
+            from_json({"p": 3, "n": 2, "M": 8, "coeffs": coeffs})
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json("[" * 5000 + "]" * 5000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json('{"p": 3, "n": 2, "M": 8, "coeffs": ' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def test_json_round_trip():
