@@ -95,12 +95,18 @@ def check_prime(p: int) -> None:
 
 
 def load_json(text: str):
-    """The one JSON reader on inputs: json.loads, with a document nested too deep a ValueError."""
+    """The one JSON reader on inputs: json.loads, with a document nested over 100 levels a
+    ValueError, counted first since where json.loads runs out of recursion varies by version."""
     import json  # here, not at the top: only the JSON inputs need it
+    import re
+    from itertools import accumulate
 
+    bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", text)  # brackets inside strings do not nest
+    if max(accumulate((c in "[{") - (c in "]}") for c in bare), default=0) > 100:
+        raise ValueError("JSON input nested too deeply (over 100 levels)")
     try:
         return json.loads(text)
-    except RecursionError:
+    except RecursionError:  # a backstop: the count above refuses these first
         raise ValueError("JSON input nested too deeply") from None
 
 

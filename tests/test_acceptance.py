@@ -188,7 +188,8 @@ def test_criterion_07_norm_one_splitting():
             _, zx = s1_split(x)
             _, zy = s1_split(y)
             _, zxy = s1_split(StabElem(x.elem * y.elem))
-            assert zxy == PadicInt(ring.params, zx.value * zy.value)
+            assert zx.params == zy.params
+            assert zxy == PadicInt(zx.params, zx.value * zy.value)
     _report(7, 10, start, "norm-one splitting round-trips and is multiplicative")
 
 

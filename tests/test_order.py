@@ -480,6 +480,11 @@ def test_json_input_errors():
         from_json("[" * 5000 + "]" * 5000)
     with pytest.raises(ValueError, match="nested too deeply"):
         from_json('{"p": 3, "n": 2, "M": 8, "coeffs": ' + "[" * 5000 + "]" * 5000 + "}")
+    # the depth is counted before parsing, so the refusal does not wait on a recursion limit
+    with pytest.raises(ValueError, match="over 100 levels"):
+        from_json("[" * 101 + "]" * 101)
+    with pytest.raises(ValueError, match="lacks 'M'"):
+        from_json('{"p": 3, "n": 2, "note": "' + "[" * 200 + '", "coeffs": [[1, 0], [0, 0]]}')
 
 
 def test_json_round_trip():
