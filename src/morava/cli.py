@@ -177,7 +177,8 @@ def _parse_stems(spec: str):
     except ValueError:
         stems = None
     if not stems:
-        raise argparse.ArgumentTypeError(f"expected a..b with a <= b or a comma list, got {spec!r}")
+        from morava.padic import brief  # here, not at the top: only a refusal needs it
+        raise argparse.ArgumentTypeError(f"expected a..b with a <= b or a comma list, got {brief(spec)}")
     return stems
 
 
@@ -185,10 +186,12 @@ def _positive_int(spec: str) -> int:
     """An argparse type: a positive integer."""
     try:
         value = int(spec)
-    except ValueError:  # read as a value below 1, so every refusal says the same
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
+    except ValueError:  # read as a value below 1, so every refusal says the same, unless
+        value = None if spec.strip().isdecimal() else 0  # all digits: int() refused the length
+    if value is None or value < 1:
+        from morava.padic import brief  # here, not at the top: only a refusal needs it
+        what = "an integer short enough to read" if value is None else "a positive integer"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {brief(spec)}")
     return value
 
 

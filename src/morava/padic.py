@@ -77,19 +77,28 @@ def _is_prime(p: int) -> bool:
 PRIME_BOUND = 2**32
 
 
+def brief(value) -> str:
+    """repr(value) for a refusal: past 60 characters, its head and the value's length."""
+    if type(value) is int and value.bit_length() > 192:  # str() raises past 4300 digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    text = repr(value)
+    size = f"a string of {len(value)}" if type(value) is str else f"a repr of {len(text)}"
+    return text if len(text) <= 60 else f"{text[:60]}... ({size} characters)"
+
+
 def check_int(name: str, value, lo=1) -> None:
     """The one integer check on inputs: ValueError unless value is an int, not a bool, and >= lo."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {brief(value)}")
     if value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise ValueError(f"{name} must be >= {lo}, got {brief(value)}")
 
 
 def check_prime(p: int) -> None:
     """The one prime check on inputs: ValueError unless p is a prime int below PRIME_BOUND."""
     if type(p) is not int or p >= PRIME_BOUND:  # a test, not a call: every E_1 cell passes here
         check_int("p", p, -INF)
-        raise ValueError(f"p = {p} is not below the 2^32 bound on primes")
+        raise ValueError(f"p = {brief(p)} is not below the 2^32 bound on primes")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 

@@ -7,11 +7,13 @@ of x in the associated graded group (an F_q line at each level k/n).
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
+from operator import lshift
 
 from morava.order import OrderElem, SValuation, from_digits, order_one
 from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record
-from morava.witt import FqElem, PrecisionError, WittRing
+from morava.witt import FqElem, PrecisionError, WittElem, WittRing, _kernel
 
 
 class StabElem:
@@ -135,43 +137,47 @@ def reduced_norm(x: OrderElem) -> PadicInt:
     The result is Galois-invariant, so it lies in Z_p; a non-scalar
     determinant means the construction lost exactness and raises.
     """
-    ring = x.ring
-    n = ring.n
-    p = ring.params.p
-    a = x.parts
-    m = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if k >= i:
-                m[k][i] = a[k - i].frobenius(i)
-            else:
-                m[k][i] = a[n + k - i].frobenius(i).scale(p)
+    ring, n, a = x.ring, x.ring.n, x.parts
+    # entry (k, i) is sigma^i(a_(k-i)), times p where k - i wraps below 0
+    m = [[a[k - i].frobenius(i).scale(ring.params.p if k < i else 1) for i in range(n)] for k in range(n)]
     det = _det(m, ring)
     if any(det.coords[1:]):
         raise PrecisionError("reduced norm not Galois-invariant at precision")
     return PadicInt(ring.params, det.coords[0])
 
 
-def _det(m, ring: WittRing):
+def _det(m, ring: WittRing) -> WittElem:
     """Division-free determinant: signed sums over column subsets, row by row.
 
     partial[mask] sums the signed products of rows 0..r-1 over the columns in
-    mask; column c of row r adds one inversion per used column above c.
+    mask; column c of row r adds one inversion per used column above c.  Each
+    entry, with coordinates in [0, p^M), is packed once with the witt._kernel
+    shifts, as is its negation; a subset adds its raw products, reduced once.
     """
-    partial = {1 << c: entry for c, entry in enumerate(m[0]) if not entry.is_zero}
+    shifts, reduce = _det_kernel(ring, len(m))
+    top = sum(ring.params.modulus << s for s in shifts)  # top - x packs -x with no slot below 0
+    partial = {1 << c: e.coords for c, e in enumerate(m[0]) if not e.is_zero}
     for row in m[1:]:
+        cols = [(c, sum(map(lshift, e.coords, shifts))) for c, e in enumerate(row) if not e.is_zero]
+        cols = [(c, pos, top - pos) for c, pos in cols]
         nxt = {}
-        for mask, acc in partial.items():
-            for c, entry in enumerate(row):
-                if mask >> c & 1 or entry.is_zero:
-                    continue
-                term = acc * entry
-                if bin(mask >> c).count("1") & 1:
-                    term = -term
-                key = mask | 1 << c
-                nxt[key] = nxt[key] + term if key in nxt else term
-        partial = nxt
-    return partial.get((1 << len(m)) - 1, ring.zero())
+        for mask, coords in partial.items():
+            acc = sum(map(lshift, coords, shifts))
+            for c, pos, neg in cols:
+                if not mask >> c & 1:
+                    key = mask | 1 << c
+                    nxt[key] = nxt.get(key, 0) + acc * (neg if (mask >> c).bit_count() & 1 else pos)
+        partial = {key: reduce(raw) for key, raw in nxt.items()}
+    return WittElem(ring, partial.get((1 << len(m)) - 1, (0,) * ring.n))
+
+
+@cache
+def _det_kernel(ring: WittRing, size: int) -> tuple:
+    """witt._kernel's (shifts, reduce) for _det on size x size matrices.  A subset sums at
+    most `size` products of coordinates in [0, p^M], at most size n^2 p^(3M) in a slot after
+    folding, so the slot width is B = 3 bitlen(p^M) + bitlen(size n^2)."""
+    mod = ring.params.modulus
+    return _kernel(ring._omega_pows, ring.n, mod, 1, 3 * mod.bit_length() + (size * ring.n**2).bit_length())
 
 
 def s1_split(x: StabElem) -> tuple:

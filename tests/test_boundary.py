@@ -198,3 +198,35 @@ def test_positive_int_flags_agree_with_check_int():
                 except ValueError:
                     refused = True
                 assert (code == 2) == refused, (argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (-(10**5000), "a negative integer of 16610 bits"),
+        (-(10**100), "a negative integer of 333 bits"),
+        (1 - 2**192, str(1 - 2**192)),
+        ("x" * 5000, "'" + "x" * 59 + "... (a string of 5000 characters)"),
+        ([[0] * 3000], "[[0" + ", 0" * 19 + "... (a repr of 9002 characters)"),
+    ],
+    ids=["-10^5000", "-10^100", "1-2^192", "5000-char string", "3000-entry list"],
+)
+def test_refusals_show_at_most_60_characters_of_a_value(value, shown):
+    # str() of an int past 4300 digits raises; a long repr is cut to its head and length.
+    # A coefficient of any size is read mod p^M, so only the non-ints reach it refused.
+    calls = [(lambda: check_int("n", value), "n must be ")]
+    if type(value) is not int:
+        calls.append((lambda: _json(coeff=value), "coefficient must be "))
+    for call, message in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        text = str(exc.value)
+        assert text.startswith(message) and text.endswith(f", got {shown}"), text
+        assert len(text) < 130
+
+
+def test_prime_bound_refusal_of_a_huge_p_is_short():
+    with pytest.raises(ValueError, match=r"^p = an integer of 16610 bits is not below the 2\^32 bound"):
+        check_prime(10**5000)
+    with pytest.raises(ValueError, match=r"^p = 4294967311 is not below the 2\^32 bound on primes$"):
+        check_prime(4294967311)

@@ -352,6 +352,27 @@ def test_non_integer_positive_flags_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["order", "val", "S", "--prec", "9" * 5000], "expected an integer short enough to read"),
+        (["grlie", "abelianize", "--levels", "7" * 5000], "expected an integer short enough to read"),
+        (["order", "val", "S", "--n", "x" * 5000], "expected a positive integer"),
+        (["order", "val", "S", "--prec", "-" + "9" * 5000], "expected a positive integer"),
+        (["k1", "ko", "--stems", "9" * 5000], "expected a..b with a <= b or a comma list"),
+        (["k1", "homotopy", "--stems", "1.." + "9" * 5000], "expected a..b with a <= b or a comma list"),
+    ],
+    ids=["prec 9^5000", "levels 7^5000", "n x^5000", "prec -9^5000", "stems 9^5000", "stems 1..9^5000"],
+)
+def test_long_refused_values_are_cut(capsys, argv, message):
+    # a usage error as before, echoing at most 60 characters of the value and its length
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    shown = repr(argv[-1])[:60] + f"... (a string of {len(argv[-1])} characters)"
+    assert captured.out == "" and f"{message}, got {shown}\n" in captured.err
+    assert len(captured.err) < 1024
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["grlie", "check", "--k", "1", "--power", "--l", "5", "--trials", "3"], "not allowed"),
         (["grlie", "check", "--k", "1", "--trials", "3"], "one of the arguments --l --power"),
     ],

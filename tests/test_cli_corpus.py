@@ -19,8 +19,15 @@ run the graded checks against the group: the brackets at (p, n, k, l) =
 the p-th power at (3, 2, 1) with 10 trials.  Four evaluate the graded
 maps: `grlie bracket` at (p, n) = (3, 2), `grlie power` at (3, 2) and,
 under --json, at (2, 4), and a bracket whose residue index is out of
-range, which exits 1.  CI replays every record through the installed `morava` script.  A refactor
-that changes any byte of this output changes behaviour and must say so.
+range, which exits 1.  Four pin `stab norm` on the packed determinant at
+(p, n) = (2, 6), (3, 5) under --json, (2, 7) and (5, 4), all at --prec 8;
+two pin `grlie abelianize --json` at (p, n, levels) = (7, 3, 9) and
+(5, 4, 8), whose additivity pass runs over q = 343 and q = 625; and one
+pins `order val S --prec` with a 5000-digit value, a usage error (exit 2)
+whose message echoes only the head of the value.  CI replays every record
+through the installed `morava` script and fails on a stderr over 1 KB.  A
+refactor that changes any byte of this output changes behaviour and must
+say so.
 """
 
 import json
@@ -33,7 +40,13 @@ from morava.cli import run_command
 CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
 
 
-@pytest.mark.parametrize("record", CORPUS, ids=[" ".join(r["argv"]) for r in CORPUS])
+def _record_id(argv) -> str:
+    """The command line, its head and length when it is over 100 characters."""
+    text = " ".join(argv)
+    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
+@pytest.mark.parametrize("record", CORPUS, ids=[_record_id(r["argv"]) for r in CORPUS])
 def test_cli_corpus(record, capsys):
     assert run_command(record["argv"]) == record["exit"]
     assert capsys.readouterr().out == record["stdout"]

@@ -874,8 +874,9 @@ def test_abelianization_mutated_power_maps(monkeypatch):
 
 
 def test_abelianization_power_calls_are_linear_in_q(monkeypatch):
-    # one additivity pass over F_q x basis per checked edge, then only bases; H_1 (x) F_p is
-    # read off the chains, with no power digit and no subspace copy after the chain walk
+    # one additivity pass over F_q per checked edge (P(a) against the linear map built from
+    # the basis images), then only bases; H_1 (x) F_p is read off the chains, with no power
+    # digit and no subspace copy after the chain walk
     real_power, real_copy = grlie.gr_power, GrSubspace.copy
     for (p, n, L) in [(2, 6, 12), (3, 3, 4), (2, 4, 15), (3, 2, 9), (5, 2, 9), (3, 3, 12)]:
         calls, copies = [], []
@@ -889,8 +890,8 @@ def test_abelianization_power_calls_are_linear_in_q(monkeypatch):
             if dims[k] and grlie._phi(p, n, k) <= L and dims[grlie._phi(p, n, k)]
         ]
         assert checked, (p, n, L)
-        # per checked edge: q (n + 1) for additivity, n basis images, dim D_k for well-definedness
-        assert len(calls) == sum(q * (n + 1) + n + n - dims[k] for k in checked), (p, n, L)
+        # per checked edge: q for additivity, n basis images, dim D_k for well-definedness
+        assert len(calls) == sum(q + n + n - dims[k] for k in checked), (p, n, L)
         assert len(copies) == len(checked) + len(rep.chains), (p, n, L)
 
 

@@ -15,6 +15,7 @@ from morava.order import (
     order_one,
     s_gen,
 )
+from morava import stabilizer
 from morava.stabilizer import (
     GrElem,
     StabElem,
@@ -149,8 +150,11 @@ def test_exact_order_of_strict_unit():
 
 def test_det_matches_laplace():
     rng = random.Random(79)
-    for ring in (make_ring(3, 2, 4), make_ring(2, 3, 3), make_ring(5, 1, 6)):
+    for ring in (make_ring(3, 2, 4), make_ring(2, 3, 3), make_ring(5, 1, 6), make_ring(3, 5, 3)):
         mod, p = ring.params.modulus, ring.params.p
+        # every coordinate p^M - 1: the largest slots the packed sums can hold
+        top = [[ring.from_coords([mod - 1] * ring.n)] * 7 for _ in range(7)]
+        assert _det(top, ring) == _laplace_det(top, ring), ring.params
         for size in range(1, 8):
             for trial in range(3 if size < 7 else 1):
                 m = [[ring.from_coords([rng.randrange(mod) for _ in range(ring.n)])
@@ -269,8 +273,27 @@ def test_reduced_norm_multiplicative():
             assert reduced_norm(x.elem.galois_sigma()).value == nx.value
 
 
+def _det_by_products(m, ring):
+    """The subset DP with one schoolbook product and one reduction per term: the oracle."""
+    pows, n, mod = ring._omega_pows, ring.n, ring.params.modulus
+    partial = {1 << c: entry.coords for c, entry in enumerate(m[0]) if not entry.is_zero}
+    for row in m[1:]:
+        nxt = {}
+        for mask, acc in partial.items():
+            for c, entry in enumerate(row):
+                if mask >> c & 1 or entry.is_zero:
+                    continue
+                term = _vec_mul(acc, entry.coords, pows, n, mod)
+                if bin(mask >> c).count("1") & 1:
+                    term = tuple(-t % mod for t in term)
+                key = mask | 1 << c
+                nxt[key] = tuple((a + b) % mod for a, b in zip(nxt.get(key, (0,) * n), term))
+        partial = nxt
+    return WittElem(ring, partial.get((1 << len(m)) - 1, (0,) * ring.n))
+
+
 def test_reduced_norms_match_schoolbook_products(monkeypatch):
-    """Norms at the benchmark's norm fields, with Witt products packed and then schoolbook."""
+    """Norms at the benchmark's norm fields, packed and then by the per-product oracle."""
     rng = random.Random(71)
     cases = []
     for (p, n, M) in [(2, 5, 8), (2, 6, 8), (2, 7, 8), (3, 4, 8), (3, 5, 8), (5, 4, 8), (7, 3, 8)]:
@@ -278,13 +301,14 @@ def test_reduced_norms_match_schoolbook_products(monkeypatch):
         mod = ring.params.modulus
         xs = [_random_unit(ring, rng).elem for _ in range(2)]
         xs.append(from_coeff_rows(ring, [[mod - 1] * n] * n))
+        # non-units: S, p times a unit, and a_0 = 0 mod p
+        xs += [s_gen(ring), _random_unit(ring, rng).elem.scale(p)]
+        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+        rows[0] = [p * c % mod for c in rows[0]]
+        xs.append(from_coeff_rows(ring, rows))
+        assert sum(x.is_unit for x in xs) == 3
         cases += [(x, reduced_norm(x).value) for x in xs]
-
-    def schoolbook(self, other):
-        r = self.ring
-        return WittElem(r, _vec_mul(self.coords, other.coords, r._omega_pows, r.n, r.params.modulus))
-
-    monkeypatch.setattr(WittElem, "__mul__", schoolbook)
+    monkeypatch.setattr(stabilizer, "_det", _det_by_products)
     for x, norm in cases:
         assert reduced_norm(x).value == norm, repr(x)
 
