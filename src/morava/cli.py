@@ -186,8 +186,8 @@ def _positive_int(spec: str) -> int:
     """An argparse type: a positive integer."""
     try:
         value = int(spec)
-    except ValueError:  # read as a value below 1, so every refusal says the same, unless
-        value = None if spec.strip().isdecimal() else 0  # all digits: int() refused the length
+    except ValueError:  # all digits: int() refused the length; else read as a value below 1
+        value = None if spec.strip().isdecimal() else 0
     if value is None or value < 1:
         from morava.padic import brief  # here, not at the top: only a refusal needs it
         what = "an integer short enough to read" if value is None else "a positive integer"

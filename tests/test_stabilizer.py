@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from morava import stabilizer
 from morava.order import (
     SValuation,
     from_coeff_rows,
@@ -15,7 +16,6 @@ from morava.order import (
     order_one,
     s_gen,
 )
-from morava import stabilizer
 from morava.stabilizer import (
     GrElem,
     StabElem,
