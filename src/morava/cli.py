@@ -130,7 +130,9 @@ class _Parser:
                 if dkind != "int":
                     raise ParseError(f"expected a denominator at position {dpos}")
                 self.take()
-                return from_int(self.ring, value) * from_int(self.ring, dval).inverse()
+                if dval % self.ring.params.p == 0:  # d = 0 included
+                    raise ValueError("not a unit in the order")
+                return from_int(self.ring, value * pow(dval, -1, self.ring.params.modulus))
             return from_int(self.ring, value)
         if kind == "name" and value == "w":
             self.take()
@@ -182,17 +184,22 @@ def _parse_stems(spec: str):
     return stems
 
 
-def _positive_int(spec: str) -> int:
-    """An argparse type: a positive integer."""
+def _int(spec: str, lo=None) -> int:
+    """An argparse type: an integer, at least lo (None or 1) when given; a refusal echoes the value's head."""
     try:
         value = int(spec)
-    except ValueError:  # all digits: int() refused the length; else read as a value below 1
-        value = None if spec.strip().isdecimal() else 0
-    if value is None or value < 1:
-        from morava.padic import brief  # here, not at the top: only a refusal needs it
-        what = "an integer short enough to read" if value is None else "a positive integer"
-        raise argparse.ArgumentTypeError(f"expected {what}, got {brief(spec)}")
-    return value
+    except ValueError:  # malformed, or too many digits to read
+        value = None
+    if value is not None and (lo is None or value >= lo):
+        return value
+    from morava.padic import brief  # here, not at the top: only a refusal needs it
+    what = "an integer" if lo is None else "a positive integer"
+    if value is None and re.fullmatch(r"\s*[+-]?\d+\s*", spec) and (lo is None or "-" not in spec):
+        what = "an integer short enough to read"  # unless its sign alone puts it below lo
+    raise argparse.ArgumentTypeError(f"expected {what}, got {brief(spec)}")
+
+
+_positive_int = partial(_int, lo=1)
 
 
 # each handler imports its layers when it runs, so that a cold command loads no other layer
@@ -386,7 +393,7 @@ _DASHED_VALUE = re.compile(r"^-.+$")
 
 # the options commands share, in help order; a leaf takes those its handler reads
 _SHARED = {
-    "--p": {"type": int, "default": 3, "help": "the prime (default 3)"},
+    "--p": {"type": _int, "default": 3, "help": "the prime (default 3)"},
     "--n": {"type": _positive_int, "default": 2, "help": "the height (default 2)"},
     "--prec": {"type": _positive_int, "default": 16, "help": "Witt digits of precision (default 16)"},
 }
@@ -406,7 +413,7 @@ def _leaf(sub, name, *positionals, shared) -> argparse.ArgumentParser:
 def _witt_leaves(leaf):
     leaf("trace", "expr")
     leaf("frobenius", "expr")
-    leaf("teich").add_argument("residue", type=int)
+    leaf("teich").add_argument("residue", type=_int)
 
 
 def _order_leaves(leaf):
@@ -428,11 +435,11 @@ def _grlie_leaves(leaf):
     bracket = leaf("bracket")
     bracket.add_argument("--k", **level)
     bracket.add_argument("--l", **level)
-    bracket.add_argument("a", type=int)
-    bracket.add_argument("b", type=int)
+    bracket.add_argument("a", type=_int)
+    bracket.add_argument("b", type=_int)
     power = leaf("power")
     power.add_argument("--k", **level)
-    power.add_argument("a", type=int)
+    power.add_argument("a", type=_int)
     span = leaf("span")
     span.add_argument("--k", **level)
     span.add_argument("--l", **level)
@@ -449,18 +456,18 @@ def _homalg_leaves(leaf):
     leaf("iwasawa").add_argument("--matrix", required=True, help="operator as a JSON matrix")
     cyclic = leaf("cyclic")
     cyclic.add_argument("--matrix", required=True)
-    cyclic.add_argument("--order", type=int, required=True)
-    cyclic.add_argument("--s", type=int, required=True)
+    cyclic.add_argument("--order", type=_int, required=True)
+    cyclic.add_argument("--s", type=_int, required=True)
     g1 = leaf("g1", shared=("--p",))
-    g1.add_argument("--s", type=int, required=True)
-    g1.add_argument("--t", type=int, required=True)
+    g1.add_argument("--s", type=_int, required=True)
+    g1.add_argument("--t", type=_int, required=True)
 
 
 def _k1_leaves(leaf):
     e2 = leaf("e2")
-    e2.add_argument("--smax", type=int, default=6)
-    e2.add_argument("--tmin", type=int, default=-8)
-    e2.add_argument("--tmax", type=int, default=16)
+    e2.add_argument("--smax", type=_int, default=6)
+    e2.add_argument("--tmin", type=_int, default=-8)
+    e2.add_argument("--tmax", type=_int, default=16)
     leaf("homotopy").add_argument(
         "--stems", type=_parse_stems, required=True, help="a..b or a comma list"
     )

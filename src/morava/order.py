@@ -106,12 +106,21 @@ class OrderElem(CoordElem):
         return [cols[k % n][k // n] for k in range(count)]
 
     def inverse(self) -> "OrderElem":
-        """Two-sided inverse of a unit, by Newton iteration y <- y(2 - xy)."""
+        """Two-sided inverse of a unit, by Newton iteration y <- y(2 - xy) from the inverse y = sum b_m S^m
+        in O/p = F_q<S>/(S^n), lifted: 1 - xy is divisible by p, so M.bit_length() steps square it away.
+        On residues x y = 1 reads b_0 = a_0^-1 and b_m = -a_0^-1 sum_(0<i<=m) a_i sigma^i(b_(m-i))."""
         if not self.is_unit:
             raise ValueError("not a unit in the order")
-        ring = self.ring
-        steps = (ring.n * ring.params.M).bit_length() + 2
-        y = self._newton_inverse(from_witt(ring, self.parts[0].inverse()), steps)
+        ring, n, p, fq = self.ring, self.ring.n, self.ring.params.p, self.ring.fq
+        a = [fq._encode([c % p for c in self.coords[k : k + n]]) for k in range(0, n * n, n)]
+        b = [fq.pow_idx(a[0], -1)]
+        for m in range(1, n):
+            acc = 0
+            for i in range(1, m + 1):
+                acc = fq.add_idx(acc, fq.mul_idx(a[i], fq.frob_idx(b[m - i], i)))
+            b.append(fq.mul_idx(fq.neg_idx(b[0]), acc))
+        y = OrderElem(ring, tuple(c for idx in b for c in fq._decode(idx)))
+        y = self._newton_inverse(y, ring.params.M.bit_length() + 2)
         if y * self != order_one(ring):
             raise PrecisionError("unit inversion failed to converge")
         return y

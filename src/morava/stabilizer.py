@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm
-from operator import lshift
+from operator import lshift, mul
 
 from morava.order import OrderElem, SValuation, from_digits, order_one
 from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record
@@ -137,9 +137,10 @@ def reduced_norm(x: OrderElem) -> PadicInt:
     The result is Galois-invariant, so it lies in Z_p; a non-scalar
     determinant means the construction lost exactness and raises.
     """
-    ring, n, a = x.ring, x.ring.n, x.parts
-    # entry (k, i) is sigma^i(a_(k-i)), times p where k - i wraps below 0
-    m = [[a[k - i].frobenius(i).scale(ring.params.p if k < i else 1) for i in range(n)] for k in range(n)]
+    ring, n, p = x.ring, x.ring.n, x.ring.params.p
+    cols, a = _det_kernel(ring, n)[3], [x.coords[j : j + n] for j in range(0, n * n, n)]
+    # entry (k, i) is sigma^i(a_(k-i)), packed from the columns sigma^i(w^c), times p where k - i wraps
+    m = [[sum(map(mul, a[k - i], cols[i])) * (p if k < i else 1) for i in range(n)] for k in range(n)]
     det = _det(m, ring)
     if any(det.coords[1:]):
         raise PrecisionError("reduced norm not Galois-invariant at precision")
@@ -150,16 +151,14 @@ def _det(m, ring: WittRing) -> WittElem:
     """Division-free determinant: signed sums over column subsets, row by row.
 
     partial[mask] sums the signed products of rows 0..r-1 over the columns in
-    mask; column c of row r adds one inversion per used column above c.  Each
-    entry, with coordinates in [0, p^M), is packed once with the witt._kernel
-    shifts, as is its negation; a subset adds its raw products, reduced once.
+    mask; column c of row r adds one inversion per used column above c.  Entries come
+    packed with the _det_kernel shifts, slots in [0, p n p^(2M)]; row 0 is reduced once,
+    top - x packs -x with no slot below 0, a subset's raw products are reduced once.
     """
-    shifts, reduce = _det_kernel(ring, len(m))
-    top = sum(ring.params.modulus << s for s in shifts)  # top - x packs -x with no slot below 0
-    partial = {1 << c: e.coords for c, e in enumerate(m[0]) if not e.is_zero}
+    shifts, reduce, top, _ = _det_kernel(ring, len(m))
+    partial = {1 << c: reduce(e) for c, e in enumerate(m[0]) if e}
     for row in m[1:]:
-        cols = [(c, sum(map(lshift, e.coords, shifts))) for c, e in enumerate(row) if not e.is_zero]
-        cols = [(c, pos, top - pos) for c, pos in cols]
+        cols = [(c, pos, top - pos) for c, pos in enumerate(row) if pos]
         nxt = {}
         for mask, coords in partial.items():
             acc = sum(map(lshift, coords, shifts))
@@ -173,11 +172,16 @@ def _det(m, ring: WittRing) -> WittElem:
 
 @cache
 def _det_kernel(ring: WittRing, size: int) -> tuple:
-    """witt._kernel's (shifts, reduce) for _det on size x size matrices.  A subset sums at
-    most `size` products of coordinates in [0, p^M], at most size n^2 p^(3M) in a slot after
-    folding, so the slot width is B = 3 bitlen(p^M) + bitlen(size n^2)."""
-    mod = ring.params.modulus
-    return _kernel(ring._omega_pows, ring.n, mod, 1, 3 * mod.bit_length() + (size * ring.n**2).bit_length())
+    """(shifts, reduce, top, cols) for _det on size x size matrices; cols[i][c] packs sigma^i(w^c), so
+    sum(map(mul, a, cols[i])) packs sigma^i(a) in slots below n p^(2M): times p, below E = p n p^(2M),
+    the slot of top, a multiple of p^M.  A reduced partial times an entry has slots below n p^M E, a
+    subset sums `size` of them, folding multiplies by at most n p^M: below p size n^3 p^(4M), so
+    B = 4 bitlen(p^M) + bitlen(p size n^3), which is 4 bitlen(p^M) + bitlen(p n^4) for the norm."""
+    n, p, mod = ring.n, ring.params.p, ring.params.modulus
+    bits = 4 * mod.bit_length() + (p * size * n**3).bit_length()
+    shifts, reduce = _kernel(ring._omega_pows, n, mod, 1, bits)
+    cols = tuple(tuple(sum(map(lshift, col, shifts)) for col in zip(*sig)) for sig in ring._sigma_pows)
+    return shifts, reduce, sum((p * n * mod * mod) << s for s in shifts), cols
 
 
 def s1_split(x: StabElem) -> tuple:

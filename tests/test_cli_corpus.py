@@ -24,7 +24,12 @@ range, which exits 1.  Four pin `stab norm` on the packed determinant at
 two pin `grlie abelianize --json` at (p, n, levels) = (7, 3, 9) and
 (5, 4, 8), whose additivity pass runs over q = 343 and q = 625; and one
 pins `order val S --prec` with a 5000-digit value, a usage error (exit 2)
-whose message echoes only the head of the value.  CI replays every record
+whose message echoes only the head of the value.  Eight pin the unit
+inverse's first guess and the fractions of the expression parser: `order inv
+5 --p 5` and `order inv 1/5 --p 5` (both exit 1), `order inv 2+S --p 5 --n
+1`, `order inv 2+w*S --p 3 --prec 1`, `order mul 1/3 3 --p 2 --n 3`, `stab
+comm 1+S 1+w*S --p 7 --n 2 --prec 1`, `stab norm 1/3+S --p 2 --n 6`, and
+`order val S --p` with a 5000-digit value (exit 2).  CI replays every record
 through the installed `morava` script and fails on a stderr over 1 KB.  A
 refactor that changes any byte of this output changes behaviour and must
 say so.

@@ -4,13 +4,16 @@ Every command must end in exit 0 (an answer), 1 (a domain error) or 2 (a
 usage error): never a traceback and never a hang.  The draws keep p, n and
 the precision small, each where the command takes it, and mix in zero and
 negative counts, malformed element expressions, matrices and stem lists.
-Each call runs under a SIGALRM guard.
+Each call runs under a SIGALRM guard and writes at most 1 KB of stderr.
+Every plain integer option also refuses a 5000-character value as a usage
+error in at most 1 KB of stderr.
 """
 
 import contextlib
 import io
 import signal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +98,35 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     assert (code == 0) == (err.getvalue() == ""), argv
+    assert len(err.getvalue().encode()) <= 1024, argv
+
+
+# every plain integer option, and each positional integer, with VALUE in its place
+LONG_INT_ARGVS = {
+    "order val --p": ["order", "val", "S", "--p", "VALUE"],
+    "witt teich residue": ["witt", "teich", "VALUE"],
+    "grlie bracket a": ["grlie", "bracket", "--k", "1", "--l", "1", "VALUE", "1"],
+    "grlie bracket b": ["grlie", "bracket", "--k", "1", "--l", "1", "1", "VALUE"],
+    "grlie power a": ["grlie", "power", "--k", "1", "VALUE"],
+    "homalg cyclic --order": ["homalg", "cyclic", "--matrix", "[[1]]", "--order", "VALUE", "--s", "1"],
+    "homalg cyclic --s": ["homalg", "cyclic", "--matrix", "[[1]]", "--order", "2", "--s", "VALUE"],
+    "homalg g1 --s": ["homalg", "g1", "--s", "VALUE", "--t", "1"],
+    "homalg g1 --t": ["homalg", "g1", "--s", "1", "--t", "VALUE"],
+    "k1 e2 --smax": ["k1", "e2", "--smax", "VALUE"],
+    "k1 e2 --tmin": ["k1", "e2", "--tmin", "VALUE"],
+    "k1 e2 --tmax": ["k1", "e2", "--tmax", "VALUE"],
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["7" * 5000, "-" + "7" * 4999, "x" * 5000], ids=["7^5000", "-7^4999", "x^5000"]
+)
+@pytest.mark.parametrize("name", sorted(LONG_INT_ARGVS))
+def test_long_integer_values_are_refused_briefly(name, value):
+    argv = [value if arg == "VALUE" else arg for arg in LONG_INT_ARGVS[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code == 2 and out.getvalue() == "", name
+    assert len(err.getvalue().encode()) <= 1024, (name, len(err.getvalue()))
+    assert "(a string of 5000 characters)" in err.getvalue(), name

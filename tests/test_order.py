@@ -22,7 +22,7 @@ from morava.order import (
     s_gen,
 )
 from morava.padic import binary_power
-from morava.witt import DEFAULT_POLYS, PrecisionError, WittElem, make_ring, teichmuller
+from morava.witt import DEFAULT_POLYS, CoordElem, PrecisionError, WittElem, make_ring, teichmuller
 from test_witt import _vec_mul
 
 
@@ -360,18 +360,19 @@ def _order_inverse_by_loop(x):
 
 
 def _counted(monkeypatch, fn, x):
-    """fn(x) with the number of Witt and order products it took."""
+    """fn(x) with the numbers of Witt and of order products it took."""
     calls = []
     for cls in (WittElem, OrderElem):
-        monkeypatch.setattr(cls, "__mul__", lambda a, b, m=cls.__mul__: calls.append(1) or m(a, b))
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, m=cls.__mul__: calls.append(type(a)) or m(a, b))
     try:
-        return fn(x), len(calls)
+        return fn(x), calls.count(WittElem), calls.count(OrderElem)
     finally:
         monkeypatch.undo()
 
 
 def test_newton_inverse_matches_loops(monkeypatch):
     rng = random.Random(47)
+    fewer = 0
     for (p, n) in [(2, 1), (3, 2), (2, 3), (5, 1), (7, 2), (2, 4), (3, 3)]:
         for M in (1, 3, 8):
             ring = make_ring(p, n, M)
@@ -381,15 +382,43 @@ def test_newton_inverse_matches_loops(monkeypatch):
                 if x.is_unit:
                     units.append(x)
             for x in units:
-                # loops: Newton loops run, each ending on err == 0, whose product
-                # already checked x y = 1; the oracles take that product again
-                for fn, oracle, arg, loops in (
-                    (OrderElem.inverse, _order_inverse_by_loop, x, 2),
-                    (WittElem.inverse, _witt_inverse_by_loop, x.parts[0], 1),
-                ):
-                    got, muls = _counted(monkeypatch, fn, arg)
-                    want, oracle_muls = _counted(monkeypatch, oracle, arg)
-                    assert got == want and muls == oracle_muls - loops, (p, n, M, x)
+                # started from the Witt inverse of a_0, the inverse took 2 products fewer than
+                # the oracle, which checks x y = 1 again after err == 0; started from the guess
+                # exact mod p it takes no Witt product and at most that many order products
+                got, witt_muls, muls = _counted(monkeypatch, OrderElem.inverse, x)
+                want, *oracle_muls = _counted(monkeypatch, _order_inverse_by_loop, x)
+                assert got == want and witt_muls == 0 and muls <= sum(oracle_muls) - 2, (p, n, M, x)
+                fewer += muls < sum(oracle_muls) - 2
+                # one Newton loop, ending on err == 0
+                got, muls, _ = _counted(monkeypatch, WittElem.inverse, x.parts[0])
+                want, oracle_muls, _ = _counted(monkeypatch, _witt_inverse_by_loop, x.parts[0])
+                assert got == want and muls == oracle_muls - 1, (p, n, M, x)
+    assert fewer > 0
+
+
+def test_inverse_guess_is_exact_mod_p(monkeypatch):
+    """The first guess OrderElem.inverse hands to Newton solves x y = 1 in O/p."""
+    guesses, newton = [], CoordElem._newton_inverse
+    monkeypatch.setattr(OrderElem, "_newton_inverse", lambda x, y, k: guesses.append(y) or newton(x, y, k))
+    rng = random.Random(83)
+    rings = [make_ring(p, n, M) for (p, n) in sorted(DEFAULT_POLYS) for M in (1, 3, 16)]
+    # a supplied polynomial: x^3 + x^2 + 1, not the default x^3 + x + 1
+    rings += [make_ring(2, 3, M, poly=(1, 0, 1, 1)) for M in (1, 3, 16)]
+    for ring in rings:
+        p, one = ring.params.p, order_one(ring)
+        units = [one, from_witt(ring, ring.omega)]
+        while len(units) < 6:
+            x = _random_order_elem(ring, rng)
+            if x.is_unit:
+                units.append(x)
+        for x in units:
+            x.inverse()
+            y = guesses.pop()
+            assert all(0 <= c < p for c in y.coords)
+            err = one - x * y
+            assert all(c % p == 0 for c in err.coords), (ring, x)
+            # one Newton step squares the error: 1 - x (y + y err) = err^2
+            assert all(c % p**2 == 0 for c in (one - x * (y + y * err)).coords), (ring, x)
 
 
 def test_newton_inverse_checks_the_product():

@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import lshift
 
 import pytest
 
-from morava import stabilizer
 from morava.order import (
     SValuation,
     from_coeff_rows,
@@ -20,6 +20,7 @@ from morava.stabilizer import (
     GrElem,
     StabElem,
     _det,
+    _det_kernel,
     commutator,
     element_order,
     filtration_level,
@@ -148,16 +149,23 @@ def test_exact_order_of_strict_unit():
     assert x.elem ** o == one and x.elem ** (o // 5) != one
 
 
+def _packed(m, ring):
+    """A matrix of Witt elements as _det takes it, each entry packed with the _det_kernel shifts."""
+    shifts = _det_kernel(ring, len(m))[0]
+    return [[sum(map(lshift, e.coords, shifts)) for e in row] for row in m]
+
+
 def test_det_matches_laplace():
     rng = random.Random(79)
     for ring in (make_ring(3, 2, 4), make_ring(2, 3, 3), make_ring(5, 1, 6), make_ring(3, 5, 3)):
-        mod, p = ring.params.modulus, ring.params.p
-        # every coordinate p^M - 1: the largest slots the packed sums can hold
-        top = [[ring.from_coords([mod - 1] * ring.n)] * 7 for _ in range(7)]
-        assert _det(top, ring) == _laplace_det(top, ring), ring.params
+        mod, p, n = ring.params.modulus, ring.params.p, ring.n
+        # every coordinate p^M - 1: the largest reduced entries
+        top = [[ring.from_coords([mod - 1] * n)] * 7 for _ in range(7)]
+        assert _det(_packed(top, ring), ring) == _laplace_det(top, ring), ring.params
         for size in range(1, 8):
-            for trial in range(3 if size < 7 else 1):
-                m = [[ring.from_coords([rng.randrange(mod) for _ in range(ring.n)])
+            shifts = _det_kernel(ring, size)[0]
+            for trial in range(4 if size < 7 else 1):
+                m = [[ring.from_coords([rng.randrange(mod) for _ in range(n)])
                       for _ in range(size)] for _ in range(size)]
                 if trial == 1:
                     # non-units: entries divisible by p, and zeros
@@ -165,7 +173,51 @@ def test_det_matches_laplace():
                 if trial == 2:
                     # a repeated row makes the determinant vanish
                     m[-1] = list(m[0])
-                assert _det(m, ring) == _laplace_det(m, ring), (ring.params, size, trial)
+                if trial == 3:
+                    # unreduced entries as the norm packs them, slots up to p n p^(2M): the largest
+                    big = [[[p * n * mod * mod - rng.randrange(mod) for _ in range(n)]
+                            for _ in range(size)] for _ in range(size)]
+                    packed = [[sum(map(lshift, e, shifts)) for e in row] for row in big]
+                    m = [[ring.from_coords(e) for e in row] for row in big]
+                    assert _det(packed, ring) == _laplace_det(m, ring), (ring.params, size, trial)
+                    continue
+                assert _det(_packed(m, ring), ring) == _laplace_det(m, ring), (ring.params, size, trial)
+
+
+def _norm_matrix(x):
+    """The matrix reduced_norm once built entry by entry: (k, i) is sigma^i(a_(k-i)),
+    times p where k - i wraps below 0.  The oracle for the packed entries."""
+    ring, n, a = x.ring, x.ring.n, x.parts
+    p = ring.params.p
+    return [[a[k - i].frobenius(i).scale(p if k < i else 1) for i in range(n)] for k in range(n)]
+
+
+def _norm_cases(ring, rng):
+    """Two random units, the unit with every coordinate p^M - 1, and three non-units:
+    S, p times a unit, and an element with a_0 = 0 mod p."""
+    n, p, mod = ring.n, ring.params.p, ring.params.modulus
+    xs = [_random_unit(ring, rng).elem for _ in range(2)]
+    xs.append(from_coeff_rows(ring, [[mod - 1] * n] * n))
+    xs += [s_gen(ring), _random_unit(ring, rng).elem.scale(p)]
+    rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+    rows[0] = [p * c % mod for c in rows[0]]
+    xs.append(from_coeff_rows(ring, rows))
+    return xs
+
+
+def test_reduced_norm_matches_laplace():
+    """The packed entries against the entry-by-entry matrix and Laplace expansion; (2, 7, 8)
+    and (3, 5, 3) hold the largest slots."""
+    rng = random.Random(89)
+    for (p, n, M) in [(2, 1, 16), (5, 1, 3), (3, 2, 8), (2, 2, 100), (5, 3, 4), (2, 4, 16),
+                      (3, 5, 3), (2, 7, 8)]:
+        ring = make_ring(p, n, M)
+        xs = _norm_cases(ring, rng)
+        assert sum(x.is_unit for x in xs) == 3
+        for x in xs:
+            want = _laplace_det(_norm_matrix(x), ring)
+            assert not any(want.coords[1:])
+            assert reduced_norm(x).value == want.coords[0], (p, n, M, repr(x))
 
 
 def test_commutator_identities():
@@ -292,25 +344,16 @@ def _det_by_products(m, ring):
     return WittElem(ring, partial.get((1 << len(m)) - 1, (0,) * ring.n))
 
 
-def test_reduced_norms_match_schoolbook_products(monkeypatch):
+def test_reduced_norms_match_schoolbook_products():
     """Norms at the benchmark's norm fields, packed and then by the per-product oracle."""
     rng = random.Random(71)
-    cases = []
     for (p, n, M) in [(2, 5, 8), (2, 6, 8), (2, 7, 8), (3, 4, 8), (3, 5, 8), (5, 4, 8), (7, 3, 8)]:
         ring = make_ring(p, n, M)
-        mod = ring.params.modulus
-        xs = [_random_unit(ring, rng).elem for _ in range(2)]
-        xs.append(from_coeff_rows(ring, [[mod - 1] * n] * n))
-        # non-units: S, p times a unit, and a_0 = 0 mod p
-        xs += [s_gen(ring), _random_unit(ring, rng).elem.scale(p)]
-        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
-        rows[0] = [p * c % mod for c in rows[0]]
-        xs.append(from_coeff_rows(ring, rows))
+        xs = _norm_cases(ring, rng)
         assert sum(x.is_unit for x in xs) == 3
-        cases += [(x, reduced_norm(x).value) for x in xs]
-    monkeypatch.setattr(stabilizer, "_det", _det_by_products)
-    for x, norm in cases:
-        assert reduced_norm(x).value == norm, repr(x)
+        for x in xs:
+            want = _det_by_products(_norm_matrix(x), ring)
+            assert reduced_norm(x).value == want.coords[0] and not any(want.coords[1:]), repr(x)
 
 
 def test_reduced_norm_two_by_two_formula():
