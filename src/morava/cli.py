@@ -22,7 +22,7 @@ import argparse
 import os
 import re
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -390,7 +390,6 @@ def _cmd_k1(args):
 # that is not a registered flag must be read as a value, not an option
 _DASHED_VALUE = re.compile(r"^-.+$")
 
-
 # the options commands share, in help order; a leaf takes those its handler reads
 _SHARED = {
     "--p": {"type": _int, "default": 3, "help": "the prime (default 3)"},
@@ -399,92 +398,79 @@ _SHARED = {
 }
 
 
-def _leaf(sub, name, *positionals, shared) -> argparse.ArgumentParser:
-    parser = sub.add_parser(name)
-    parser._negative_number_matcher = _DASHED_VALUE
+@lru_cache(maxsize=None)
+def _options(shared) -> argparse.ArgumentParser:
+    """The parent parser of the shared options `shared` and --json, built once per tuple."""
+    parent = argparse.ArgumentParser(add_help=False)
     for flag in shared:
-        parser.add_argument(flag, **_SHARED[flag])
-    parser.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
-    for dest in positionals:
-        parser.add_argument(dest)
-    return parser
+        parent.add_argument(flag, **_SHARED[flag])
+    parent.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
+    return parent
 
 
-def _witt_leaves(leaf):
-    leaf("trace", "expr")
-    leaf("frobenius", "expr")
-    leaf("teich").add_argument("residue", type=_int)
+_PNM = tuple(_SHARED)
+_INT, _POSITIVE = {"type": _int}, {"type": _positive_int}
+_REQUIRED_INT, _LEVEL = {**_INT, "required": True}, {**_POSITIVE, "required": True}
+_STEMS = ("--stems", {"type": _parse_stems, "required": True, "help": "a..b or a comma list"})
+_MATRIX = ("--matrix", {"required": True, "help": "operator as a JSON matrix"})
 
-
-def _order_leaves(leaf):
-    leaf("mul", "expr", "other")
-    leaf("inv", "expr")
-    leaf("val", "expr")
-    leaf("digits", "expr").add_argument("--count", type=_positive_int, default=None)
-
-
-def _stab_leaves(leaf):
-    leaf("order", "expr").add_argument("--bound", type=_positive_int, default=None)
-    leaf("comm", "expr", "other")
-    for name in ("level", "norm", "split", "inK"):
-        leaf(name, "expr")
-
-
-def _grlie_leaves(leaf):
-    level = {"type": _positive_int, "required": True}
-    bracket = leaf("bracket")
-    bracket.add_argument("--k", **level)
-    bracket.add_argument("--l", **level)
-    bracket.add_argument("a", type=_int)
-    bracket.add_argument("b", type=_int)
-    power = leaf("power")
-    power.add_argument("--k", **level)
-    power.add_argument("a", type=_int)
-    span = leaf("span")
-    span.add_argument("--k", **level)
-    span.add_argument("--l", **level)
-    check = leaf("check", shared=("--p", "--n", "--prec"))
-    check.add_argument("--k", **level)
-    what = check.add_mutually_exclusive_group(required=True)
-    what.add_argument("--l", type=_positive_int)
-    what.add_argument("--power", action="store_true")
-    check.add_argument("--trials", type=_positive_int, default=50)
-    leaf("abelianize").add_argument("--levels", **level)
-
-
-def _homalg_leaves(leaf):
-    leaf("iwasawa").add_argument("--matrix", required=True, help="operator as a JSON matrix")
-    cyclic = leaf("cyclic")
-    cyclic.add_argument("--matrix", required=True)
-    cyclic.add_argument("--order", type=_int, required=True)
-    cyclic.add_argument("--s", type=_int, required=True)
-    g1 = leaf("g1", shared=("--p",))
-    g1.add_argument("--s", type=_int, required=True)
-    g1.add_argument("--t", type=_int, required=True)
-
-
-def _k1_leaves(leaf):
-    e2 = leaf("e2")
-    e2.add_argument("--smax", type=_int, default=6)
-    e2.add_argument("--tmin", type=_int, default=-8)
-    e2.add_argument("--tmax", type=_int, default=16)
-    leaf("homotopy").add_argument(
-        "--stems", type=_parse_stems, required=True, help="a..b or a comma list"
-    )
-    leaf("ko", shared=()).add_argument("--stems", type=_parse_stems, required=True)
-    leaf("valuations").add_argument("--tmax", type=_positive_int, default=200)
-
-
-# group -> (help, its leaves' shared options unless a leaf names its own, the function that adds
-# its leaf parsers, its handler)
+# group -> (help, its leaves' shared options, {leaf: arguments}, handler); a new command is one row.
+# An argument is a positional name, a (flag, add_argument keywords) pair or a list of pairs (a
+# required mutually exclusive group); a row may begin with its own tuple of shared options
 _GROUPS = {
-    "witt": ("truncated Witt vector arithmetic", ("--p", "--n", "--prec"), _witt_leaves, _cmd_witt),
-    "order": ("arithmetic in the twisted order", ("--p", "--n", "--prec"), _order_leaves, _cmd_order),
-    "stab": ("unit group operations", ("--p", "--n", "--prec"), _stab_leaves, _cmd_stab),
-    "grlie": ("graded Lie formulas and H_1", ("--p", "--n"), _grlie_leaves, _cmd_grlie),
-    "homalg": ("operator (co)homology", ("--p", "--prec"), _homalg_leaves, _cmd_homalg),
-    "k1": ("height-one charts and homotopy", ("--p",), _k1_leaves, _cmd_k1),
+    "witt": ("truncated Witt vector arithmetic", _PNM, {
+        "trace": ("expr",),
+        "frobenius": ("expr",),
+        "teich": (("residue", _INT),),
+    }, _cmd_witt),
+    "order": ("arithmetic in the twisted order", _PNM, {
+        "mul": ("expr", "other"),
+        "inv": ("expr",),
+        "val": ("expr",),
+        "digits": ("expr", ("--count", _POSITIVE)),
+    }, _cmd_order),
+    "stab": ("unit group operations", _PNM, {
+        "order": ("expr", ("--bound", _POSITIVE)),
+        "comm": ("expr", "other"),
+        **dict.fromkeys(("level", "norm", "split", "inK"), ("expr",)),
+    }, _cmd_stab),
+    "grlie": ("graded Lie formulas and H_1", ("--p", "--n"), {
+        "bracket": (("--k", _LEVEL), ("--l", _LEVEL), ("a", _INT), ("b", _INT)),
+        "power": (("--k", _LEVEL), ("a", _INT)),
+        "span": (("--k", _LEVEL), ("--l", _LEVEL)),
+        "check": (_PNM, ("--k", _LEVEL), [("--l", _POSITIVE), ("--power", {"action": "store_true"})],
+                  ("--trials", {**_POSITIVE, "default": 50})),
+        "abelianize": (("--levels", _LEVEL),),
+    }, _cmd_grlie),
+    "homalg": ("operator (co)homology", ("--p", "--prec"), {
+        "iwasawa": (_MATRIX,),
+        "cyclic": (_MATRIX, ("--order", _REQUIRED_INT), ("--s", _REQUIRED_INT)),
+        "g1": (("--p",), ("--s", _REQUIRED_INT), ("--t", _REQUIRED_INT)),
+    }, _cmd_homalg),
+    "k1": ("height-one charts and homotopy", ("--p",), {
+        "e2": (("--smax", {**_INT, "default": 6}), ("--tmin", {**_INT, "default": -8}),
+               ("--tmax", {**_INT, "default": 16})),
+        "homotopy": (_STEMS,),
+        "ko": ((), _STEMS),
+        "valuations": (("--tmax", {**_POSITIVE, "default": 200}),),
+    }, _cmd_k1),
 }
+
+
+def _add_leaf(leaves, name, row, shared):
+    if row and isinstance(row[0], tuple) and all(isinstance(flag, str) for flag in row[0]):
+        shared, *row = row
+    parser = leaves.add_parser(name, parents=[_options(shared)])
+    parser._negative_number_matcher = _DASHED_VALUE
+    for arg in row:
+        if isinstance(arg, str):
+            parser.add_argument(arg)
+        elif isinstance(arg, list):
+            choice = parser.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in arg:
+                choice.add_argument(flag, **kwargs)
+        else:
+            parser.add_argument(arg[0], **arg[1])
 
 
 def _build_parser(group=None) -> argparse.ArgumentParser:
@@ -497,10 +483,11 @@ def _build_parser(group=None) -> argparse.ArgumentParser:
         prog="morava", description="exact arithmetic in small stabilizer groups"
     )
     groups = top.add_subparsers(dest="group", required=True)
-    for name, (help_text, shared, add_leaves, _) in _GROUPS.items():
+    for name, (help_text, shared, rows, _) in _GROUPS.items():
         leaves = groups.add_parser(name, help=help_text).add_subparsers(dest="cmd", required=True)
         if group == name or group not in _GROUPS:
-            add_leaves(partial(_leaf, leaves, shared=shared))
+            for leaf, row in rows.items():
+                _add_leaf(leaves, leaf, row, shared)
     return top
 
 

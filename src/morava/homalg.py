@@ -48,13 +48,6 @@ class ZpModuleWithOperator:
     def rank(self) -> int:
         return len(self.matrix)
 
-    def power(self, e: int) -> list:
-        check_int("operator power", e, 0)
-        if e == 0:
-            return identity_matrix(self.rank)
-        mod = self.params.modulus
-        return binary_power([list(r) for r in self.matrix], e, lambda a, b: mat_mul(a, b, mod))
-
 
 @record
 class CohomologyGroup:

@@ -74,7 +74,6 @@ BOUNDARY = [
     ("predicted_span k", lambda v: predicted_span(3, 2, v, 1), "graded levels", 1),
     ("predicted_span l", lambda v: predicted_span(3, 2, 1, v), "graded levels", 1),
     ("abelianization_report L", lambda v: abelianization_report(3, 2, v), "L", 1),
-    ("ZpModuleWithOperator.power e", TRIVIAL.power, "operator power", 0),
     ("cyclic_cohomology m", lambda v: cyclic_cohomology(TRIVIAL, v, 1), "group order", 1),
     ("cyclic_cohomology s", lambda v: cyclic_cohomology(TRIVIAL, 2, v), "degree s", 0),
     ("g1_cohomology_E1 p", lambda v: g1_cohomology_E1(v, 1, 4), "p", -INF),

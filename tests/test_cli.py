@@ -510,7 +510,7 @@ def _eager_parser() -> argparse.ArgumentParser:
         parser._negative_number_matcher = cli._DASHED_VALUE
         shared = SHARED[(group, name)]
         if "--p" in shared:
-            parser.add_argument("--p", type=int, default=3, help="the prime (default 3)")
+            parser.add_argument("--p", type=_int, default=3, help="the prime (default 3)")
         if "--n" in shared:
             parser.add_argument("--n", type=_positive_int, default=2, help="the height (default 2)")
         if "--prec" in shared:
@@ -520,7 +520,7 @@ def _eager_parser() -> argparse.ArgumentParser:
         parser.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
         return parser
 
-    _positive_int, _parse_stems = cli._positive_int, cli._parse_stems
+    _int, _positive_int, _parse_stems = cli._int, cli._positive_int, cli._parse_stems
 
     top = argparse.ArgumentParser(
         prog="morava", description="exact arithmetic in small stabilizer groups"
@@ -534,7 +534,7 @@ def _eager_parser() -> argparse.ArgumentParser:
     wfrob = _leaf(wsub, "witt", "frobenius")
     wfrob.add_argument("expr")
     wteich = _leaf(wsub, "witt", "teich")
-    wteich.add_argument("residue", type=int)
+    wteich.add_argument("residue", type=_int)
 
     order = groups.add_parser("order", help="arithmetic in the twisted order")
     osub = order.add_subparsers(dest="cmd", required=True)
@@ -571,11 +571,11 @@ def _eager_parser() -> argparse.ArgumentParser:
     gbr = _leaf(gsub, "grlie", "bracket")
     gbr.add_argument("--k", type=_positive_int, required=True)
     gbr.add_argument("--l", type=_positive_int, required=True)
-    gbr.add_argument("a", type=int)
-    gbr.add_argument("b", type=int)
+    gbr.add_argument("a", type=_int)
+    gbr.add_argument("b", type=_int)
     gpw = _leaf(gsub, "grlie", "power")
     gpw.add_argument("--k", type=_positive_int, required=True)
-    gpw.add_argument("a", type=int)
+    gpw.add_argument("a", type=_int)
     gsp = _leaf(gsub, "grlie", "span")
     gsp.add_argument("--k", type=_positive_int, required=True)
     gsp.add_argument("--l", type=_positive_int, required=True)
@@ -593,23 +593,23 @@ def _eager_parser() -> argparse.ArgumentParser:
     hiw = _leaf(hsub, "homalg", "iwasawa")
     hiw.add_argument("--matrix", required=True, help="operator as a JSON matrix")
     hcy = _leaf(hsub, "homalg", "cyclic")
-    hcy.add_argument("--matrix", required=True)
-    hcy.add_argument("--order", type=int, required=True)
-    hcy.add_argument("--s", type=int, required=True)
+    hcy.add_argument("--matrix", required=True, help="operator as a JSON matrix")
+    hcy.add_argument("--order", type=_int, required=True)
+    hcy.add_argument("--s", type=_int, required=True)
     hg1 = _leaf(hsub, "homalg", "g1")
-    hg1.add_argument("--s", type=int, required=True)
-    hg1.add_argument("--t", type=int, required=True)
+    hg1.add_argument("--s", type=_int, required=True)
+    hg1.add_argument("--t", type=_int, required=True)
 
     k1 = groups.add_parser("k1", help="height-one charts and homotopy")
     ksub = k1.add_subparsers(dest="cmd", required=True)
     ke2 = _leaf(ksub, "k1", "e2")
-    ke2.add_argument("--smax", type=int, default=6)
-    ke2.add_argument("--tmin", type=int, default=-8)
-    ke2.add_argument("--tmax", type=int, default=16)
+    ke2.add_argument("--smax", type=_int, default=6)
+    ke2.add_argument("--tmin", type=_int, default=-8)
+    ke2.add_argument("--tmax", type=_int, default=16)
     kho = _leaf(ksub, "k1", "homotopy")
     kho.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
     kko = _leaf(ksub, "k1", "ko")
-    kko.add_argument("--stems", type=_parse_stems, required=True)
+    kko.add_argument("--stems", type=_parse_stems, required=True, help="a..b or a comma list")
     kva = _leaf(ksub, "k1", "valuations")
     kva.add_argument("--tmax", type=_positive_int, default=200)
 
@@ -633,6 +633,12 @@ ORACLE_ARGVS = [
     ["grlie", "check", "--k", "1"],
     ["k1", "homotopy", "--stems", "5..-5"],
     ["order", "val", "S", "--n", "abc"],
+    # the plain integer options refuse through cli._int; a clash of --l and --power
+    ["witt", "teich", "x"],
+    ["order", "val", "S", "--p", "x"],
+    ["homalg", "g1", "--s", "1", "--t", "x"],
+    ["k1", "e2", "--tmin", "1.5"],
+    ["grlie", "check", "--k", "1", "--l", "1", "--power"],
     # argv that parse: the namespaces must agree too
     ["order", "val", "-1/2*(1+w*S)", "--p", "5", "--json"],
     ["grlie", "check", "--k", "1", "--power", "--trials", "3"],

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morava import cli
 from morava.cli import run_command
 from test_cli import SHARED
 
@@ -68,6 +69,17 @@ COMMANDS = {
     ("k1", "ko"): [st.just("--stems"), STEMS],
     ("k1", "valuations"): [st.just("--tmax"), COUNTS],
 }
+
+
+def test_one_list_of_commands():
+    # a command added to the cli's table must also be added to the oracle's and the fuzz's
+    top = cli._build_parser()
+    built = {
+        (group, leaf)
+        for group, parser in top._subparsers._group_actions[0].choices.items()
+        for leaf in parser._subparsers._group_actions[0].choices
+    }
+    assert built == set(SHARED) == set(COMMANDS)
 
 
 @st.composite
