@@ -8,6 +8,7 @@ than as spurious large torsion.
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from morava.padic import (
     INF,
@@ -219,13 +220,21 @@ def g1_cell(p: int, s: int, t: int) -> tuple:
     return 1, "zero on both sides", None
 
 
+@lru_cache(maxsize=1024)  # one group per distinct cell value: an E_1 grid holds few
+def _g1_group(p: int, s: int, order, reason: str, row) -> CohomologyGroup:
+    if row is not None:
+        reason = f"{reason}(psi - 1) on H^{row}(C_{2 if p == 2 else p - 1})"
+    return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), reason)
+
+
 def g1_cohomology_E1(p: int, s: int, t: int) -> CohomologyGroup:
-    """H^s of the height-one stabilizer on the weight-t/2 line: g1_cell, free parts certified at precision."""
+    """H^s of the height-one stabilizer on the weight-t/2 line: g1_cell, free parts certified at precision.
+
+    Every call checks its input and runs g1_cell; the group is then shared, frozen, between
+    the cells of equal value (p, s, order, reason, row), keyed on what the formula returned.
+    """
     check_prime(p)
     check_int("degree s", s, 0)
     if type(t) is not int:  # a test, not a call: every E_1 cell passes here
         check_int("degree t", t, -INF)
-    order, reason, row = g1_cell(p, s, t)
-    if row is not None:
-        reason = f"{reason}(psi - 1) on H^{row}(C_{2 if p == 2 else p - 1})"
-    return CohomologyGroup(s, cyclic_decomp(p, (order,), order == INF), reason)
+    return _g1_group(p, s, *g1_cell(p, s, t))

@@ -157,7 +157,8 @@ def fiber_groups(p: int, stems) -> dict:
     if len(stems[: _CHART_CELLS + 1]) > _CHART_CELLS:  # a slice: len() overflows on a huge range
         raise ValueError(f"more than {_CHART_CELLS} stems requested")
     period = 8 if p == 2 else 2 * p - 2
-    x = _BOTT if p == 2 else (INF,) + (1,) * (period - 1)
+    # X's order by residue mod period; no period-long table, which at p near 2^31 would fill memory
+    x = _BOTT.__getitem__ if p == 2 else lambda r: 1 if r else INF
     # (group, cyclic) from the orders of the two sides, built once per pair
     group = cache(lambda k, c: (cyclic_decomp(p, tuple(o for o in (k, c) if o != 1)), (k == 1) != (c == 1)))
     # one slice per residue class: a range's classes recur every step entries, a list's stems are taken singly
@@ -165,11 +166,11 @@ def fiber_groups(p: int, stems) -> dict:
     runs = [(stems[j] % period, stems[j::step]) for j in range(min(step, len(stems)))]
     out = {}
     for r, run in runs:  # a class's kernel side off degree 0, and its cokernel side's summand
-        ker, side = psi_minus_one(p, x[r], r or period)[0], x[(r + 1) % period]
+        ker, side = psi_minus_one(p, x(r), r or period)[0], x((r + 1) % period)
         if ker != 1 or side != 1:
             out.update([(t, group(ker, psi_minus_one(p, side, t + 1)[1])) for t in run])
     if 0 in stems:
-        out[0] = group(psi_minus_one(p, x[0], 0)[0], psi_minus_one(p, x[1], 1)[1])
+        out[0] = group(psi_minus_one(p, x(0), 0)[0], psi_minus_one(p, x(1), 1)[1])
     return out
 
 

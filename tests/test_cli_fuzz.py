@@ -22,7 +22,7 @@ from morava.cli import run_command
 from test_cli import SHARED
 
 # valid values repeat, so that most draws reach the arithmetic
-PRIMES = st.sampled_from(["3", "2", "5"] * 4 + ["1", "4", "0", "-3"])
+PRIMES = st.sampled_from(["3", "2", "5"] * 4 + ["1", "4", "0", "-3", "2147483647", "4294967291"])
 HEIGHTS = st.sampled_from(["2", "1", "3"] * 4 + ["0", "-1"])
 PRECS = st.sampled_from(["4", "2", "1"] * 4 + ["0", "-2"])
 COUNTS = st.integers(min_value=-3, max_value=8).map(str)

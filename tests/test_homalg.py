@@ -368,12 +368,20 @@ def test_g1_cells_match_records(monkeypatch):
         assert got == _g1_outcome(_g1_cohomology_by_records, *cell), cell
         outcomes.add(got[0] if isinstance(got[0], str) else str(got[0].decomp))
     assert {"ValueError", "Z_2 [free part certified at precision only]", f"Z/{3**21}", "0"} <= outcomes
-    # the exact sequence never has two nonzero sides; force it to reach that branch
+    # the exact sequence never has two nonzero sides; force it to reach that branch.  The loop
+    # above warmed the shared groups of these cells, and they are keyed on the formula's value
+    warm = [g1_cohomology_E1(2, s, t) for s, t in ((1, 0), (3, 6), (2, 4))]
+    assert [str(g.decomp) for g in warm] == ["Z_2 [free part certified at precision only]", "Z/2", "Z/2"]
     monkeypatch.setattr(morava.homalg, "cm_order", lambda p, r, t: 2)
     for s, t in ((1, 0), (3, 6), (2, 4)):
         got = _g1_outcome(g1_cohomology_E1, 2, s, t)
         assert got == ("PrecisionError", "both sides of the exact sequence are nonzero")
         assert got == _g1_outcome(_g1_cohomology_by_records, 2, s, t, lambda s, t: 2)
+    # a patched valuation law reaches a warm cell too
+    monkeypatch.undo()
+    monkeypatch.setattr(morava.homalg, "_lambda_valuation", lambda p, m: 7)
+    assert _g1_outcome(g1_cohomology_E1, 3, 1, 4) == _g1_outcome(_g1_cohomology_by_records, 3, 1, 4)
+    assert g1_cohomology_E1(3, 1, 4).decomp.orders == (3**7,)
 
 
 def test_g1_huge_stem_is_fast():

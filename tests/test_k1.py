@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, prod
@@ -511,6 +512,18 @@ def test_stem_decompositions_are_shared_and_frozen():
         with pytest.raises(AttributeError):
             d.orders = ()
     assert g1_cohomology_E1(3, 1, 4).decomp is g1_cohomology_E1(3, 1, 8).decomp
+    # equal E_1 cells are one group; a cell of another s or provenance is another
+    z3 = g1_cohomology_E1(3, 1, 4)
+    assert z3 is g1_cohomology_E1(3, 1, 8) is g1_cohomology_E1(3, 1, -4)
+    assert g1_cohomology_E1(3, 0, 4) is g1_cohomology_E1(3, 0, 8) is not g1_cohomology_E1(3, 2, 4)
+    assert g1_cohomology_E1(3, 0, 4).decomp is g1_cohomology_E1(3, 2, 4).decomp  # both 0, s differs
+    assert g1_cohomology_E1(3, 0, 2) is not g1_cohomology_E1(3, 0, 4)  # 0 for another reason
+    ker, coker = g1_cohomology_E1(2, 2, 0), g1_cohomology_E1(2, 2, 2)  # Z/2 off H^2(C_2) and H^1(C_2)
+    assert ker is not coker and ker.decomp is coker.decomp and ker.provenance != coker.provenance
+    for field, value in (("s", 2), ("decomp", z3.decomp), ("provenance", "")):
+        with pytest.raises(AttributeError):
+            setattr(z3, field, value)
+    assert str(z3) == "H^1 = Z/3" and z3.provenance == "coker(psi - 1) on H^0(C_2)"
 
 
 @cache
@@ -630,6 +643,22 @@ def test_fiber_groups_refuse_more_stems_than_a_chart_has_cells(monkeypatch):
         for p in (2, 3):
             with pytest.raises(ValueError, match=f"^more than {bound} stems requested$"):
                 fiber_groups(p, stems)
+
+
+def test_fiber_groups_at_primes_past_31_bits():
+    # X's order is read by residue: no table of 2p - 2 entries, which at p = 2^31 - 1 fills memory
+    for p in (65537, 2147483647, 4294967291):
+        table = homotopy_table(p, range(-5, 6))
+        text = {i: (str(g.decomp), g.labels) for i, g in table.groups.items()}
+        free = {-1: (f"Z_{p}", ("zeta",)), 0: (f"Z_{p}", ("1",))}
+        assert text == {i: free.get(i, ("0", ())) for i in range(-5, 6)}, p
+    tracemalloc.start()
+    try:
+        fiber = fiber_groups(1000003, range(-5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(fiber) == [-1, 0] and peak < 1 << 20, peak
 
 
 def test_fiber_groups_read_no_chart(monkeypatch):
