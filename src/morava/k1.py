@@ -18,9 +18,10 @@ from morava.homalg import _lambda_valuation, cm_order, g1_cell, psi_minus_one
 from morava.specseq import (
     Chart,
     DifferentialRule,
-    Monomial,
     StemGroup,
     Summand,
+    _checked_core,
+    _label,
     apply_differentials,
     assemble_stems,
     collapse_check,
@@ -60,13 +61,16 @@ def _e2_page(cells, cell) -> Chart:
     cokernel side (row = s - 1), times u^(row - t/2).
     """
     chart = Chart(2)
+    entries, cores = chart.entries, {}  # cores by (row, side): each checked once
     for s, t in cells:
         order, _, row = cell(s, t)
         if order != 1:
-            core = (("eta", row),) if row else ()
-            if row != s:
-                core += (("zeta", 1),)
-            chart.add(s, t, Summand(order, Monomial(1, core, row - t // 2)))
+            key = (row, row != s)
+            core = cores.get(key)
+            if core is None:
+                eta = (("eta", row),) if row else ()
+                core = cores[key] = _checked_core(eta + ((("zeta", 1),) if row != s else ()))
+            entries[s, t] = (Summand(order, _label(1, core, row - t // 2)),)  # cells are distinct: one write each
     return chart
 
 

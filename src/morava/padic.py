@@ -22,6 +22,15 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+def _getstate(self):
+    return {f: getattr(self, f) for f in self.__slots__ if hasattr(self, f)}  # an unfilled cache is left out
+
+
+def _setstate(self, state):
+    for f, value in state.items():
+        object.__setattr__(self, f, value)
+
+
 def record(cls):
     """Class decorator for value classes, in the manner of @dataclass(frozen=True).
 
@@ -30,15 +39,25 @@ def record(cls):
     __post_init__ if defined, a repr QualName(field=value, ...) and == on the
     field tuples of one class, unless the body defines them.  A record hashes
     as its field tuple and refuses assignment and deletion with
-    AttributeError.
+    AttributeError.  The class is rebuilt with __slots__, as @dataclass(slots=True)
+    does: the fields, then any __slots__ the body declares for values that are not
+    fields (a cache, say).  So a record has no __dict__.
     """
-    body = cls.__dict__
+    body = dict(cls.__dict__)
     names = tuple(body.get("__annotations__", ()))
-    params = ", ".join(f"{f}=_d_{f}" if f in body else f for f in names)
-    lines = [f"_set(self, {f!r}, {f})" for f in names]
+    extra = tuple(body.pop("__slots__", ()))
+    defaults = {f: body.pop(f) for f in names if f in body}
+    for name in (*extra, "__dict__", "__weakref__"):  # descriptors of the class being replaced
+        body.pop(name, None)
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names + extra})
+    cls.__qualname__ = qualname
+    params = ", ".join(f"{f}=_d_{f}" if f in defaults else f for f in names)
+    lines = [f"_s_{f}(self, {f})" for f in names]  # each slot's own setter: no name lookup per field
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
-    ns = {"_set": object.__setattr__, **{f"_d_{f}": body[f] for f in names if f in body}}
+    ns = {f"_s_{f}": cls.__dict__[f].__set__ for f in names}
+    ns.update({f"_d_{f}": value for f, value in defaults.items()})
     exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), ns)
     cls.__init__ = ns["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -51,6 +70,7 @@ def record(cls):
     if body.get("__hash__") is None:
         cls.__hash__ = lambda a: hash(get(a))
     cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__getstate__, cls.__setstate__ = _getstate, _setstate  # copy and pickle would set slots through _frozen
     return cls
 
 
@@ -138,6 +158,7 @@ def binary_power(x, e: int, mul):
 class PadicParams:
     """The prime p and the working precision M; arithmetic happens in Z/p^M."""
 
+    __slots__ = ("_modulus",)
     p: int
     M: int
 
@@ -414,6 +435,7 @@ class CyclicDecomp:
     the working precision.
     """
 
+    __slots__ = ("_text",)  # str(self), once asked for; == and hash read the fields alone
     p: int
     orders: tuple = ()
     precision_caveat: bool = False
@@ -429,12 +451,14 @@ class CyclicDecomp:
         return not self.orders
 
     def __str__(self):
-        if not self.orders:
-            return "0"
-        parts = [f"Z_{self.p}" if o == INF else f"Z/{o}" for o in self.orders]
-        s = " + ".join(parts)
+        try:
+            return self._text
+        except AttributeError:  # the first call: tables print one shared decomposition per stem
+            pass
+        s = " + ".join([f"Z_{self.p}" if o == INF else f"Z/{o}" for o in self.orders]) or "0"
         if self.precision_caveat:
             s += " [free part certified at precision only]"
+        object.__setattr__(self, "_text", s)
         return s
 
     def to_json(self):

@@ -54,7 +54,7 @@ def _core_text(core: tuple) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in core)
 
 
-_set = object.__setattr__  # keeps values inline; touching __dict__ would build a dict per label
+_set = object.__setattr__
 
 
 @record
@@ -110,6 +110,20 @@ class Monomial:
 
     def __str__(self):
         return self.format()
+
+
+_new = object.__new__
+_set_index, _set_core, _set_u = (Monomial.__dict__[f].__set__ for f in ("index", "core", "u"))
+
+
+def _label(index: int, core: tuple, u: int) -> Monomial:
+    """Monomial(index, core, u) with no check, for k1's E_2 cells alone: its caller passes ints,
+    index >= 1, and a core that _checked_core returned."""
+    label = _new(Monomial)
+    _set_index(label, index)
+    _set_core(label, core)
+    _set_u(label, u)
+    return label
 
 
 @record
@@ -271,7 +285,8 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     nothing is left).  A free target, a finite one whose order does not
     divide the source's, a summand that is both a source and a target and
     one that two sources hit are refused; summands are told apart by (s, t,
-    label), since labels are distinct within a cell.  A source whose target
+    id), which names what (s, t, label) names since labels are distinct
+    within a cell, and the refusal prints (s, t, label).  A source whose target
     cell has no matching label is logged on the new page and kept.
     A target is the label of index 1 whose core is the source core times the
     rule's factors and whose u-exponent is shifted; no target label is built
@@ -296,12 +311,14 @@ def apply_differentials(chart: Chart, rules) -> Chart:
                     continue
                 hits.append((r, rule, summand, key, match))  # the arguments of its log line
                 break
-    sources = {(*key, x.label) for _, _, x, key, _ in hits}
-    targets = [(key[0] + r, key[1] + r - 1, y.label) for _, _, _, key, y in hits]
-    overlap = sources.intersection(targets)
-    if overlap:
-        raise ValueError(f"summand is both source and target on page {r}: {overlap}")
-    if len(set(targets)) < len(targets):
+    sources = {(*key, id(x)) for _, _, x, key, _ in hits}  # names what (s, t, label) names, hashing no label
+    targets = [(key[0] + r, key[1] + r - 1, id(y)) for _, _, _, key, y in hits]
+    if len(set(targets)) < len(targets) or not sources.isdisjoint(targets):  # refused: word it by label
+        sources = {(*key, x.label) for _, _, x, key, _ in hits}
+        targets = [(key[0] + r, key[1] + r - 1, y.label) for _, _, _, key, y in hits]
+        overlap = sources.intersection(targets)
+        if overlap:
+            raise ValueError(f"summand is both source and target on page {r}: {overlap}")
         twice = {y for y in targets if targets.count(y) > 1}
         raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
 

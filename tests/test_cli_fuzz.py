@@ -5,8 +5,10 @@ usage error): never a traceback and never a hang.  The draws keep p, n and
 the precision small, each where the command takes it, and mix in zero and
 negative counts, malformed element expressions, matrices and stem lists.
 Each call runs under a SIGALRM guard and writes at most 1 KB of stderr.
-Every plain integer option also refuses a 5000-character value as a usage
-error in at most 1 KB of stderr.
+Each prime past 31 bits also runs `k1 homotopy` on valid stems windows, so
+the fuzz reaches the stem arithmetic at those primes.  Every plain integer
+option also refuses a 5000-character value as a usage error in at most 1 KB
+of stderr.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import io
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morava import cli
@@ -95,6 +97,16 @@ def _timeout(signum, frame):
     raise TimeoutError("command ran longer than 10 s")
 
 
+def _with_each_big_prime(test):
+    """Add examples running k1 homotopy at each prime past 31 bits on valid stems windows: the draws
+    reach that pair rarely, and then often with a stems value refused before any arithmetic."""
+    for p in ("2147483647", "4294967291"):
+        for stems in ("0..8", "-4..4", "-2,0,2"):
+            test = example(["k1", "homotopy", "--stems", stems, "--p", p])(test)
+    return example(["k1", "homotopy", "--stems", "-4..4", "--p", "4294967291", "--json"])(test)
+
+
+@_with_each_big_prime
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(argvs())
 def test_cli_fuzz_exits_cleanly(argv):

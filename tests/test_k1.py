@@ -347,6 +347,55 @@ def test_label_cores_are_checked_once_per_core():
     assert 0 < misses <= len(cores) <= 40, (misses, len(cores))
 
 
+def _e2_page_by_add(cells, cell):
+    """The E_2 page built cell by cell, a validated Monomial and then Chart.add each; the oracle."""
+    chart = Chart(2)
+    for s, t in cells:
+        order, _, row = cell(s, t)
+        if order != 1:
+            core = (("eta", row),) if row else ()
+            if row != s:
+                core += (("zeta", 1),)
+            chart.add(s, t, Summand(order, Monomial(1, core, row - t // 2)))
+    return chart
+
+
+def _page_cells(chart):
+    """Every cell of a page in its order, each label by value, hash, repr and exact type."""
+    assert chart.page == 2 and chart.log == []
+    return [
+        (key, [(x.order, x.label, hash(x.label), repr(x.label), type(x.label) is Monomial) for x in cell])
+        for key, cell in chart.entries.items()
+    ]
+
+
+def test_e2_pages_match_the_cell_by_cell_build():
+    rng = random.Random(34)
+    for _ in range(6):
+        for p in (2, 3, 5, 7, 65537):
+            step = 2 if p == 2 else 2 * p - 2
+            lo = rng.randrange(-3, 3) * step + rng.randrange(-400, 400)  # near a multiple of the step
+            window = (rng.randrange(15), lo, lo + rng.randrange(0, 800))
+            oracle = _e2_page_by_add(_even_cells(*window, step), partial(morava.homalg.g1_cell, p))
+            assert _page_cells(sphere_e2_page(p, *window)) == _page_cells(oracle), (p, window)
+        window = (rng.randrange(15), lo, lo + rng.randrange(0, 800))
+        oracle = _e2_page_by_add(_even_cells(*window, 4, 2), lambda s, t: (morava.homalg.cm_order(2, s, t), "", s))
+        assert _page_cells(ko_e2_page(*window)) == _page_cells(oracle), window
+    assert sphere_e2_page(65537, 1, 131070, 131074).entries  # the windows near a multiple of the step hold cells
+
+
+def test_trusted_labels_equal_checked_ones():
+    label = morava.specseq._label
+    rng = random.Random(35)
+    for _ in range(300):
+        names = rng.sample(("eta", "zeta", "x", "y"), rng.randrange(4))
+        core = morava.specseq._checked_core(tuple((name, rng.choice((-3, -1, 1, 2, 5))) for name in names))
+        index, u = rng.randint(1, 9), rng.randint(-60, 60)
+        got, want = label(index, core, u), Monomial(index, core, u)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want) and str(got) == str(want)
+        assert type(got) is Monomial
+
+
 def test_final_chart_is_collapsed_page_four():
     table = homotopy_table(2, [0, 1])
     assert table.chart.page == 4

@@ -5,10 +5,14 @@ stdlib `@dataclass(frozen=True)` and the same fields, defaults,
 `__post_init__` and body methods.  The twins are the oracle: on
 seeded field values both sides must agree on the constructor signature,
 defaults and keyword construction, `__post_init__` errors, `==` (also across
-classes), `hash`, `repr`, and assignment and deletion.
+classes), `hash`, `repr`, and assignment and deletion.  Unlike the twins, the
+records are slotted: no instance has a `__dict__`, and copy and pickle still
+agree with the twins.
 """
 
+import copy
 import inspect
+import pickle
 import random
 import subprocess
 import sys
@@ -418,6 +422,50 @@ def test_assignment_and_deletion(name):
         ("AttributeError", f"cannot delete field {field!r}"),
         ("AttributeError", "cannot assign to field 'extra'"),
     )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_records_are_slotted(name):
+    x, _ = _pair(name, 0)
+    fields = tuple(type(x).__annotations__)
+    assert not hasattr(x, "__dict__") and "__dict__" not in dir(type(x))
+    assert type(x).__slots__[: len(fields)] == fields
+    for attempt in (lambda: setattr(x, "extra", 1), lambda: object.__setattr__(x, "extra", 1)):
+        assert _outcome(attempt)[0] == "AttributeError"
+    assert not hasattr(x, "extra")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_records_copy_and_pickle(name):
+    # slots are filled past the refusing __setattr__, as the twin's __dict__ is
+    x, tx = _pair(name, 1)
+    str(x)  # fills the cached text, where the class keeps one
+    shallow = copy.copy(x)
+    assert all(getattr(shallow, f) is getattr(x, f) for f in type(x).__annotations__)
+    for dup in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        y, ty = dup(x), dup(tx)
+        assert type(y) is type(x) and getattr(y, "_text", None) == getattr(x, "_text", None)
+        assert _outcome(lambda: y == x) == _outcome(lambda: ty == tx)
+
+
+def _decomp_text(p, orders, caveat):
+    """str(CyclicDecomp) written out: the cleaned orders, INF first, then the caveat if a free part has one."""
+    orders = sorted((o for o in orders if o != 1), key=lambda o: -o)
+    text = " + ".join(f"Z_{p}" if o == INF else f"Z/{o}" for o in orders) or "0"
+    return text + " [free part certified at precision only]" * (caveat and INF in orders)
+
+
+def test_decomp_text_is_computed_once_and_kept_out_of_eq_and_hash():
+    for seed in range(60):
+        args = _decomp_args(random.Random(f"text-{seed}"))
+        x, y = padic.CyclicDecomp(*args), padic.CyclicDecomp(*args)
+        assert str(x) == _decomp_text(*args) == str(x), args
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)  # y has no text yet
+        assert str(x) is str(x) and str(y) == str(x)
+    x = padic.CyclicDecomp(5, (25, INF), True)
+    text = str(x)
+    assert _outcome(lambda: setattr(x, "_text", "0")) == ("AttributeError", "cannot assign to field '_text'")
+    assert str(x) is text == "Z_5 + Z/25 [free part certified at precision only]"
 
 
 def test_report_with_a_dict_field_is_unhashable():

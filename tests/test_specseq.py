@@ -708,10 +708,23 @@ def _random_page(rng):
     return chart, rules
 
 
+def _share_a_summand(rng, chart):
+    """Place one summand object of chart in a second cell as well, r off its own or anywhere;
+    a cell that already holds its label is left alone, so labels stay distinct within a cell."""
+    r, placed = chart.page, [(key, x) for key, cell in chart.entries.items() for x in cell]
+    (s, t), x = rng.choice(placed)
+    key = rng.choice(((s + r, t + r - 1), (s - r, t - r + 1), (rng.randrange(5), rng.randrange(-3, 6))))
+    if key != (s, t) and all(y.label != x.label for y in chart.cell(*key)):
+        chart.add(*key, x)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.randoms(use_true_random=False))
 def test_page_turn_matches_scan_on_drawn_charts(rng):
     _assert_same_turn(*_random_page(rng))
+    chart, rules = _random_page(rng)  # a second page, one of whose summand objects sits in two cells
+    _share_a_summand(rng, chart)
+    _assert_same_turn(chart, rules)
 
 
 def test_drawn_charts_reach_every_case():
