@@ -33,77 +33,55 @@ class ParseError(ValueError):
     """Malformed element expression; the message carries the position."""
 
 
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if "0" <= c <= "9":  # ASCII: isdigit also takes superscript and non-Latin digits
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            tokens.append(("int", int(src[i:j]), i))
-            i = j
-            continue
-        if c in ("w", "S"):
-            tokens.append(("name", c, i))
-            i += 1
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i}")
-    tokens.append(("end", None, len(src)))
-    return tokens
-
+# one token per match after any whitespace (\s is str.isspace) in group 1: an ASCII integer (group 2;
+# isdigit would also take superscript and non-Latin digits), an operator or generator, the offending
+# character (group 3), or empty at the end; kept a string, which re compiles on first use, not at import
+_TOKEN = r"\s*(([0-9]+)|[-+*/^()wS]|(\S)|\Z)"
 
 # each parenthesis or unary minus is one level of recursion in _Parser.base
 _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens, ring, allow_s):
-        self.tokens = tokens
+    def __init__(self, src, ring, allow_s):
+        self.tokens = []  # (kind, value, position); an operator or generator is its own kind
+        for m in re.finditer(_TOKEN, src):
+            tok, pos = m[1], m.start(1)
+            if m[3]:
+                raise ParseError(f"unexpected character {tok!r} at position {pos}")
+            self.tokens.append(("int", int(tok), pos) if m[2] else (tok or "end", None, pos))
         self.i = 0
         self.depth = 0
         self.ring = ring
         self.allow_s = allow_s
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
+    def take(self, *kinds):
+        """The next token, consumed; with kinds, only a token of one of them, and None otherwise."""
         tok = self.tokens[self.i]
+        if kinds and tok[0] not in kinds:
+            return None
         self.i += 1
         return tok
 
     def expr(self) -> OrderElem:
         out = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+        while op := self.take("+", "-"):
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = out + rhs if op[0] == "+" else out - rhs
         return out
 
     def term(self) -> OrderElem:
         out = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
+        while self.take("*"):
             out = out * self.factor()
         return out
 
     def factor(self) -> OrderElem:
         out = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            kind, value, pos = self.peek()
+        if self.take("^"):
+            kind, value, pos = self.take()
             if kind != "int":
                 raise ParseError(f"expected a nonnegative exponent at position {pos}")
-            self.take()
             out = out ** value
         return out
 
@@ -118,45 +96,38 @@ class _Parser:
     def base(self) -> OrderElem:
         from morava.order import from_int, from_witt, s_gen
 
-        kind, value, pos = self.peek()
+        kind, value, pos = self.take()
         if kind == "-":
-            self.take()
             return self.nested(self.base, pos).scale(-1)
         if kind == "int":
-            self.take()
-            if self.peek()[0] == "/":
-                self.take()
-                dkind, dval, dpos = self.peek()
-                if dkind != "int":
-                    raise ParseError(f"expected a denominator at position {dpos}")
-                self.take()
-                if dval % self.ring.params.p == 0:  # d = 0 included
+            if self.take("/"):
+                kind, d, pos = self.take()
+                if kind != "int":
+                    raise ParseError(f"expected a denominator at position {pos}")
+                if d % self.ring.params.p == 0:  # d = 0 included
                     raise ValueError("not a unit in the order")
-                return from_int(self.ring, value * pow(dval, -1, self.ring.params.modulus))
+                value *= pow(d, -1, self.ring.params.modulus)
             return from_int(self.ring, value)
-        if kind == "name" and value == "w":
-            self.take()
+        if kind == "w":
             return from_witt(self.ring, self.ring.omega)
-        if kind == "name" and value == "S":
-            if not self.allow_s:
-                raise ParseError(f"S is not allowed here (position {pos})")
-            self.take()
+        if kind == "S" and not self.allow_s:
+            raise ParseError(f"S is not allowed here (position {pos})")
+        if kind == "S":
             return s_gen(self.ring)
         if kind == "(":
-            self.take()
             out = self.nested(self.expr, pos)
-            if self.peek()[0] != ")":
-                raise ParseError(f"expected ')' at position {self.peek()[2]}")
-            self.take()
+            kind, _, pos = self.take()
+            if kind != ")":
+                raise ParseError(f"expected ')' at position {pos}")
             return out
         raise ParseError(f"unexpected token at position {pos}")
 
 
 def parse_element(src: str, ring, allow_s: bool = True) -> OrderElem:
     """Parse an expression into an element of the order over the given ring."""
-    parser = _Parser(_tokenize(src), ring, allow_s)
+    parser = _Parser(src, ring, allow_s)
     out = parser.expr()
-    kind, _, pos = parser.peek()
+    kind, _, pos = parser.take()
     if kind != "end":
         raise ParseError(f"trailing input at position {pos}")
     return out

@@ -39,19 +39,20 @@ _CHART_CELLS = 1 << 17  # most cells one chart window may hold
 def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2, shift: int = 0) -> list:
     """The cells (s, t) with 0 <= s <= s_max, t in [t_lo, t_hi] and t = shift * s mod the even step.
 
-    Refuses an empty window, and one of more than _CHART_CELLS cells of even t before building any.
+    Refuses an empty window, and one of more than _CHART_CELLS such cells before building any.
     """
     for name, bound in (("s_max", s_max), ("t_lo", t_lo), ("t_hi", t_hi)):
         check_int(name, bound, -INF)
     window = f"s <= {s_max}, {t_lo} <= t <= {t_hi}"
     if s_max < 0 or t_lo > t_hi:
         raise ValueError(f"empty chart window: {window}")
-    first = t_lo + t_lo % 2
-    evens = max(0, (t_hi - first) // 2 + 1)  # the bound counts every even t, whatever the step
-    if (s_max + 1) * evens > _CHART_CELLS:
+    period = step // gcd(shift, step)  # rows s and s + period visit the same t
+    first = lambda s: t_lo + (shift * s - t_lo) % step
+    per_row = lambda s: max(0, (t_hi - first(s)) // step + 1)
+    cells = sum(((s_max - r) // period + 1) * per_row(r) for r in range(min(period, s_max + 1)))
+    if cells > _CHART_CELLS:
         raise ValueError(f"chart window {window} passes the {_CHART_CELLS}-cell bound")
-    rows = range(s_max + 1 if evens else 0)
-    return [(s, t) for s in rows for t in range(t_lo + (shift * s - t_lo) % step, t_hi + 1, step)]
+    return [(s, t) for s in range(s_max + 1 if cells else 0) for t in range(first(s), t_hi + 1, step)]
 
 
 def _e2_page(cells, cell) -> Chart:
@@ -132,7 +133,10 @@ class HomotopyTable:
 
 
 def _stem_list(stems):
-    """The requested stems, sorted: a range without listing it (a huge one would fill memory)."""
+    """The requested stems, sorted: a range without listing it (a huge one would fill memory).
+
+    Refuses an empty list, and one of more than _CHART_CELLS stems before any window is built.
+    """
     if isinstance(stems, range):
         stems = stems if stems.step > 0 else stems[::-1]
     else:  # a range holds ints only; any other list is checked, and a repeated stem is kept once
@@ -142,6 +146,8 @@ def _stem_list(stems):
         stems = sorted(set(stems))
     if not stems:
         raise ValueError("no stems requested")
+    if len(stems[: _CHART_CELLS + 1]) > _CHART_CELLS:  # a slice: len() overflows on a huge range
+        raise ValueError(f"more than {_CHART_CELLS} stems requested")
     return stems
 
 
@@ -158,8 +164,6 @@ def fiber_groups(p: int, stems) -> dict:
     """
     check_prime(p)
     stems = _stem_list(stems)
-    if len(stems[: _CHART_CELLS + 1]) > _CHART_CELLS:  # a slice: len() overflows on a huge range
-        raise ValueError(f"more than {_CHART_CELLS} stems requested")
     period = 8 if p == 2 else 2 * p - 2
     # X's order by residue mod period; no period-long table, which at p near 2^31 would fill memory
     x = _BOTT.__getitem__ if p == 2 else lambda r: 1 if r else INF

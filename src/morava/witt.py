@@ -30,7 +30,6 @@ from morava.padic import (
     invert_matrix,
     mat_mul,
     mat_vec,
-    nu_p,
 )
 
 # Monic lifts of Conway polynomials, coefficients lowest degree first.
@@ -469,11 +468,6 @@ class WittElem(CoordElem):
     @property
     def is_unit(self) -> bool:
         return not self.residue().is_zero
-
-    def valuation(self) -> int:
-        """min(nu_p) over coordinates, capped at M for the zero residue."""
-        M, p = self.ring.params.M, self.ring.params.p
-        return min((nu_p(c, p) if c else M for c in self.coords), default=M)
 
     def residue(self) -> FqElem:
         p = self.ring.params.p

@@ -11,11 +11,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import morava
 from morava import cli
 from morava.cli import ParseError, parse_element, run_command
-from morava.order import from_coeff_rows, from_int
+from morava.order import OrderElem, from_coeff_rows, from_int
 from morava.stabilizer import order3_element
 from morava.witt import make_ring
 
@@ -206,17 +208,19 @@ def test_huge_primes_are_refused_fast():
 
 
 def test_oversized_chart_windows_are_domain_errors(capsys):
-    for argv in (
-        ["k1", "homotopy", "--p", "2", "--stems", "0..2000000"],
-        ["k1", "homotopy", "--p", "3", "--stems", "0..2000000000000"],
-        ["k1", "ko", "--stems", "-1000000,1000000"],
-        ["k1", "e2", "--smax", "1000000000"],
+    stems, cells = "more than 131072 stems requested", "131072-cell bound"
+    for argv, refusal in (
+        (["k1", "homotopy", "--p", "2", "--stems", "0..2000000"], stems),
+        (["k1", "homotopy", "--p", "3", "--stems", "0..2000000000000"], stems),
+        (["k1", "homotopy", "--p", "4294967291", "--stems", "0..2000000"], stems),
+        (["k1", "ko", "--stems", "-1000000,1000000"], cells),
+        (["k1", "e2", "--smax", "1000000000"], cells),
     ):
         start = time.perf_counter()
         assert run_command(argv) == 1, argv
         assert time.perf_counter() - start < 1, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and "131072-cell bound" in captured.err, argv
+        assert captured.out == "" and refusal in captured.err, argv
         assert "Traceback" not in captured.err, argv
 
 
@@ -676,3 +680,178 @@ def test_parser_matches_eager_oracle(monkeypatch, argv):
     monkeypatch.setattr(cli, "_GROUPS", stubbed)
     eager = _outcome(lambda argv: vars(_eager_parser().parse_args(argv)), argv)
     assert _outcome(run_command, argv) == eager
+
+
+# The element reader before the token pattern, kept verbatim as the oracle of parse_element.
+def _tokenize(src: str):
+    tokens = []
+    i = 0
+    while i < len(src):
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if "0" <= c <= "9":  # ASCII: isdigit also takes superscript and non-Latin digits
+            j = i
+            while j < len(src) and "0" <= src[j] <= "9":
+                j += 1
+            tokens.append(("int", int(src[i:j]), i))
+            i = j
+            continue
+        if c in ("w", "S"):
+            tokens.append(("name", c, i))
+            i += 1
+            continue
+        if c in "+-*/^()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r} at position {i}")
+    tokens.append(("end", None, len(src)))
+    return tokens
+
+
+# each parenthesis or unary minus is one level of recursion in _Parser.base
+_MAX_NESTING = 100
+
+
+class _Parser:
+    def __init__(self, tokens, ring, allow_s):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+        self.ring = ring
+        self.allow_s = allow_s
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expr(self) -> OrderElem:
+        out = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> OrderElem:
+        out = self.factor()
+        while self.peek()[0] == "*":
+            self.take()
+            out = out * self.factor()
+        return out
+
+    def factor(self) -> OrderElem:
+        out = self.base()
+        if self.peek()[0] == "^":
+            self.take()
+            kind, value, pos = self.peek()
+            if kind != "int":
+                raise ParseError(f"expected a nonnegative exponent at position {pos}")
+            self.take()
+            out = out ** value
+        return out
+
+    def nested(self, inner, pos):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} at position {pos}")
+        out = inner()
+        self.depth -= 1
+        return out
+
+    def base(self) -> OrderElem:
+        from morava.order import from_int, from_witt, s_gen
+
+        kind, value, pos = self.peek()
+        if kind == "-":
+            self.take()
+            return self.nested(self.base, pos).scale(-1)
+        if kind == "int":
+            self.take()
+            if self.peek()[0] == "/":
+                self.take()
+                dkind, dval, dpos = self.peek()
+                if dkind != "int":
+                    raise ParseError(f"expected a denominator at position {dpos}")
+                self.take()
+                if dval % self.ring.params.p == 0:  # d = 0 included
+                    raise ValueError("not a unit in the order")
+                return from_int(self.ring, value * pow(dval, -1, self.ring.params.modulus))
+            return from_int(self.ring, value)
+        if kind == "name" and value == "w":
+            self.take()
+            return from_witt(self.ring, self.ring.omega)
+        if kind == "name" and value == "S":
+            if not self.allow_s:
+                raise ParseError(f"S is not allowed here (position {pos})")
+            self.take()
+            return s_gen(self.ring)
+        if kind == "(":
+            self.take()
+            out = self.nested(self.expr, pos)
+            if self.peek()[0] != ")":
+                raise ParseError(f"expected ')' at position {self.peek()[2]}")
+            self.take()
+            return out
+        raise ParseError(f"unexpected token at position {pos}")
+
+
+def _oracle_parse_element(src: str, ring, allow_s: bool = True) -> OrderElem:
+    parser = _Parser(_tokenize(src), ring, allow_s)
+    out = parser.expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input at position {pos}")
+    return out
+
+
+def _read(parse, src, ring, allow_s):
+    """The element's coordinates, or the type and message of what the reader raised."""
+    try:
+        return parse(src, ring, allow_s).coords
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ASCII and Unicode whitespace (U+001C is isspace too), a superscript two, an Arabic-Indic three
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"
+_PIECES = st.one_of(
+    st.sampled_from(list("0123456789wS+-*/^()" + _SPACES + "\u00b2\u0663@")),
+    st.integers(0, 10**40).map(str),
+    st.sampled_from(("^2", "^", "/2", "/3", "/", "*w", "+S", "-(", ")", "w^10", "1/0")),
+)
+_READER_RINGS = (make_ring(3, 2, 4), make_ring(2, 2, 3))
+
+
+@st.composite
+def _expressions(draw):
+    """Strings of the reader's alphabet, a third of them nested from 95 to 110 levels deep."""
+    body = "".join(draw(st.lists(_PIECES, max_size=30)))
+    depth = draw(st.sampled_from((0, 0, draw(st.integers(95, 110)))))
+    opener = draw(st.sampled_from(("(", "-", "-(", " ( ")))
+    return opener * depth + body + ")" * draw(st.integers(0, depth))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_expressions(), st.sampled_from(_READER_RINGS), st.booleans())
+@example("1" * 5000, _READER_RINGS[0], True)  # past int's default digit limit where it has one
+@example("@" + "1" * 5000, _READER_RINGS[0], True)
+@example("1" * 5000 + "@", _READER_RINGS[0], True)
+@example("(" * 101 + "w" + ")" * 101 + "\u00b2", _READER_RINGS[0], True)
+@example("-" * 3000 + "1", _READER_RINGS[0], False)
+@example(" \t 1 + w*S \u3000", _READER_RINGS[0], False)
+def test_token_pattern_reader_matches_oracle(src, ring, allow_s):
+    assert _read(parse_element, src, ring, allow_s) == _read(_oracle_parse_element, src, ring, allow_s)
+
+
+def test_token_pattern_whitespace_is_isspace():
+    # the pattern skips the whitespace before each token, where the oracle skipped str.isspace
+    every = "".join(map(chr, range(0x110000)))
+    skipped = "".join(every[m.start() : m.start(1)] for m in re.finditer(cli._TOKEN, every))
+    assert skipped == "".join(c for c in every if c.isspace())

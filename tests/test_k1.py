@@ -297,18 +297,19 @@ def test_ko_page_visits_only_t_equal_to_2s_mod_4(monkeypatch):
 
 
 def test_chart_windows_past_the_cell_bound_are_refused_fast():
+    stems, cells = "more than 131072 stems requested", "131072-cell bound"
     calls = [
-        lambda: homotopy_table(2, range(0, 2_000_001)),
-        lambda: homotopy_table(3, range(-(10**12), 10**12)),
-        lambda: homotopy_table(2, [-(10**6), 10**6]),
-        lambda: ko_table(range(0, 10**15)),
-        lambda: ko_table(range(10**15, 0, -3)),
-        lambda: sphere_e2_page(2, 10**9, -8, 16),
-        lambda: ko_e2_page(10**9, -8, 16),
+        (lambda: homotopy_table(2, range(0, 2_000_001)), stems),
+        (lambda: homotopy_table(3, range(-(10**12), 10**12)), stems),
+        (lambda: homotopy_table(2, [-(10**6), 10**6]), cells),
+        (lambda: ko_table(range(0, 10**15)), stems),
+        (lambda: ko_table(range(10**15, 0, -3)), stems),
+        (lambda: sphere_e2_page(2, 10**9, -8, 16), cells),
+        (lambda: ko_e2_page(10**9, -8, 16), cells),
     ]
-    for call in calls:
+    for call, refusal in calls:
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="131072-cell bound"):
+        with pytest.raises(ValueError, match=refusal):
             call()
         assert time.perf_counter() - start < 1
     start = time.perf_counter()
@@ -334,6 +335,25 @@ def test_cell_bound_counts_the_cells(monkeypatch):
     for window in ((1, 0, 10), (1, -2, 9), (10, 0, 0)):
         with pytest.raises(ValueError, match="10-cell bound"):
             _even_cells(*window)
+
+
+def test_cell_bound_counts_the_cells_at_the_step(monkeypatch):
+    # a window is refused exactly when its list of cells at the step would pass the bound
+    monkeypatch.setattr(morava.k1, "_CHART_CELLS", 12)
+    rng = random.Random(35)
+    for step in (2, 4, 8, 12):  # 2p - 2 at p = 2, 3, 5, 7
+        for shift in (0, 2):
+            for _ in range(150):
+                s_max, t_lo = rng.randrange(0, 12), rng.randrange(-60, 60)
+                t_hi = t_lo + rng.randrange(0, 40)
+                window = (s_max, t_lo, t_hi, step, shift)
+                cells = [(s, t) for s in range(s_max + 1) for t in range(t_lo, t_hi + 1)
+                         if (t - shift * s) % step == 0]
+                if len(cells) > 12:
+                    with pytest.raises(ValueError, match="12-cell bound"):
+                        _even_cells(*window)
+                else:
+                    assert _even_cells(*window) == cells, window
 
 
 def test_label_cores_are_checked_once_per_core():

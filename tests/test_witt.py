@@ -6,7 +6,7 @@ import random
 import pytest
 
 from morava import witt
-from morava.padic import _prime_factors, binary_power, nu_p
+from morava.padic import _prime_factors, binary_power
 from morava.witt import (
     DEFAULT_POLYS,
     PrecisionError,
@@ -358,15 +358,6 @@ def test_work_bounds_refuse_before_building(monkeypatch):
     monkeypatch.undo()
     # the edges build: M = 1024 here, and q = 2^17 in test_grlie.test_brute_force_guard
     assert make_ring(2, 1, witt._PRECISION_LIMIT).params.M == 1024
-
-
-def test_valuation():
-    ring = make_ring(3, 2, 8)
-    assert ring.zero().valuation() == 8
-    assert ring.omega.valuation() == 0
-    assert ring.omega.scale(9).valuation() == 2
-    assert ring.from_coords([27, 3]).valuation() == 1
-    assert nu_p(27, 3) == 3
 
 
 def test_fq_arithmetic_against_oracle():
