@@ -14,18 +14,26 @@ Each command takes those of --p, --n and --prec (Witt digits) that it reads
 and prints plain text, or a JSON document under --json.  Exit code 0 is
 success, 1 is a domain error (bad element, lost precision) or a closed
 stdout, 2 is a usage error.
+
+A well-formed command line is read straight from the command table,
+_GROUPS, with no argparse.  Every other one (help, an abbreviated or
+repeated flag, a refused value) goes to an argparse parser of every group
+and leaf, built from the same table, which parses it, or prints the help
+or the usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from morava.order import OrderElem
 
 
@@ -150,7 +158,10 @@ def _parse_stems(spec: str):
     except ValueError:
         stems = None
     if not stems:
-        from morava.padic import brief  # here, not at the top: only a refusal needs it
+        import argparse  # here, not at the top: only a refusal needs them
+
+        from morava.padic import brief
+
         raise argparse.ArgumentTypeError(f"expected a..b with a <= b or a comma list, got {brief(spec)}")
     return stems
 
@@ -163,7 +174,10 @@ def _int(spec: str, lo=None) -> int:
         value = None
     if value is not None and (lo is None or value >= lo):
         return value
-    from morava.padic import brief  # here, not at the top: only a refusal needs it
+    import argparse  # here, not at the top: only a refusal needs them
+
+    from morava.padic import brief
+
     what = "an integer" if lo is None else "a positive integer"
     if value is None and re.fullmatch(r"\s*[+-]?\d+\s*", spec) and (lo is None or "-" not in spec):
         what = "an integer short enough to read"  # unless its sign alone puts it below lo
@@ -367,15 +381,19 @@ _SHARED = {
     "--n": {"type": _positive_int, "default": 2, "help": "the height (default 2)"},
     "--prec": {"type": _positive_int, "default": 16, "help": "Witt digits of precision (default 16)"},
 }
+# the option every leaf takes
+_JSON = {"action": "store_true", "dest": "as_json", "help": "print a JSON document"}
 
 
 @lru_cache(maxsize=None)
 def _options(shared) -> argparse.ArgumentParser:
     """The parent parser of the shared options `shared` and --json, built once per tuple."""
+    import argparse
+
     parent = argparse.ArgumentParser(add_help=False)
     for flag in shared:
         parent.add_argument(flag, **_SHARED[flag])
-    parent.add_argument("--json", action="store_true", dest="as_json", help="print a JSON document")
+    parent.add_argument("--json", **_JSON)
     return parent
 
 
@@ -428,9 +446,14 @@ _GROUPS = {
 }
 
 
-def _add_leaf(leaves, name, row, shared):
+def _leaf_spec(row, shared):
+    """A leaf's (shared options, arguments): its row may begin with its own tuple of shared options."""
     if row and isinstance(row[0], tuple) and all(isinstance(flag, str) for flag in row[0]):
-        shared, *row = row
+        return row[0], row[1:]
+    return shared, row
+
+
+def _add_leaf(leaves, name, shared, row):
     parser = leaves.add_parser(name, parents=[_options(shared)])
     parser._negative_number_matcher = _DASHED_VALUE
     for arg in row:
@@ -444,30 +467,96 @@ def _add_leaf(leaves, name, row, shared):
             parser.add_argument(arg[0], **arg[1])
 
 
-def _build_parser(group=None) -> argparse.ArgumentParser:
-    """The parser of every group, with the leaves of `group` alone when it names one.
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every group and leaf, which prints help, usage and refusals."""
+    import argparse
 
-    An argv that starts with a group name is parsed by that group's leaves
-    only; top-level help and errors need the group parsers, not their leaves.
-    """
     top = argparse.ArgumentParser(
         prog="morava", description="exact arithmetic in small stabilizer groups"
     )
     groups = top.add_subparsers(dest="group", required=True)
     for name, (help_text, shared, rows, _) in _GROUPS.items():
         leaves = groups.add_parser(name, help=help_text).add_subparsers(dest="cmd", required=True)
-        if group == name or group not in _GROUPS:
-            for leaf, row in rows.items():
-                _add_leaf(leaves, leaf, row, shared)
+        for leaf, row in rows.items():
+            _add_leaf(leaves, leaf, *_leaf_spec(row, shared))
     return top
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads token as a value at every level: undashed, or dashed as _DASHED_VALUE
+    reads it but not --x, -h... or -=x, which argparse may take for an option or its abbreviation."""
+    return not token.startswith("-") or bool(_DASHED_VALUE.match(token)) and token[1] not in "-h="
+
+
+def _read_argv(argv):
+    """The namespace argparse makes of a well-formed argv, read straight from _GROUPS; else None.
+
+    Well-formed is group, leaf, then in any order exactly the leaf's positionals and its exact
+    flags, each at most once and each but a store_true flag followed by its value; every required
+    flag and one flag of a required choice given, and every value accepted by its type.  Every
+    other argv, help included, is argparse's to parse, word and refuse.
+    """
+    if len(argv) < 2 or argv[0] not in _GROUPS:
+        return None
+    _, shared, rows, _ = _GROUPS[argv[0]]
+    if argv[1] not in rows:
+        return None
+    shared, row = _leaf_spec(rows[argv[1]], shared)
+    flags = {**{flag: _SHARED[flag] for flag in shared}, "--json": _JSON}
+    positionals, choice = [], ()
+    for arg in row:
+        if isinstance(arg, list):
+            choice = dict(arg)
+            flags.update(choice)
+        elif isinstance(arg, str):
+            positionals.append((arg, {}))
+        elif arg[0].startswith("-"):
+            flags[arg[0]] = arg[1]
+        else:
+            positionals.append(arg)
+    given, values = {}, []
+    tokens = iter(argv[2:])
+    for token in tokens:
+        spec = flags.get(token)
+        if spec is None:
+            values.append(token)
+        elif token in given:
+            return None
+        elif spec.get("action") == "store_true":
+            given[token] = True
+            continue
+        else:
+            given[token] = next(tokens, "-")  # a missing value reads as a lone dash
+            token = given[token]
+        if not _is_value(token):
+            return None
+    if len(values) != len(positionals) or choice and sum(flag in given for flag in choice) != 1:
+        return None
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    args = {"group": argv[0], "cmd": argv[1]}
+    try:
+        for flag, spec in flags.items():
+            dest = spec.get("dest") or flag.lstrip("-").replace("-", "_")
+            if spec.get("action") == "store_true":
+                args[dest] = flag in given
+            else:
+                args[dest] = spec.get("type", str)(given[flag]) if flag in given else spec.get("default")
+        for (name, spec), token in zip(positionals, values):
+            args[name] = spec.get("type", str)(token)
+    except Exception:  # a type's refusal: argparse calls the type again and words it, or raises
+        return None
+    return SimpleNamespace(**args)
 
 
 def run_command(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         lines, payload = _GROUPS[args.group][3](args)
     except (ValueError, ArithmeticError) as exc:

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -51,6 +53,9 @@ SHARED = {
     ("k1", "ko"): (),
     ("k1", "valuations"): P,
 }
+
+# imported after SHARED, which test_cli_fuzz imports from here; its strategies are read at draw time
+import test_cli_fuzz  # noqa: E402
 
 
 def test_parse_order_three_generator():
@@ -680,6 +685,96 @@ def test_parser_matches_eager_oracle(monkeypatch, argv):
     monkeypatch.setattr(cli, "_GROUPS", stubbed)
     eager = _outcome(lambda argv: vars(_eager_parser().parse_args(argv)), argv)
     assert _outcome(run_command, argv) == eager
+
+
+@functools.lru_cache(maxsize=None)
+def _eager() -> argparse.ArgumentParser:
+    return _eager_parser()
+
+
+def _units(argv):
+    """The tokens after group and leaf, each flag that takes a value with the token after it."""
+    units, rest = [], iter(argv[2:])
+    for token in rest:
+        takes_value = token.startswith("--") and token not in ("--json", "--power")
+        units.append([token, *itertools.islice(rest, takes_value)])
+    return units
+
+
+# tokens argparse reads as options, as the end of options or as values the reader declines, and
+# dashed values it reads as values
+_INSERTED = ["--", "-h", "-hx", "-", "--p=5", "--pr", "-=5", "--json"]
+_DASHED = ["-1/2*(1+w*S)", "-8..8", "-5", "-w", "-1"]
+
+
+def _perturbed(argv, rnd: random.Random):
+    """argv with its units shuffled, then up to three edits: a unit repeated or dropped, a flag
+    abbreviated or joined to its value by '=', a token of _INSERTED or an extra positional
+    inserted, or a value replaced by a dashed one."""
+    units = _units(argv)
+    rnd.shuffle(units)
+    for _ in range(rnd.randrange(4)):
+        edit, at = rnd.randrange(7), rnd.randrange(len(units) + 1)
+        unit = units[at] if at < len(units) else None
+        if edit == 0 and unit:
+            units.insert(rnd.randrange(len(units) + 1), list(unit))
+        elif edit == 1 and unit:
+            del units[at]
+        elif edit == 2 and unit and unit[0].startswith("--"):
+            unit[0] = unit[0][: rnd.randint(2, len(unit[0]))]
+        elif edit == 3 and unit and len(unit) == 2:
+            units[at] = ["=".join(unit)]
+        elif edit == 4:
+            units.insert(at, [rnd.choice(_INSERTED)])
+        elif edit == 5:
+            units.insert(at, [rnd.choice(["1", "w", *_DASHED])])
+        elif unit:
+            unit[-1] = rnd.choice(_DASHED)
+    return argv[:2] + [token for unit in units for token in unit]
+
+
+@st.composite
+def _near_valid_argvs(draw):
+    return _perturbed(draw(test_cli_fuzz.argvs()), draw(st.randoms(use_true_random=False)))
+
+
+def _check_reader(argv) -> bool:
+    """Whether the reader read argv; when it did, argparse parses argv to the same namespace."""
+    read = cli._read_argv(argv)
+    if read is None:
+        return False
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            parsed = vars(_eager().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"the reader read {argv}, which argparse refuses: {err.getvalue()}")
+    assert vars(read) == parsed, argv
+    return True
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_near_valid_argvs())
+@example(["order", "val", "-1/2*(1+w*S)", "--p", "5", "--json"])
+@example(["k1", "homotopy", "--stems", "-8..8", "--p", "2"])
+@example(["grlie", "power", "-5", "--k", "1"])
+@example(["order", "val", "S", "--pr", "8"])
+@example(["order", "val", "S", "--p=5"])
+@example(["order", "val", "--", "S"])
+@example(["order", "val", "S", "-hx"])
+@example(["order", "val", "-"])
+@example(["order", "val", "S", "--p"])
+@example(["grlie", "check", "--k", "1", "--l", "2", "--power"])
+def test_argv_reader_matches_argparse(argv):
+    # the reader declines argv or reads the namespace the parser with every leaf makes of it
+    _check_reader(argv)
+
+
+def test_argv_reader_takes_the_corpus_traffic():
+    # every command that runs (exit 0 or 1) is read without argparse; every usage error is not
+    corpus = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+    for record in corpus:
+        assert _check_reader(record["argv"]) == (record["exit"] != 2), record["argv"]
+    assert {record["exit"] for record in corpus} == {0, 1, 2}
 
 
 # The element reader before the token pattern, kept verbatim as the oracle of parse_element.

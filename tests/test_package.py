@@ -24,6 +24,8 @@ GROUP_LAYERS = [
 CHART_LAYERS = ["morava.specseq", "morava.k1", "morava.homalg"]
 # what a group command that prints no valuation, level or JSON need not load
 READERS = ["fractions", "decimal", "json"]
+# what a well-formed command need not load: argparse, and what it loads to word help and refusals
+PARSERS = ["argparse", "shutil", "gettext", "locale"]
 
 
 def _loaded_after(code: str) -> set:
@@ -48,8 +50,9 @@ def _run(argv) -> str:
 
 @pytest.mark.parametrize("module", ["morava", "morava.cli"])
 def test_import_loads_no_layer(module):
-    loaded = {name for name in _loaded_after(f"import {module}") if name.startswith("morava")}
-    assert loaded == {"morava", module}
+    loaded = _loaded_after(f"import {module}")
+    assert {name for name in loaded if name.startswith("morava")} == {"morava", module}
+    assert not loaded & set(PARSERS), sorted(loaded & set(PARSERS))
 
 
 @pytest.mark.parametrize(
@@ -73,7 +76,18 @@ def test_import_loads_no_layer(module):
 )
 def test_command_loads_only_its_layers(argv, unloaded):
     loaded = _loaded_after(_run(argv))
-    assert not loaded & set(unloaded), sorted(loaded & set(unloaded))
+    assert not loaded & {*unloaded, *PARSERS}, sorted(loaded & {*unloaded, *PARSERS})
+
+
+def test_usage_error_loads_argparse():
+    # argparse words the refusal, with its usage line, as it did when it read every argv
+    loaded = _loaded_after(
+        "import contextlib, io, morava.cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    assert morava.cli.run_command(['order', 'val', 'S', '--prec', '0']) == 2\n"
+        "assert err.getvalue().startswith('usage: morava order val '), err.getvalue()"
+    )
+    assert "argparse" in loaded
 
 
 def test_submodule_reads_as_an_attribute():
