@@ -10,6 +10,7 @@ by the same engine.  Each stem is checked against the psi fiber sequence
 
 from __future__ import annotations
 
+import gc
 from functools import cache, partial
 from math import gcd, prod
 
@@ -19,9 +20,9 @@ from morava.specseq import (
     Chart,
     DifferentialRule,
     StemGroup,
-    Summand,
     _checked_core,
     _label,
+    _summand,
     apply_differentials,
     assemble_stems,
     collapse_check,
@@ -71,7 +72,7 @@ def _e2_page(cells, cell) -> Chart:
             if core is None:
                 eta = (("eta", row),) if row else ()
                 core = cores[key] = _checked_core(eta + ((("zeta", 1),) if row != s else ()))
-            entries[s, t] = (Summand(order, _label(1, core, row - t // 2)),)  # cells are distinct: one write each
+            entries[s, t] = (_summand(order, _label(1, core, row - t // 2)),)  # cells are distinct: one write each
     return chart
 
 
@@ -192,12 +193,19 @@ def _table(p: int, stems, build, pages, expected, notes) -> HomotopyTable:
     order of its group in expected(stems), as fiber_groups gives, and joins it where it is cyclic.
     """
     stems = _stem_list(stems)
-    chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)
-    r_from = chart.page
-    for rules in pages:
-        chart = apply_differentials(chart, rules)
-        if rules:
-            r_from = chart.page
+    # pages hold no reference cycles: collections would rescan them for nothing (a caller's off stays off)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        chart = build(stems[0] - _T_MARGIN, stems[-1] + _S_BUILD + _T_MARGIN)
+        r_from = chart.page
+        for rules in pages:
+            chart = apply_differentials(chart, rules)
+            if rules:
+                r_from = chart.page
+    finally:
+        if collecting:
+            gc.enable()
     chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
     if not collapse_check(chart, r_from):
         raise ArithmeticError(f"chart does not collapse at page {r_from}")

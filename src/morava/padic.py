@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
+from types import FunctionType
 
 INF = float("inf")
 
@@ -31,11 +32,20 @@ def _setstate(self, state):
         object.__setattr__(self, f, value)
 
 
+@lru_cache(maxsize=None)  # one per shape, (field count, post): far fewer than records
+def _init_code(count: int, post: bool):
+    """record's __init__ for count fields, argument i set through global _si: record renames the arguments."""
+    lines = [f"_s{i}(self, _{i})" for i in range(count)] + ["self.__post_init__()"] * post
+    ns = {}
+    exec(f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):\n    " + "\n    ".join(lines), ns)
+    return ns["__init__"].__code__
+
+
 def record(cls):
     """Class decorator for value classes, in the manner of @dataclass(frozen=True).
 
     The annotated names of the class body are the fields, in order; class
-    attributes give defaults.  Adds a compiled __init__ that ends by calling
+    attributes give defaults.  Adds an __init__ that ends by calling
     __post_init__ if defined, a repr QualName(field=value, ...) and == on the
     field tuples of one class, unless the body defines them.  A record hashes
     as its field tuple and refuses assignment and deletion with
@@ -52,14 +62,11 @@ def record(cls):
     qualname = cls.__qualname__
     cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names + extra})
     cls.__qualname__ = qualname
-    params = ", ".join(f"{f}=_d_{f}" if f in defaults else f for f in names)
-    lines = [f"_s_{f}(self, {f})" for f in names]  # each slot's own setter: no name lookup per field
-    if hasattr(cls, "__post_init__"):
-        lines.append("self.__post_init__()")
-    ns = {f"_s_{f}": cls.__dict__[f].__set__ for f in names}
-    ns.update({f"_d_{f}": value for f, value in defaults.items()})
-    exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), ns)
-    cls.__init__ = ns["__init__"]
+    if tuple(defaults) != names[len(names) - len(defaults):]:
+        raise TypeError(f"{qualname}: a field without a default follows one with a default")
+    code = _init_code(len(names), hasattr(cls, "__post_init__")).replace(co_varnames=("self", *names))
+    setters = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(names)}  # each slot's own setter
+    cls.__init__ = FunctionType(code, setters, "__init__", tuple(defaults.values()) or None)
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     get = attrgetter(*names)  # a tuple: every record has two fields or more
     if "__eq__" not in body:

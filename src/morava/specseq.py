@@ -142,6 +142,17 @@ class Summand:
         return f"{o}[{self.label}]"
 
 
+_set_order, _set_label = (Summand.__dict__[f].__set__ for f in ("order", "label"))
+
+
+def _summand(order, label: Monomial) -> Summand:
+    """Summand(order, label) with no check, for k1's E_2 cells alone: g1_cell and cm_order give INF or >= 2."""
+    summand = _new(Summand)
+    _set_order(summand, order)
+    _set_label(summand, label)
+    return summand
+
+
 class Chart:
     """All summands of one page, addressable by (s, t).
 
@@ -267,7 +278,8 @@ def _kill_line(r: int, rule: DifferentialRule, source: Summand, key: tuple, targ
 
 def _swap(entries: dict, key: tuple, old: Summand, new: tuple) -> None:
     """Replace the summand old of entries[key] by the summands new, dropping an emptied cell."""
-    cell = tuple([x for x in entries[key] if x is not old]) + new
+    cell = entries[key]
+    cell = new if len(cell) == 1 and cell[0] is old else tuple([x for x in cell if x is not old]) + new
     if cell:
         entries[key] = cell
     else:

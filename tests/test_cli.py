@@ -679,7 +679,7 @@ def _outcome(run, argv):
 
 @pytest.mark.parametrize("argv", ORACLE_ARGVS, ids=lambda argv: " ".join(argv) or "(empty)")
 def test_parser_matches_eager_oracle(monkeypatch, argv):
-    # run_command's parser, which builds one group's leaves, against one with every leaf
+    # run_command's reading (the command-table reader, else argparse) against the test's own every-leaf parser
     monkeypatch.setenv("COLUMNS", "80")
     stubbed = {name: (*entry[:3], _stop) for name, entry in cli._GROUPS.items()}
     monkeypatch.setattr(cli, "_GROUPS", stubbed)

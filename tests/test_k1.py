@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import re
@@ -414,6 +415,62 @@ def test_trusted_labels_equal_checked_ones():
         got, want = label(index, core, u), Monomial(index, core, u)
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want) and str(got) == str(want)
         assert type(got) is Monomial
+
+
+def test_trusted_summands_equal_checked_ones():
+    summand = morava.specseq._summand
+    rng = random.Random(38)
+    for _ in range(300):
+        order = rng.choice((INF, 2, 2**20, rng.randint(2, 2**20)))
+        names = rng.sample(("eta", "zeta", "x"), rng.randrange(3))
+        core = morava.specseq._checked_core(tuple((name, rng.choice((-2, 1, 3))) for name in names))
+        label = Monomial(rng.randint(1, 9), core, rng.randint(-60, 60))
+        got, want = summand(order, label), Summand(order, label)
+        assert type(got) is Summand and got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.label is label and not hasattr(got, "__dict__")
+
+
+def _with_collector(on: bool, f):
+    """f() run with the cyclic collector switched on or off, and whether it was on afterwards."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        f()
+        return gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _refused_window():
+    with pytest.raises(ValueError, match="131072-cell bound"):  # raised by _even_cells, inside the pause
+        homotopy_table(2, range(0, 131072))
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_tables_leave_the_collector_as_they_found_it(on):
+    for build in (lambda: homotopy_table(2, range(-40, 41)), lambda: ko_table(range(-40, 41)), _refused_window):
+        assert _with_collector(on, build) is on
+
+
+def _pages_and_tables():
+    for p in (2, 3, 5):
+        homotopy_table(p, range(-400, 401)).to_json()
+    ko_table(range(-400, 401)).to_json()
+    page = morava.specseq.apply_differentials(sphere_e2_page(2, 14, -200, 200), [morava.k1._D3])
+    assert page.copy().log == page.crop(10, -100, 100).to_json()["log"][:-1]  # the lazy log, read
+
+
+def test_chart_pages_and_tables_hold_no_cycles():
+    # the invariant behind the collector pause in k1._table: refcounting alone frees every page
+    found = []
+
+    def build_and_drop():
+        _pages_and_tables()
+        found.append(gc.collect())
+
+    gc.collect()
+    _with_collector(False, build_and_drop)
+    assert found == [0]
 
 
 def test_final_chart_is_collapsed_page_four():

@@ -486,3 +486,33 @@ def test_cli_import_loads_no_dataclasses():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_init_code_is_shared_per_shape():
+    # one compiled __init__ per (field count, __post_init__), renamed to each class's fields
+    shapes = set()
+    for rec, _, _, _ in CASES.values():
+        fields = tuple(rec.__annotations__)
+        assert rec.__init__.__code__.co_varnames == ("self", *fields)
+        shapes.add((len(fields), hasattr(rec, "__post_init__")))
+    # counted in a fresh interpreter: test modules here build records of their own
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "from morava import grlie, homalg, k1, order, padic, specseq, stabilizer; "
+        "print(padic._init_code.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert int(out.stdout) == len(shapes) < len(CASES)
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    # the shared __init__ code takes defaults for its last arguments, so a class must list them last
+    class Late:
+        a: int = 1
+        b: int
+
+    with pytest.raises(TypeError, match="Late: a field without a default follows one with a default"):
+        padic.record(Late)
+    with pytest.raises(TypeError):  # as the twin's decorator refuses it
+        dataclass(frozen=True)(Late)
