@@ -2,9 +2,12 @@
 
 The public names and the submodules load on first use (PEP 562), so that
 `import morava` and `import morava.cli` load no layer a command does not run.
+A submodule is loaded by `__import__` and read from `sys.modules`, not through
+`importlib` (which loads `warnings`), so `import morava` loads no module beyond
+the built-in `sys`.
 """
 
-import importlib
+import sys
 
 # home module -> the public names it exports, in the order of __all__
 _EXPORTS = {
@@ -45,12 +48,13 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name):
-    if name in _HOME:
-        value = getattr(importlib.import_module(f"morava.{_HOME[name]}"), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f"morava.{name}")
-    else:
+    module = _HOME.get(name, name)
+    if module not in _SUBMODULES:
         raise AttributeError(f"module 'morava' has no attribute {name!r}")
+    __import__(f"morava.{module}")  # returns the package; the submodule is in sys.modules
+    value = sys.modules[f"morava.{module}"]
+    if name in _HOME:
+        value = getattr(value, name)
     globals()[name] = value  # later reads skip this function
     return value
 

@@ -22,9 +22,6 @@ and leaf, built from the same table, which parses it, or prints the help
 or the usage error.
 """
 
-from __future__ import annotations
-
-import os
 import re
 import sys
 from functools import lru_cache, partial
@@ -71,20 +68,20 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> OrderElem:
+    def expr(self) -> "OrderElem":
         out = self.term()
         while op := self.take("+", "-"):
             rhs = self.term()
             out = out + rhs if op[0] == "+" else out - rhs
         return out
 
-    def term(self) -> OrderElem:
+    def term(self) -> "OrderElem":
         out = self.factor()
         while self.take("*"):
             out = out * self.factor()
         return out
 
-    def factor(self) -> OrderElem:
+    def factor(self) -> "OrderElem":
         out = self.base()
         if self.take("^"):
             kind, value, pos = self.take()
@@ -101,7 +98,7 @@ class _Parser:
         self.depth -= 1
         return out
 
-    def base(self) -> OrderElem:
+    def base(self) -> "OrderElem":
         from morava.order import from_int, from_witt, s_gen
 
         kind, value, pos = self.take()
@@ -131,7 +128,7 @@ class _Parser:
         raise ParseError(f"unexpected token at position {pos}")
 
 
-def parse_element(src: str, ring, allow_s: bool = True) -> OrderElem:
+def parse_element(src: str, ring, allow_s: bool = True) -> "OrderElem":
     """Parse an expression into an element of the order over the given ring."""
     parser = _Parser(src, ring, allow_s)
     out = parser.expr()
@@ -386,7 +383,7 @@ _JSON = {"action": "store_true", "dest": "as_json", "help": "print a JSON docume
 
 
 @lru_cache(maxsize=None)
-def _options(shared) -> argparse.ArgumentParser:
+def _options(shared) -> "argparse.ArgumentParser":
     """The parent parser of the shared options `shared` and --json, built once per tuple."""
     import argparse
 
@@ -467,7 +464,7 @@ def _add_leaf(leaves, name, shared, row):
             parser.add_argument(arg[0], **arg[1])
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     """The parser of every group and leaf, which prints help, usage and refusals."""
     import argparse
 
@@ -577,6 +574,8 @@ def main():
         code = run_command()
         sys.stdout.flush()  # inside the try: a closed pipe raises here, not at exit
     except BrokenPipeError:  # the reader has gone; devnull silences the flush at exit
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

@@ -10,8 +10,6 @@ assembles H_1 from the level quotients Q_k = F_q / D_k (D_k the span of
 incoming brackets) chained together by the induced P operators.
 """
 
-from __future__ import annotations
-
 from morava.order import OrderElem, from_digits, order_one
 from morava.padic import INF, CyclicDecomp, Echelon, check_int, check_prime, record
 from morava.stabilizer import GrElem, leading_term

@@ -6,8 +6,6 @@ p^M; such summands are reported as free with the precision caveat rather
 than as spurious large torsion.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from morava.padic import (

@@ -8,8 +8,6 @@ by the same engine.  Each stem is checked against the psi fiber sequence
 (Bott's table for KO), which also derives the hidden extension in stems 3 mod 8.
 """
 
-from __future__ import annotations
-
 import gc
 from functools import cache, partial
 from math import gcd, prod

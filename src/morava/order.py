@@ -6,8 +6,6 @@ element has v = min_i (i + n nu_p(a_i)) / n, and its S-adic Teichmuller digit
 expansion interleaves the p-adic Teichmuller digits of the coefficients.
 """
 
-from __future__ import annotations
-
 from functools import cache, total_ordering
 from operator import lshift, mul
 
@@ -49,8 +47,12 @@ class SValuation:
         return hash((self.value, True)) if self.at_precision_cap else hash(self.value)
 
     def __str__(self):
-        v = self.value
-        text = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        # reduced by Euclid, not through value or math.gcd: a printing command loads neither fractions nor math
+        g, r = self.denominator, self.numerator % self.denominator
+        while r:
+            g, r = r, g % r
+        num, den = self.numerator // g, self.denominator // g
+        text = str(num) if den == 1 else f"{num}/{den}"
         return f">= {text}" if self.at_precision_cap else text
 
 

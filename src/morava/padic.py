@@ -6,8 +6,6 @@ at precision M is reported with the INF marker and a caveat flag, never
 silently promoted to an exact statement.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import attrgetter
 from types import FunctionType

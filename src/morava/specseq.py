@@ -9,14 +9,9 @@ Every application is logged so a page turn is auditable; a log line is
 formatted only when the log is first read.
 """
 
-from __future__ import annotations
-
-import re
 from functools import lru_cache
 
 from morava.padic import INF, CyclicDecomp, check_int, cyclic_decomp, record
-
-_NAME_RE = re.compile(r"[a-z]+")
 
 
 @lru_cache(maxsize=1024)  # label and rule cores: tens of them
@@ -27,7 +22,8 @@ def _checked_core(core: tuple) -> tuple:
     """
     seen = set()
     for name, e in core:
-        if not _NAME_RE.fullmatch(name):
+        # [a-z]+ with no regex compiled at import; str.isascii raises TypeError on a non-str name
+        if not (str.isascii(name) and name.isalpha() and name.islower()):
             raise ValueError(f"bad class name {name!r}")
         if name == "u":
             raise ValueError("a core may not name u: the u-exponent is kept apart")

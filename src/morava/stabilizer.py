@@ -5,8 +5,6 @@ x - 1 defines the filtration, and the leading S-digit of x - 1 is the image
 of x in the associated graded group (an F_q line at each level k/n).
 """
 
-from __future__ import annotations
-
 from functools import cache
 from math import lcm
 from operator import lshift, mul

@@ -13,8 +13,6 @@ basis sigma has exact order n and w^(q-1) = 1 exactly, so all downstream
 identities (S^n = p, Sx = sigma(x)S, ...) hold on the nose at precision.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import lshift, mul
 

@@ -194,6 +194,24 @@ def test_s_valuation():
             assert vxy.value >= vx.value + vy.value
 
 
+def _valuation_text_by_fraction(v):
+    """SValuation.__str__ as first written, through Fraction; the oracle."""
+    f = Fraction(v.numerator, v.denominator)
+    text = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return f">= {text}" if v.at_precision_cap else text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    st.integers(min_value=0, max_value=10**6) | st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=10**4) | st.integers(min_value=1, max_value=12),
+    st.booleans(),
+)
+def test_valuation_text_matches_fraction(numerator, denominator, cap):
+    v = SValuation(numerator, denominator, cap)
+    assert str(v) == _valuation_text_by_fraction(v)
+
+
 def test_s_digits():
     ring = make_ring(3, 2, 8)
     s = s_gen(ring)

@@ -171,6 +171,27 @@ def test_scaled_matches_full_construction(index, exps, m):
     assert got == _label_outcome(lambda: Monomial(label.index * m, label.core, label.u)), (index, exps, m)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.text(alphabet="abuzAZéßǅª09_\n", max_size=4))
+def test_class_name_check_matches_regex(name):
+    # the string methods that replaced the compiled [a-z]+ accept exactly what it accepts
+    try:
+        Monomial(1, ((name, 1),))
+        refused = False
+    except ValueError as exc:
+        refused = str(exc).startswith("bad class name")
+    assert refused == (re.fullmatch(r"[a-z]+", name) is None), name
+
+
+@pytest.mark.parametrize("name", [5, None, b"eta"])
+def test_non_str_class_name_raises_type_error(name):
+    # as the regex did
+    with pytest.raises(TypeError):
+        re.fullmatch(r"[a-z]+", name)
+    with pytest.raises(TypeError):
+        Monomial(1, ((name, 1),))
+
+
 def test_label_checks_reach_every_error():
     rng = random.Random(3)
     names = ["eta", "zeta", "u", "x", "Eta", "", "a1"]
