@@ -51,8 +51,9 @@ def record(cls):
     does: the fields, then any __slots__ the body declares for values that are not
     fields (a cache, say).  So a record has no __dict__.
     """
-    body = dict(cls.__dict__)
-    names = tuple(body.get("__annotations__", ()))
+    annotations = cls.__annotations__  # not the body's: from 3.14 the body holds a lazy __annotate__
+    body = {**cls.__dict__, "__annotations__": annotations}
+    names = tuple(annotations)
     extra = tuple(body.pop("__slots__", ()))
     defaults = {f: body.pop(f) for f in names if f in body}
     for name in (*extra, "__dict__", "__weakref__"):  # descriptors of the class being replaced

@@ -505,3 +505,18 @@ def test_prime_factors():
             while rest % ell == 0:
                 rest //= ell
         assert rest == 1, m
+
+
+def test_record_reads_its_fields_through_the_class_annotations():
+    # From Python 3.14 an annotated class body keeps only a lazy __annotate__ in its
+    # __dict__; a metaclass property gives the same shape on every Python.
+    class Lazy(type):
+        @property
+        def __annotations__(cls):
+            return {"a": int, "b": int}
+
+    Pair = padic.record(Lazy("Pair", (), {"b": 2}))
+    assert "__annotations__" not in Lazy("Bare", (), {}).__dict__
+    assert Pair.__slots__ == ("a", "b")
+    assert Pair(1) == Pair(1, 2) != Pair(1, 3)
+    assert repr(Pair(1)) == "Pair(a=1, b=2)"
