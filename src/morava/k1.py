@@ -51,7 +51,8 @@ def _even_cells(s_max: int, t_lo: int, t_hi: int, step: int = 2, shift: int = 0)
     cells = sum(((s_max - r) // period + 1) * per_row(r) for r in range(min(period, s_max + 1)))
     if cells > _CHART_CELLS:
         raise ValueError(f"chart window {window} passes the {_CHART_CELLS}-cell bound")
-    return [(s, t) for s in range(s_max + 1 if cells else 0) for t in range(first(s), t_hi + 1, step)]
+    rows = [list(range(first(r), t_hi + 1, step)) for r in range(min(period, s_max + 1))]  # a class's rows share t's
+    return [(s, t) for s in range(s_max + 1 if cells else 0) for t in rows[s % period]]
 
 
 def _e2_page(cells, cell) -> Chart:
@@ -62,15 +63,16 @@ def _e2_page(cells, cell) -> Chart:
     """
     chart = Chart(2)
     entries, cores = chart.entries, {}  # cores by (row, side): each checked once
-    for s, t in cells:
+    for key in cells:  # each cell's tuple is its entry's key
+        s, t = key
         order, _, row = cell(s, t)
         if order != 1:
-            key = (row, row != s)
-            core = cores.get(key)
+            side = (row, row != s)
+            core = cores.get(side)
             if core is None:
                 eta = (("eta", row),) if row else ()
-                core = cores[key] = _checked_core(eta + ((("zeta", 1),) if row != s else ()))
-            entries[s, t] = (_summand(order, _label(1, core, row - t // 2)),)  # cells are distinct: one write each
+                core = cores[side] = _checked_core(eta + ((("zeta", 1),) if row != s else ()))
+            entries[key] = (_summand(order, _label(1, core, row - t // 2)),)  # cells are distinct: one write each
     return chart
 
 
@@ -201,21 +203,21 @@ def _table(p: int, stems, build, pages, expected, notes) -> HomotopyTable:
             chart = apply_differentials(chart, rules)
             if rules:
                 r_from = chart.page
+        chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
+        if not collapse_check(chart, r_from):
+            raise ArithmeticError(f"chart does not collapse at page {r_from}")
+        groups, want, zero = assemble_stems(chart, p, stems), expected(stems), (cyclic_decomp(p), False)
+        size = lambda d: (d.orders.count(INF), prod(o for o in d.orders if o != INF))
+        for i in groups.keys() & {t - s for s, t in chart.entries}.union(want):
+            (group, cyclic), g = want.get(i, zero), groups[i]
+            if g.decomp is not group and size(g.decomp) != size(group):
+                raise ArithmeticError(f"stem {i} assembles to {g.decomp}, but its group is {group}")
+            if cyclic and len(g.labels) > 1:
+                groups[i] = StemGroup(group, g.labels, joined=True)
+        return HomotopyTable(p, groups, chart, notes)
     finally:
         if collecting:
             gc.enable()
-    chart = chart.crop(s_max=_S_KEEP, t_min=stems[0] - 1, t_max=stems[-1] + _S_KEEP + 1)
-    if not collapse_check(chart, r_from):
-        raise ArithmeticError(f"chart does not collapse at page {r_from}")
-    groups, want, zero = assemble_stems(chart, p, stems), expected(stems), (cyclic_decomp(p), False)
-    size = lambda d: (d.orders.count(INF), prod(o for o in d.orders if o != INF))
-    for i in groups.keys() & {t - s for s, t in chart.entries}.union(want):
-        (group, cyclic), g = want.get(i, zero), groups[i]
-        if g.decomp is not group and size(g.decomp) != size(group):
-            raise ArithmeticError(f"stem {i} assembles to {g.decomp}, but its group is {group}")
-        if cyclic and len(g.labels) > 1:
-            groups[i] = StemGroup(group, g.labels, joined=True)
-    return HomotopyTable(p, groups, chart, notes)
 
 
 def ko_table(stems) -> HomotopyTable:

@@ -47,13 +47,17 @@ class SValuation:
         return hash((self.value, True)) if self.at_precision_cap else hash(self.value)
 
     def __str__(self):
-        # reduced by Euclid, not through value or math.gcd: a printing command loads neither fractions nor math
-        g, r = self.denominator, self.numerator % self.denominator
-        while r:
-            g, r = r, g % r
-        num, den = self.numerator // g, self.denominator // g
-        text = str(num) if den == 1 else f"{num}/{den}"
+        text = _fraction_text(self.numerator, self.denominator)
         return f">= {text}" if self.at_precision_cap else text
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)), den >= 1, reduced by Euclid: a printing command loads neither fractions nor math."""
+    g, r = den, num % den
+    while r:
+        g, r = r, g % r
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class OrderElem(CoordElem):

@@ -293,9 +293,9 @@ def apply_differentials(chart: Chart, rules) -> Chart:
     nothing is left).  A free target, a finite one whose order does not
     divide the source's, a summand that is both a source and a target and
     one that two sources hit are refused; summands are told apart by (s, t,
-    id), which names what (s, t, label) names since labels are distinct
-    within a cell, and the refusal prints (s, t, label).  A source whose target
-    cell has no matching label is logged on the new page and kept.
+    label), since labels are distinct within a cell, and compared so only
+    when two hits share an id.  A source whose target cell has no matching
+    label is logged on the new page and kept.
     A target is the label of index 1 whose core is the source core times the
     rule's factors and whose u-exponent is shifted; no target label is built
     unless a miss is logged.
@@ -319,16 +319,18 @@ def apply_differentials(chart: Chart, rules) -> Chart:
                     continue
                 hits.append((r, rule, summand, key, match))  # the arguments of its log line
                 break
-    sources = {(*key, id(x)) for _, _, x, key, _ in hits}  # names what (s, t, label) names, hashing no label
-    targets = [(key[0] + r, key[1] + r - 1, id(y)) for _, _, _, key, y in hits]
-    if len(set(targets)) < len(targets) or not sources.isdisjoint(targets):  # refused: word it by label
+    # ids first, hashing no label: (s, t, label) clash only if ids do, yet one record may sit in two cells
+    sources, targets = {id(x) for _, _, x, _, _ in hits}, {id(y) for *_, y in hits}
+    if len(targets) < len(hits) or not sources.isdisjoint(targets):  # ids clash: compare (s, t, label)
         sources = {(*key, x.label) for _, _, x, key, _ in hits}
         targets = [(key[0] + r, key[1] + r - 1, y.label) for _, _, _, key, y in hits]
         overlap = sources.intersection(targets)
         if overlap:
             raise ValueError(f"summand is both source and target on page {r}: {overlap}")
         twice = {y for y in targets if targets.count(y) > 1}
-        raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
+        if twice:
+            raise ValueError(f"summand is the target of two sources on page {r}: {twice}")
+    del sources, targets  # freed before the new page is built
 
     out = chart.copy()
     out.page = r + 1

@@ -9,7 +9,7 @@ from functools import cache
 from math import lcm
 from operator import lshift, mul
 
-from morava.order import OrderElem, SValuation, from_digits, order_one
+from morava.order import OrderElem, SValuation, _fraction_text, from_digits, order_one
 from morava.padic import PadicInt, _prime_factors, check_int, nth_root_one_unit, record
 from morava.witt import FqElem, PrecisionError, WittElem, WittRing, _kernel
 
@@ -53,7 +53,7 @@ class GrElem:
         return Fraction(self.k, self.digit.field.n)
 
     def __repr__(self):
-        return f"gr[{self.level}]({self.digit!r})"
+        return f"gr[{_fraction_text(self.k, self.digit.field.n)}]({self.digit!r})"  # self.level, with no Fraction
 
 
 def commutator(x: StabElem, y: StabElem) -> StabElem:

@@ -452,6 +452,46 @@ def test_tables_leave_the_collector_as_they_found_it(on):
         assert _with_collector(on, build) is on
 
 
+@pytest.mark.parametrize("on", [True, False])
+def test_a_refused_stem_check_leaves_the_collector_as_it_found_it(on, monkeypatch):
+    # crop, collapse_check, assembly and the stem check run inside the pause as well
+    paused = []
+
+    def nothing_expected(p, stems):
+        paused.append(not gc.isenabled())
+        return {}  # every filled stem now assembles to a nonzero group against a zero one
+
+    def refused():
+        with pytest.raises(ArithmeticError, match="assembles to .*, but its group is 0"):
+            homotopy_table(2, range(-40, 41))
+
+    monkeypatch.setattr(morava.k1, "fiber_groups", nothing_expected)
+    assert _with_collector(on, refused) is on
+    assert paused == [True]
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [(partial(sphere_e2_page, 2, 14), 0.66), (partial(ko_e2_page, 14), 0.56)],
+    ids=["sphere", "ko"],
+)
+def test_d3_turn_peak_is_bounded_by_its_page(build, bound):
+    # the turn's traced peak above its input page, as a fraction of that page; the bounds sit midway
+    # between 0.77 / 0.68, with refusal sets alive through the copy and a key and t built per cell,
+    # and 0.55 / 0.44 without, on Python 3.10-3.13
+    gc.collect()
+    tracemalloc.start()
+    try:
+        page = morava.specseq.apply_differentials(build(-1000, 1018), [])
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        morava.specseq.apply_differentials(page, [morava.k1._D3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - size) / size < bound, (peak - size) / size
+
+
 def _pages_and_tables():
     for p in (2, 3, 5):
         homotopy_table(p, range(-400, 401)).to_json()

@@ -29,7 +29,7 @@ PARSERS = ["argparse", "shutil", "gettext", "locale"]
 # what no module of morava imports at the top (os too, but _run's contextlib loads os itself)
 UNUSED = ["importlib", "warnings", "__future__"]
 # what a command need not load to print a valuation or a level
-FRACTIONS = ["fractions", "decimal"]
+FRACTIONS = ["fractions", "decimal", "numbers"]
 
 
 def _loaded_after(code: str) -> set:
@@ -70,12 +70,15 @@ def test_import_loads_no_layer(module):
         (["witt", "trace", "w"], CHART_LAYERS),
         (["stab", "level", "1+S"], [*CHART_LAYERS, *FRACTIONS]),
         (["grlie", "span", "--k", "1", "--l", "1"], CHART_LAYERS),
+        (["grlie", "bracket", "--k", "1", "--l", "2", "3", "5"], [*CHART_LAYERS, *FRACTIONS]),
+        (["grlie", "power", "--k", "1", "4", "--p", "3", "--n", "2", "--json"], [*CHART_LAYERS, *FRACTIONS]),
         (["stab", "order", "1+S", "--p", "5"], READERS),
         (["order", "inv", "1+S", "--p", "5"], READERS),
         (["grlie", "check", "--k", "1", "--l", "2", "--trials", "5"], READERS),
     ],
     ids=[
         "k1 ko", "k1 homotopy", "homalg g1", "order val", "witt trace", "stab level", "grlie span",
+        "grlie bracket", "grlie power",
         "stab order", "order inv", "grlie check",
     ],
 )

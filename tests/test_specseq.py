@@ -380,6 +380,32 @@ def test_one_record_at_two_cells_turns_as_two_equal_records():
         assert _turn(apply_differentials, chart, [rule]) == _turn(_apply_differentials_by_scan, chart, [rule])
 
 
+@pytest.mark.parametrize(
+    "cells, error",
+    [
+        # two hits share a target id but not its (s, t, label): the ids alone would refuse this turn
+        ([(3, 2), (3, 4)], None),
+        # the record at (3, 2) is hit and hits (6, 4): ids and (s, t, label) both clash, and the
+        # refusal is worded by (s, t, label)
+        ([(3, 2), (6, 4)], f"summand is both source and target on page 3: {({(3, 2, Monomial.parse('x'))})}"),
+    ],
+    ids=["turned", "refused"],
+)
+def test_one_record_in_two_cells_turns_as_the_scan_does(cells, error):
+    # one Z/2[x] record in every cell of cells, hit from a Z/4[x] at (0, t - 2) where s = 3
+    rule, x, chart = DifferentialRule("same", (), u_shift=0), Summand(2, Monomial.parse("x")), Chart(3)
+    for s, t in cells:
+        chart.add(s, t, x)
+        if s == 3:
+            chart.add(0, t - 2, Summand(4, Monomial.parse("x")))
+    outcome = _assert_same_turn(chart, [rule])
+    if error:
+        assert outcome[:2] == ("error", error)
+    else:
+        kernel = (Summand(2, Monomial.parse("2*x")),)
+        assert apply_differentials(chart, [rule]).entries == {(0, 0): kernel, (0, 2): kernel}
+
+
 def test_rules_refuse_cores_that_name_u():
     # a factor of u would belong in u_shift
     for times in ((("x", 1), ("u", 2)), (("u", 1), ("y", 1)), (("u", 1),)):

@@ -32,7 +32,7 @@ from morava.stabilizer import (
     s1_split,
     torus_embed,
 )
-from morava.witt import DEFAULT_POLYS, WittElem, make_ring
+from morava.witt import DEFAULT_POLYS, WittElem, fq_field, make_ring
 from test_witt import _vec_mul
 
 
@@ -64,6 +64,15 @@ def test_order3_element():
     assert g.level == Fraction(1, 2) and g.digit == ring.fq.gen
     with pytest.raises(ValueError, match="p = 3, n = 2"):
         order3_element(make_ring(5, 2, 8))
+
+
+def test_graded_piece_prints_its_level_as_its_fraction_does():
+    # repr reduces k/n by the Euclid helper SValuation prints with; level stays the Fraction
+    for p, n in ((2, 4), (3, 2), (5, 3), (2, 6)):
+        digit = fq_field(p, n).gen
+        for k in range(1, 4 * n + 1):
+            g = GrElem(k, digit)
+            assert repr(g) == f"gr[{g.level}]({digit!r})" and g.level == Fraction(k, n)
 
 
 def test_torsion_orders():
